@@ -12,8 +12,9 @@ the average radiated power is exactly q per relay, whatever the scheme.
 
 The per-relay builders below are the readable reference forms. The
 Monte Carlo loop goes through stacked_beamformers / stacked_power_factors,
-which apply the same formulas over arbitrary leading batch axes; the
-test suite pins the two routes to each other.
+which apply the same formulas over arbitrary leading batch axes and
+work from the products f h and g f, formed once per scheme; the test
+suite pins the two routes to each other.
 """
 
 from __future__ import annotations
@@ -24,14 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization, NetworkConfig
-from .linalg import (
-    NumericError,
-    ShapeError,
-    as_matrix,
-    cholesky_stack,
-    solve_cholesky_factored,
-    solve_hpd,
-)
+from .linalg import NumericError, ShapeError, as_matrix, cholesky_stack, sq_norm, solve_hpd
 
 
 class Scheme(enum.Enum):
@@ -114,48 +108,48 @@ def power_control_factor(
     if f.shape[1] != n or h.shape[0] != n:
         raise ShapeError(f"f {f.shape} does not act on relay input of {h.shape}")
     rho = stacked_power_factors(
-        f[np.newaxis], h[np.newaxis], p=p, m=m, sigma1_sq=sigma1_sq, q=q
+        (f @ h)[np.newaxis], sq_norm(f)[np.newaxis], p=p, m=m, sigma1_sq=sigma1_sq, q=q
     )
     return float(rho[0])
 
 
 def stacked_beamformers(
     scheme: Scheme, h: np.ndarray, g: np.ndarray, alpha: float
-) -> np.ndarray:
-    """Beamforming matrices for stacks h (..., k, n, m), g (..., k, m, n).
+) -> tuple:
+    """Beamformers of stacks h (..., k, n, m), g (..., k, m, n), returned
+    as (f, fh, gf, f_sq): the (..., k, n, n) matrices f, the products
+    fh = f h and gf = g f that power control and the link need, and the
+    squared Frobenius norms f_sq = ||f||^2 (..., k).
 
-    Returns (..., k, n, n); leading axes are broadcast batch dimensions
-    (Monte Carlo trials), axis -3 indexes relays.
+    Leading axes are broadcast batch dimensions (Monte Carlo trials),
+    axis -3 indexes relays. For af, f is the identity: it is returned as
+    None, with fh = h, gf = g and f_sq = n, and no product is formed.
     """
-    gh = np.swapaxes(g, -1, -2).conj()
-    hh = np.swapaxes(h, -1, -2).conj()
     if scheme is Scheme.AF:
         n = h.shape[-2]
-        return np.broadcast_to(np.eye(n, dtype=np.complex128), h.shape[:-2] + (n, n))
+        return None, h, g, np.full(h.shape[:-2], float(n))
+    hh = np.swapaxes(h, -1, -2).conj()
+    gh = np.swapaxes(g, -1, -2).conj()
     if scheme is Scheme.MF:
-        return gh @ hh
-    if scheme is Scheme.MF_RZF:
-        m, n = g.shape[-2], g.shape[-1]
-        gram = g @ gh + alpha * np.eye(m)
-        flat_gram = gram.reshape(-1, m, m)
-        flat_hh = hh.reshape(-1, m, n)
-        factors = cholesky_stack(flat_gram)
-        x = np.empty_like(flat_hh)
-        for i in range(flat_gram.shape[0]):
-            x[i] = solve_cholesky_factored(factors[i], flat_hh[i])
-        return gh @ x.reshape(hh.shape)
-    raise ValueError(f"unknown scheme {scheme!r}")
+        f = gh @ hh
+    elif scheme is Scheme.MF_RZF:
+        m = g.shape[-2]
+        gram = g @ gh
+        gram[..., range(m), range(m)] += alpha
+        cholesky_stack(gram)  # raises NumericError unless positive definite
+        f = gh @ np.linalg.solve(gram, hh)
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    return f, f @ h, g @ f, sq_norm(f)
 
 
 def stacked_power_factors(
-    f: np.ndarray, h: np.ndarray, p: float, m: int, sigma1_sq: float, q: float
+    fh: np.ndarray, f_sq: np.ndarray, p: float, m: int, sigma1_sq: float, q: float
 ) -> np.ndarray:
-    """rho for stacks f (..., k, n, n), h (..., k, n, m): per relay,
-    sqrt(q / tr{f ((p/m) h h^H + sigma1_sq I) f^H})."""
-    n = h.shape[-2]
-    hh = np.swapaxes(h, -1, -2).conj()
-    cov = (p / m) * (h @ hh) + sigma1_sq * np.eye(n)
-    power = np.einsum("...ij,...ij->...", f @ cov, f.conj()).real
+    """rho for stacks fh = f h (..., k, n, m) and f_sq = ||f||^2 (..., k):
+    per relay, sqrt(q / tr{f ((p/m) h h^H + sigma1_sq I) f^H}), where the
+    trace is (p/m) ||f h||^2 + sigma1_sq ||f||^2."""
+    power = (p / m) * sq_norm(fh) + sigma1_sq * f_sq
     if not np.all(power > 0):
         raise NumericError("a relay's output power is not positive")
     return np.sqrt(q / power)
@@ -173,6 +167,8 @@ def build_weights(
             f"realization dims {h.shape} do not match config "
             f"(k={config.k}, n={config.n}, m={config.m})"
         )
-    f = stacked_beamformers(scheme, h, g, config.alpha)
-    rho = stacked_power_factors(f, h, config.p, config.m, config.sigma1_sq, config.q)
+    f, fh, _, f_sq = stacked_beamformers(scheme, h, g, config.alpha)
+    rho = stacked_power_factors(fh, f_sq, config.p, config.m, config.sigma1_sq, config.q)
+    if f is None:
+        f = np.broadcast_to(af_beamformer(n), (k, n, n))
     return RelayWeights(f=f, rho=rho)

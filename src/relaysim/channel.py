@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
+_SEED_LIMIT = 1 << 64
 
 
 @dataclass(frozen=True)
@@ -102,49 +102,69 @@ class ChannelRealization:
         return self.h.shape[0]
 
 
+def check_seed(seed: int, field: str = "seed") -> int:
+    """Return seed if it is an integer in [0, 2**64), else raise
+    ValueError naming `field`. Seeds key the Philox streams, which take
+    64-bit words, so any other value would alias a valid one."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"{field} must be an integer, got {seed!r}")
+    if not 0 <= seed < _SEED_LIMIT:
+        raise ValueError(f"{field} must be in [0, 2**64), got {seed}")
+    return int(seed)
+
+
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Independent Philox stream for one (seed, trial) pair."""
+    check_seed(seed)
     if trial < 0:
         raise ValueError(f"trial index must be >= 0, got {trial}")
-    key = np.array([seed & _MASK64, trial & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=np.array([seed, trial], dtype=np.uint64)))
 
 
-def sample_gaussian_matrix(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """One rows x cols matrix of i.i.d. CN(0, 1) entries.
+def channels_for_trials(
+    config: NetworkConfig, seed: int, start: int, stop: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked channels of Monte Carlo trials [start, stop) under `seed`:
+    h (T, k, n, m) and g (T, k, m, n) with T = stop - start.
 
-    Consumes 2*rows*cols standard normals from rng: real and imaginary
-    parts interleaved per entry, entries filled column by column, scaled
-    by 1/sqrt(2) for unit variance.
+    Trial t draws from its own Philox stream keyed by (seed, t) with the
+    counter at 0, so a trial's channels do not depend on which chunk or
+    worker draws it. One bit generator is re-keyed per trial through its
+    state, instead of building one per trial. Each trial consumes
+    4*k*n*m standard normals in a fixed documented order: first-hop
+    matrices for relays 1..k, then second-hop matrices 1..k; within a
+    matrix, entries column by column, real and imaginary parts
+    interleaved per entry, scaled by 1/sqrt(2) for CN(0, 1) entries.
+    Powers and alpha do not touch the stream, so all beamforming schemes
+    and the capacity upper bound see a common set of random channels.
     """
-    raw = rng.standard_normal(2 * rows * cols)
-    entries = (raw[0::2] + 1j * raw[1::2]) / np.sqrt(2.0)
-    return entries.reshape((rows, cols), order="F")
-
-
-def sample_realization(config: NetworkConfig, rng: np.random.Generator) -> ChannelRealization:
-    """Draw all 2k channel matrices from rng in a fixed documented order:
-    first-hop matrices for relays 1..k, then second-hop matrices 1..k.
-
-    Consumes the stream exactly as 2k sequential sample_gaussian_matrix
-    calls would; the normals are drawn in one batch because numpy's
-    Generator produces the identical sequence either way.
-    """
+    check_seed(seed)
+    if not 0 <= start <= stop:
+        raise ValueError(f"trial range must satisfy 0 <= start <= stop, got [{start}, {stop})")
     k, n, m = config.k, config.n, config.m
-    per = n * m
-    raw = rng.standard_normal(4 * k * per)
-    entries = (raw[0::2] + 1j * raw[1::2]) / np.sqrt(2.0)
+    per = k * n * m
+    raw = np.empty((stop - start, 4 * per))
+    bitgen = np.random.Philox(0)
+    normal = np.random.Generator(bitgen).standard_normal
+    state = bitgen.state  # counter 0, empty buffer: a fresh stream once re-keyed
+    key = state["state"]["key"]
+    key[0] = seed
+    for row, trial in zip(raw, range(start, stop)):
+        key[1] = trial
+        bitgen.state = state
+        normal(out=row)
+    if not np.all(np.isfinite(raw)):
+        raise ValueError("channel draw produced non-finite entries")
+    entries = raw.view(np.complex128)
+    entries /= np.sqrt(2.0)  # complex division: its rounding differs from raw /= sqrt(2)
     # column-major fill per matrix == reshape to the transposed shape, then swap
-    h = np.ascontiguousarray(entries[: k * per].reshape(k, m, n).transpose(0, 2, 1))
-    g = np.ascontiguousarray(entries[k * per :].reshape(k, n, m).transpose(0, 2, 1))
-    return ChannelRealization(h=h, g=g)
+    h = entries[:, :per].reshape(-1, k, m, n).swapaxes(-1, -2).copy()
+    g = entries[:, per:].reshape(-1, k, n, m).swapaxes(-1, -2).copy()
+    return h, g
 
 
 def realization_for_trial(config: NetworkConfig, seed: int, trial: int) -> ChannelRealization:
-    """The fading realization of Monte Carlo trial `trial` under `seed`.
-
-    Pure function of (dimensions, seed, trial): powers and alpha do not
-    touch the stream, so all beamforming schemes and the capacity upper
-    bound see a common set of random channels.
-    """
-    return sample_realization(config, trial_rng(seed, trial))
+    """The fading realization of Monte Carlo trial `trial` under `seed`:
+    the one-trial view of channels_for_trials."""
+    h, g = channels_for_trials(config, seed, trial, trial + 1)
+    return ChannelRealization(h=h[0], g=g[0])

@@ -18,6 +18,7 @@ import os
 import sys
 from pathlib import Path
 
+from .channel import check_seed
 from .montecarlo import ConfigError, run_sweep
 from .plotting import emit_plot
 from .scenario import (
@@ -72,14 +73,19 @@ def _resolve_scenario(name: str):
 
 def _resolve_seed(args_seed, env: dict):
     if args_seed is not None:
-        return args_seed
-    raw = env.get("RELAYSIM_SEED")
-    if raw is None:
-        return None
+        seed, field = args_seed, "--seed"
+    else:
+        raw = env.get("RELAYSIM_SEED")
+        if raw is None:
+            return None
+        try:
+            seed, field = int(raw), "RELAYSIM_SEED"
+        except ValueError:
+            raise ScenarioError(f"RELAYSIM_SEED must be an integer, got '{raw}'") from None
     try:
-        return int(raw)
-    except ValueError:
-        raise ScenarioError(f"RELAYSIM_SEED must be an integer, got '{raw}'") from None
+        return check_seed(seed, field)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def cmd_run(args) -> int:

@@ -1,9 +1,13 @@
 """Complex matrix kernel used by the simulator.
 
 Thin, checked wrappers around LAPACK-backed numpy/scipy routines. All
-matrices are 2-D complex128 ndarrays. Decompositions raise NumericError
-instead of returning garbage, and shape mismatches raise ShapeError with
-both operand shapes in the message.
+matrices are 2-D complex128 ndarrays, except for the *_stack routines
+and sq_norm, which take stacks (..., rows, cols). Decompositions raise
+NumericError instead of returning garbage, and shape mismatches raise
+ShapeError with both operand shapes in the message.
+
+scipy is imported only by the single-matrix Cholesky routines, so that
+importing the simulator does not pay for it.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zpotrf, zpotrs
 
 
 class ShapeError(ValueError):
@@ -108,7 +111,19 @@ def qr_decompose(a: np.ndarray) -> QrFactors:
     return QrFactors(q=q, r=r)
 
 
+def sq_norm(a: np.ndarray, axes: int = 2) -> np.ndarray:
+    """Sum of |a|^2 over the trailing `axes` axes of a complex stack: the
+    squared Frobenius norm of each matrix (axes=2) or the squared norm of
+    each row (axes=1). Computed from the float64 view of the array, which
+    avoids forming a.conj() and a complex product."""
+    x = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
+    x = x.reshape(x.shape[: x.ndim - axes] + (-1,))
+    return np.einsum("...i,...i->...", x, x)
+
+
 def _cholesky_lower(a: np.ndarray, name: str) -> np.ndarray:
+    from scipy.linalg.lapack import zpotrf
+
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"{name} needs a square matrix, got {a.shape}")
     c, info = zpotrf(a, lower=1)
@@ -129,6 +144,8 @@ def solve_hpd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = as_matrix(b, "b")
     if a.shape[0] != b.shape[0]:
         raise ShapeError(f"solve_hpd shapes do not align: {a.shape} vs {b.shape}")
+    from scipy.linalg.lapack import zpotrs
+
     c = _cholesky_lower(a, "solve_hpd")
     x, info = zpotrs(c, b, lower=1)
     if info != 0:  # pragma: no cover - zpotrs only fails on bad arguments
@@ -153,14 +170,6 @@ def cholesky_stack(a: np.ndarray) -> np.ndarray:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"cholesky_stack: matrix not positive definite ({exc})") from exc
-
-
-def solve_cholesky_factored(l: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a @ x = b given the lower Cholesky factor l of a."""
-    x, info = zpotrs(l, b, lower=1)
-    if info != 0:  # pragma: no cover - zpotrs only fails on bad arguments
-        raise NumericError(f"solve_cholesky_factored failed (info={info})")
-    return x
 
 
 def logdet_hpd_stack(a: np.ndarray) -> np.ndarray:

@@ -9,7 +9,10 @@ receiver noise. Capacity carries the 1/2 pre-log of the two-slot
 half-duplex protocol.
 
 The stacked_* functions evaluate whole batches of Monte Carlo trials at
-once (leading axes broadcast); the single-realization API wraps them.
+once (leading axes broadcast). They take the relay products fh = f h and
+gf = g f that stacked_beamformers forms once per scheme; the
+single-realization API forms them from RelayWeights and wraps the same
+functions.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from .beamformers import RelayWeights
 from .channel import ChannelRealization, NetworkConfig
-from .linalg import QrFactors, logdet_hpd_stack, qr_stack
+from .linalg import QrFactors, logdet_hpd_stack, qr_stack, sq_norm
 
 _LN2 = float(np.log(2.0))
 
@@ -41,19 +44,27 @@ class LinkMetrics:
             raise ValueError("per-stream SNRs must be finite and non-negative")
 
 
+def _weighted_block_row(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """[rho_1 a_1, ..., rho_k a_k] for a stack a (..., k, r, c): the
+    (..., r, k*c) block row of the relays' weighted matrices, so that a
+    sum over relays becomes one matrix product per trial."""
+    *lead, k, r, c = a.shape
+    out = np.empty((*lead, r, k, c), dtype=np.complex128)
+    np.multiply(a, rho[..., np.newaxis, np.newaxis], out=np.swapaxes(out, -3, -2))
+    return out.reshape(*lead, r, k * c)
+
+
 def stacked_effective_channel(
-    h: np.ndarray, g: np.ndarray, f: np.ndarray, rho: np.ndarray
+    g: np.ndarray, fh: np.ndarray, rho: np.ndarray
 ) -> np.ndarray:
     """Source-to-destination cascade summed over relays:
-    sum_k rho_k g_k f_k h_k, batched over leading axes."""
-    terms = g @ (f @ h)  # (..., k, m, m)
-    return np.einsum("...k,...kij->...ij", rho, terms)
+    sum_k rho_k g_k (f_k h_k), batched over leading axes."""
+    *lead, k, n, m = fh.shape
+    return _weighted_block_row(g, rho) @ fh.reshape(*lead, k * n, m)
 
 
 def stacked_snr(
-    h: np.ndarray,
-    g: np.ndarray,
-    f: np.ndarray,
+    gf: np.ndarray,
     rho: np.ndarray,
     q: np.ndarray,
     r: np.ndarray,
@@ -66,13 +77,13 @@ def stacked_snr(
     plus the destination noise:
 
         sigma1_sq * sum_k rho_k^2 ||row_m(q^H g_k f_k)||^2 + sigma2_sq
+
+    The sum over relays is the squared norm of row m of
+    q^H [rho_1 g_1 f_1, ..., rho_k g_k f_k].
     """
-    forward = g @ f  # (..., k, m, n)
     qh = np.swapaxes(q, -1, -2).conj()
-    rotated = qh[..., np.newaxis, :, :] @ forward  # (..., k, m, n)
-    row_power = np.einsum("...mn,...mn->...m", rotated, rotated.conj()).real
-    relay_noise = config.sigma1_sq * np.einsum("...km,...k->...m", row_power, rho**2)
-    noise = relay_noise + config.sigma2_sq
+    row_power = sq_norm(qh @ _weighted_block_row(gf, rho), axes=1)
+    noise = config.sigma1_sq * row_power + config.sigma2_sq
     diag = np.real(np.diagonal(r, axis1=-2, axis2=-1))
     return (config.p / config.m) * diag**2 / noise
 
@@ -83,12 +94,11 @@ def stacked_capacity_bits(snr: np.ndarray) -> np.ndarray:
 
 
 def stacked_scheme_capacity(
-    h: np.ndarray, g: np.ndarray, f: np.ndarray, rho: np.ndarray, config: NetworkConfig
+    g: np.ndarray, fh: np.ndarray, gf: np.ndarray, rho: np.ndarray, config: NetworkConfig
 ) -> np.ndarray:
     """Capacity of every trial in a batch under one beamforming scheme."""
-    h_sd = stacked_effective_channel(h, g, f, rho)
-    q, r = qr_stack(h_sd)
-    return stacked_capacity_bits(stacked_snr(h, g, f, rho, q, r, config))
+    q, r = qr_stack(stacked_effective_channel(g, fh, rho))
+    return stacked_capacity_bits(stacked_snr(gf, rho, q, r, config))
 
 
 def stacked_upper_bound(h: np.ndarray, config: NetworkConfig) -> np.ndarray:
@@ -99,8 +109,9 @@ def stacked_upper_bound(h: np.ndarray, config: NetworkConfig) -> np.ndarray:
     Depends only on the first-hop channels, so it is unaffected by the
     relay power budget q and by the beamforming scheme.
     """
-    gram = np.einsum("...knm,...knp->...mp", h.conj(), h)  # sum_k h_k^H h_k
-    m = config.m
+    *lead, k, n, m = h.shape
+    stacked = h.reshape(*lead, k * n, m)  # [h_1; ...; h_k]
+    gram = np.swapaxes(stacked, -1, -2).conj() @ stacked  # sum_k h_k^H h_k
     arg = np.eye(m) + (config.p / (m * config.sigma1_sq)) * gram
     return 0.5 * logdet_hpd_stack(arg) / _LN2
 
@@ -110,7 +121,7 @@ def effective_channel(
 ) -> np.ndarray:
     """Effective m x m source-destination channel of one realization."""
     return stacked_effective_channel(
-        realization.h, realization.g, weights.f, weights.rho
+        realization.g, weights.f @ realization.h, weights.rho
     )
 
 
@@ -121,9 +132,7 @@ def per_stream_snr(
     config: NetworkConfig,
 ) -> np.ndarray:
     """Post-detection SNRs of one realization under one scheme."""
-    return stacked_snr(
-        realization.h, realization.g, weights.f, weights.rho, qr.q, qr.r, config
-    )
+    return stacked_snr(realization.g @ weights.f, weights.rho, qr.q, qr.r, config)
 
 
 def instantaneous_capacity(snr_per_stream: np.ndarray) -> float:

@@ -9,6 +9,7 @@ sweep point see common random channels.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beamformers import Scheme, stacked_beamformers, stacked_power_factors
-from .channel import NetworkConfig, realization_for_trial
+from .channel import NetworkConfig, channels_for_trials, check_seed
 from .link import stacked_scheme_capacity, stacked_upper_bound
 
 UPPER_BOUND_LABEL = "upper-bound"
@@ -83,6 +84,10 @@ class SweepSpec:
             raise ConfigError(f"duplicate schemes: {self.schemes}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        try:
+            check_seed(self.seed)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def point(self, value) -> tuple[NetworkConfig, float, float]:
         """Materialize (config, pnr_db, qnr_db) for one axis value."""
@@ -135,25 +140,38 @@ class SweepRow:
 def _capacity_chunk(args) -> tuple:
     """Per-trial capacities for trials [start, stop) of one sweep point.
 
-    Channels are drawn trial by trial from their keyed streams, then all
-    series are evaluated on the stacked batch.
+    The chunk's channels are drawn in one batch, then every series is
+    evaluated on it; a scheme's intermediates are released before the
+    next scheme starts.
     """
     config, schemes, include_upper, seed, start, stop = args
-    realizations = [
-        realization_for_trial(config, seed, trial) for trial in range(start, stop)
-    ]
-    h = np.stack([r.h for r in realizations])
-    g = np.stack([r.g for r in realizations])
+    h, g = channels_for_trials(config, seed, start, stop)
     columns = []
     for scheme in schemes:
-        f = stacked_beamformers(scheme, h, g, config.alpha)
+        fh, gf, f_sq = stacked_beamformers(scheme, h, g, config.alpha)[1:]
         rho = stacked_power_factors(
-            f, h, config.p, config.m, config.sigma1_sq, config.q
+            fh, f_sq, config.p, config.m, config.sigma1_sq, config.q
         )
-        columns.append(stacked_scheme_capacity(h, g, f, rho, config))
+        columns.append(stacked_scheme_capacity(g, fh, gf, rho, config))
+        del fh, gf
     if include_upper:
         columns.append(stacked_upper_bound(h, config))
     return start, np.column_stack(columns)
+
+
+@contextlib.contextmanager
+def _chunk_map(workers: int, trials: int):
+    """A map over chunk jobs: the builtin map, or the map of one process
+    pool with at most one worker per chunk of `trials`, kept open for
+    every point of a sweep."""
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+    workers = min(workers, -(-trials // TRIAL_CHUNK))
+    if workers == 1:
+        yield map
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield pool.map
 
 
 def _capacity_table(
@@ -162,23 +180,16 @@ def _capacity_table(
     include_upper: bool,
     trials: int,
     seed: int,
-    workers: int,
+    chunk_map,
 ) -> np.ndarray:
     """trials x series matrix of per-trial capacities, in trial order."""
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     jobs = [
         (config, schemes, include_upper, seed, start, min(start + TRIAL_CHUNK, trials))
         for start in range(0, trials, TRIAL_CHUNK)
     ]
     table = np.empty((trials, len(schemes) + int(include_upper)))
-    if workers == 1 or len(jobs) == 1:
-        for start, block in map(_capacity_chunk, jobs):
-            table[start : start + len(block)] = block
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for start, block in pool.map(_capacity_chunk, jobs):
-                table[start : start + len(block)] = block
+    for start, block in chunk_map(_capacity_chunk, jobs):
+        table[start : start + len(block)] = block
     return table
 
 
@@ -202,7 +213,8 @@ def estimate_ergodic_capacity(
     """Mean instantaneous capacity of one scheme over `trials` channels."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    table = _capacity_table(config, (scheme,), False, trials, seed, workers)
+    with _chunk_map(workers, trials) as chunk_map:
+        table = _capacity_table(config, (scheme,), False, trials, seed, chunk_map)
     return _estimate(table[:, 0], trials, scheme.value)
 
 
@@ -212,7 +224,8 @@ def estimate_upper_bound(
     """Mean cut-set bound over the same channel draws the schemes see."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    table = _capacity_table(config, (), True, trials, seed, workers)
+    with _chunk_map(workers, trials) as chunk_map:
+        table = _capacity_table(config, (), True, trials, seed, chunk_map)
     return _estimate(table[:, 0], trials, UPPER_BOUND_LABEL)
 
 
@@ -221,17 +234,22 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
 
     Rows are ordered axis-major, series-minor, with the upper bound (if
     requested) last within each point. All series of one point share the
-    same per-trial channel realizations.
+    same per-trial channel realizations. One process pool (for workers
+    above 1) serves every point.
     """
     rows = []
     labels = [s.value for s in spec.schemes]
     if spec.include_upper_bound:
         labels.append(UPPER_BOUND_LABEL)
-    for value in spec.values:
-        config, pnr_db, qnr_db = spec.point(value)
-        table = _capacity_table(
-            config, spec.schemes, spec.include_upper_bound, spec.trials, spec.seed, workers
-        )
+    with _chunk_map(workers, spec.trials) as chunk_map:
+        points = [spec.point(value) for value in spec.values]
+        tables = [
+            _capacity_table(
+                config, spec.schemes, spec.include_upper_bound, spec.trials, spec.seed, chunk_map
+            )
+            for config, _, _ in points
+        ]
+    for value, (config, pnr_db, qnr_db), table in zip(spec.values, points, tables):
         for j, label in enumerate(labels):
             est = _estimate(table[:, j], spec.trials, label)
             rows.append(

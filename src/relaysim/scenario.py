@@ -21,7 +21,7 @@ from pathlib import Path
 import yaml
 
 from .beamformers import Scheme
-from .channel import NetworkConfig
+from .channel import NetworkConfig, check_seed
 from .montecarlo import AXES, ConfigError, SweepSpec
 
 
@@ -114,6 +114,10 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> SweepSpec:
             ) from None
     trials = _get(run, "trials", int, source, "run", default=DEFAULT_TRIALS)
     seed = _get(run, "seed", int, source, "run")
+    try:
+        check_seed(seed, "key 'seed' in section 'run'")
+    except ValueError as exc:
+        raise ScenarioError(f"{source}: {exc}") from None
     include_upper = _get(run, "include_upper_bound", bool, source, "run", default=True)
 
     try:

@@ -13,8 +13,9 @@ from relaysim.beamformers import (
     mf_beamformer,
     mf_rzf_beamformer,
     power_control_factor,
+    stacked_beamformers,
 )
-from relaysim.channel import NetworkConfig, realization_for_trial
+from relaysim.channel import NetworkConfig, channels_for_trials, realization_for_trial
 from relaysim.linalg import NumericError, conj_transpose, matmul
 
 
@@ -60,6 +61,17 @@ def test_mf_rzf_zero_alpha_singular_gram_raises():
     g = np.zeros((2, 2), dtype=complex)  # g g^H singular
     with pytest.raises(NumericError):
         mf_rzf_beamformer(h, g, alpha=0.0)
+
+
+def test_mf_rzf_singular_gram_in_a_chunk_raises():
+    # one trial of a batch has a second hop with a zero row: with alpha = 0
+    # its Gram matrix g g^H is singular and the whole chunk must fail
+    cfg = NetworkConfig(m=4, n=4, k=4, p=1.0, q=1.0, alpha=0.0)
+    h, g = channels_for_trials(cfg, seed=3, start=100, stop=164)
+    stacked_beamformers(Scheme.MF_RZF, h, g, alpha=0.0)  # full rank: fine
+    g[37, 2, 1, :] = 0.0
+    with pytest.raises(NumericError):
+        stacked_beamformers(Scheme.MF_RZF, h, g, alpha=0.0)
 
 
 def test_mf_rzf_large_alpha_approaches_mf():

@@ -11,11 +11,25 @@ from scipy import stats
 from relaysim.channel import (
     ChannelRealization,
     NetworkConfig,
+    channels_for_trials,
     realization_for_trial,
-    sample_gaussian_matrix,
-    sample_realization,
     trial_rng,
 )
+
+
+def sample_gaussian_matrix(rows, cols, rng):
+    """Reference layout of one rows x cols CN(0, 1) matrix: 2*rows*cols
+    standard normals from rng, real and imaginary parts interleaved per
+    entry, entries filled column by column, scaled by 1/sqrt(2)."""
+    raw = rng.standard_normal(2 * rows * cols)
+    entries = (raw[0::2] + 1j * raw[1::2]) / np.sqrt(2.0)
+    return entries.reshape((rows, cols), order="F")
+
+
+def first_hop_matrix(rows, cols, seed):
+    """h_1 of trial 0 of a one-relay network with n=rows, m=cols."""
+    cfg = NetworkConfig(m=cols, n=rows, k=1, p=1.0, q=1.0)
+    return realization_for_trial(cfg, seed=seed, trial=0).h[0]
 
 
 def test_config_rejects_n_smaller_than_m():
@@ -88,6 +102,39 @@ def test_powers_do_not_touch_the_stream():
 def test_negative_trial_rejected():
     with pytest.raises(ValueError):
         trial_rng(seed=1, trial=-1)
+    cfg = NetworkConfig(m=2, n=2, k=1, p=1.0, q=1.0)
+    with pytest.raises(ValueError):
+        realization_for_trial(cfg, seed=1, trial=-1)
+    with pytest.raises(ValueError):
+        channels_for_trials(cfg, seed=1, start=-1, stop=3)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+def test_seed_outside_64_bits_rejected(seed):
+    cfg = NetworkConfig(m=2, n=2, k=1, p=1.0, q=1.0)
+    with pytest.raises(ValueError, match="seed"):
+        trial_rng(seed=seed, trial=0)
+    with pytest.raises(ValueError, match="seed"):
+        channels_for_trials(cfg, seed=seed, start=0, stop=1)
+
+
+@pytest.mark.parametrize("m, n, k", [(4, 4, 4), (8, 8, 10)])
+def test_chunk_draw_is_stack_of_per_trial_draws(m, n, k):
+    # a chunk away from trial 0 equals the trials drawn one by one, byte
+    # for byte, both through realization_for_trial and through a fresh
+    # keyed stream per trial read in the documented order
+    cfg = NetworkConfig(m=m, n=n, k=k, p=1.0, q=1.0)
+    seed, start, stop = 2**64 - 3, 1021, 1029
+    h, g = channels_for_trials(cfg, seed, start, stop)
+    reals = [realization_for_trial(cfg, seed, t) for t in range(start, stop)]
+    assert h.tobytes() == np.stack([r.h for r in reals]).tobytes()
+    assert g.tobytes() == np.stack([r.g for r in reals]).tobytes()
+    for i, trial in enumerate(range(start, stop)):
+        rng = trial_rng(seed, trial)
+        hs = [sample_gaussian_matrix(n, m, rng) for _ in range(k)]
+        gs = [sample_gaussian_matrix(m, n, rng) for _ in range(k)]
+        assert h[i].tobytes() == np.stack(hs).tobytes()
+        assert g[i].tobytes() == np.stack(gs).tobytes()
 
 
 @given(st.integers(0, 2**63), st.integers(0, 10_000))
@@ -99,8 +146,7 @@ def test_trial_rng_is_reproducible(seed, trial):
 
 def test_entry_moments():
     # 10^6 entries: mean magnitude below 0.005, variance within 0.5%
-    rng = trial_rng(seed=123, trial=0)
-    entries = sample_gaussian_matrix(1000, 1000, rng).ravel()
+    entries = first_hop_matrix(1000, 1000, seed=123).ravel()
     assert abs(entries.mean()) < 0.005
     var = np.mean(np.abs(entries) ** 2)
     assert 0.995 < var < 1.005
@@ -108,8 +154,7 @@ def test_entry_moments():
 
 def test_real_imag_parts_are_normal():
     # KS test of both parts against N(0, 1/2) at significance 1e-3
-    rng = trial_rng(seed=7, trial=0)
-    entries = sample_gaussian_matrix(400, 250, rng).ravel()
+    entries = first_hop_matrix(400, 250, seed=7).ravel()
     scale = np.sqrt(0.5)
     for part in (entries.real, entries.imag):
         stat = stats.kstest(part, "norm", args=(0.0, scale))
@@ -142,9 +187,9 @@ def test_first_and_second_hop_independence():
 
 
 def test_documented_draw_order():
-    # sample_realization consumes the stream as h_1..h_k then g_1..g_k
+    # a trial consumes its stream as h_1..h_k then g_1..g_k
     cfg = NetworkConfig(m=2, n=3, k=2, p=1.0, q=1.0)
-    real = sample_realization(cfg, trial_rng(seed=4, trial=9))
+    real = realization_for_trial(cfg, seed=4, trial=9)
     rng = trial_rng(seed=4, trial=9)
     h1 = sample_gaussian_matrix(3, 2, rng)
     h2 = sample_gaussian_matrix(3, 2, rng)
@@ -157,7 +202,7 @@ def test_documented_draw_order():
 def test_entry_order_within_matrix():
     # column-major fill, real/imag interleaved, 1/sqrt(2) scale
     raw = trial_rng(seed=31, trial=0).standard_normal(2 * 2 * 2)
-    mat = sample_gaussian_matrix(2, 2, trial_rng(seed=31, trial=0))
+    mat = first_hop_matrix(2, 2, seed=31)
     expect = np.array(
         [
             [raw[0] + 1j * raw[1], raw[4] + 1j * raw[5]],

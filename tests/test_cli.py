@@ -129,3 +129,47 @@ def test_list_scenarios_names_all_bundled(capsys):
     out = capsys.readouterr().out
     for name in ("fig2", "fig3", "fig4", "fig5", "fig6"):
         assert name in out
+
+
+@pytest.mark.parametrize(
+    "flag, env, scenario_seed, field",
+    [
+        (-1, None, 5, "--seed"),
+        (2**64, None, 5, "--seed"),
+        (None, "-1", 5, "RELAYSIM_SEED"),
+        (None, str(2**64), 5, "RELAYSIM_SEED"),
+        (None, None, -1, "'seed' in section 'run'"),
+        (None, None, 2**64, "'seed' in section 'run'"),
+    ],
+)
+def test_seed_outside_64_bits_exits_2(
+    tmp_path, capsys, monkeypatch, flag, env, scenario_seed, field
+):
+    # -1 used to alias 2**64 - 1 silently; every seed source now rejects it
+    path = tmp_path / "tiny.yaml"
+    path.write_text(TINY.replace("seed: 5", f"seed: {scenario_seed}"))
+    if env is None:
+        monkeypatch.delenv("RELAYSIM_SEED", raising=False)
+    else:
+        monkeypatch.setenv("RELAYSIM_SEED", env)
+    args = ["run", path, "--out", tmp_path / "out"]
+    if flag is not None:
+        args += ["--seed", flag]
+    assert _run(args) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert field in err and "2**64" in err
+
+
+def test_largest_seed_is_accepted(tiny_scenario, tmp_path):
+    out = tmp_path / "out"
+    assert _run(["run", tiny_scenario, "--out", out, "--seed", 2**64 - 1, "--trials", 4]) == 0
+    line = (out / "results.csv").read_text().splitlines()[1]
+    assert line.split(",")[CSV_COLUMNS.index("seed")] == str(2**64 - 1)
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_nonpositive_workers_exit_2(tiny_scenario, tmp_path, capsys, workers):
+    assert _run(["run", tiny_scenario, "--out", tmp_path / "out", "--workers", workers]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: workers must be >= 1, got {workers}\n"

@@ -5,13 +5,15 @@ determinism across seeds and worker counts."""
 import numpy as np
 import pytest
 
-from relaysim.beamformers import Scheme
-from relaysim.channel import NetworkConfig
+from relaysim.beamformers import Scheme, build_weights
+from relaysim.channel import NetworkConfig, realization_for_trial
+from relaysim.link import compute_link_metrics, upper_bound_capacity
 from relaysim.montecarlo import (
     AXES,
     CapacityEstimate,
     ConfigError,
     SweepSpec,
+    _capacity_chunk,
     estimate_ergodic_capacity,
     estimate_upper_bound,
     run_sweep,
@@ -61,6 +63,10 @@ def test_sweep_spec_validation():
         base_spec(schemes=(Scheme.MF, Scheme.MF))
     with pytest.raises(ConfigError):
         base_spec(trials=0)
+    with pytest.raises(ConfigError, match="seed"):
+        base_spec(seed=-1)
+    with pytest.raises(ConfigError, match="seed"):
+        base_spec(seed=2**64)
     assert set(AXES) == {"relay_count", "pnr_db", "qnr_db", "pnr_equals_qnr_db"}
 
 
@@ -96,6 +102,23 @@ def test_axis_point_errors_name_the_point():
 
 
 # ------------------------------------------------------------ estimators
+
+
+@pytest.mark.parametrize("m, n, k", [(4, 4, 4), (2, 3, 2), (8, 8, 10)])
+def test_chunk_matches_per_realization_chain(m, n, k):
+    # the fused batch kernel against the single-realization API, trial by
+    # trial, for every scheme and the bound
+    cfg = NetworkConfig.from_db(m=m, n=n, k=k, pnr_db=10.0, qnr_db=5.0, alpha=0.7)
+    schemes = (Scheme.AF, Scheme.MF, Scheme.MF_RZF)
+    seed, start, stop = 17, 2050, 2066
+    first, block = _capacity_chunk((cfg, schemes, True, seed, start, stop))
+    assert first == start and block.shape == (stop - start, 4)
+    for i, trial in enumerate(range(start, stop)):
+        real = realization_for_trial(cfg, seed, trial)
+        for j, scheme in enumerate(schemes):
+            expected = compute_link_metrics(real, build_weights(scheme, real, cfg), cfg)
+            assert block[i, j] == pytest.approx(expected.capacity_bits, rel=0, abs=1e-12)
+        assert block[i, 3] == pytest.approx(upper_bound_capacity(real, cfg), rel=0, abs=1e-12)
 
 
 def test_estimate_is_deterministic():
