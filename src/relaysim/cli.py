@@ -5,9 +5,12 @@
 
 <scenario> is a path to a scenario file, or the bare name of a bundled
 one. Results land in DIR (default ./results) as results.csv plus an SVG
-chart named after the scenario. The seed resolution order is: --seed
-flag, then the RELAYSIM_SEED environment variable, then the scenario
-file. Output is byte-identical for any --workers value.
+chart named after the scenario. Both are written beside their final
+names and then moved into place, so a failed run leaves earlier files
+intact. The seed resolution order is: --seed flag, then the
+RELAYSIM_SEED environment variable, then the scenario file. Output is
+byte-identical for any --workers value. Bad input exits 2 and a
+numerical failure exits 1, each with one `error:` line on stderr.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import sys
 from pathlib import Path
 
 from .channel import check_seed
+from .linalg import NumericError
 from .montecarlo import ConfigError, run_sweep
 from .plotting import emit_plot
 from .scenario import (
@@ -56,6 +60,21 @@ def write_results_csv(rows: list, path: str | Path) -> None:
     for row in rows:
         lines.append(",".join(str(getattr(row, col)) for col in CSV_COLUMNS))
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _replace_atomically(writers: dict) -> None:
+    """Run each write(tmp) of {path: write} on a temporary file beside its
+    path, then move every file into place: a failed write leaves all the
+    earlier files intact and no partial file behind."""
+    temps = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in writers}
+    try:
+        for path, write in writers.items():
+            write(temps[path])
+        for path, tmp in temps.items():
+            os.replace(tmp, path)
+    finally:
+        for tmp in temps.values():
+            tmp.unlink(missing_ok=True)
 
 
 def _resolve_scenario(name: str):
@@ -105,8 +124,12 @@ def cmd_run(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "results.csv"
     svg_path = out / f"{stem}.svg"
-    write_results_csv(rows, csv_path)
-    emit_plot(rows, svg_path, title=stem)
+    _replace_atomically(
+        {
+            csv_path: lambda tmp: write_results_csv(rows, tmp),
+            svg_path: lambda tmp: emit_plot(rows, tmp, title=stem),
+        }
+    )
     print(f"wrote {csv_path} ({len(rows)} rows)")
     print(f"wrote {svg_path}")
     return 0
@@ -143,12 +166,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, ConfigError) as exc:
+    except (ScenarioError, ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1
 
 
 if __name__ == "__main__":

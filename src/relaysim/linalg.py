@@ -6,8 +6,8 @@ and sq_norm, which take stacks (..., rows, cols). Decompositions raise
 NumericError instead of returning garbage, and shape mismatches raise
 ShapeError with both operand shapes in the message.
 
-scipy is imported only by the single-matrix Cholesky routines, so that
-importing the simulator does not pay for it.
+scipy is imported only by solve_hpd, the single-matrix reference solve,
+so that importing the simulator does not pay for it.
 """
 
 from __future__ import annotations
@@ -33,40 +33,6 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product a @ b with an explicit inner-dimension check."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def conj_transpose(a: np.ndarray) -> np.ndarray:
-    """Hermitian transpose."""
-    return as_matrix(a, "a").conj().T
-
-
-def trace(a: np.ndarray) -> complex:
-    a = as_matrix(a, "a")
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"trace needs a square matrix, got {a.shape}")
-    return complex(np.trace(a))
-
-
-def frobenius_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(as_matrix(a, "a")))
-
-
-def row_norm_sq(a: np.ndarray, m: int) -> float:
-    """Squared Euclidean norm of row m."""
-    a = as_matrix(a, "a")
-    if not 0 <= m < a.shape[0]:
-        raise ShapeError(f"row index {m} out of range for shape {a.shape}")
-    row = a[m]
-    return float(np.real(np.vdot(row, row)))
 
 
 @dataclass(frozen=True)
@@ -121,19 +87,6 @@ def sq_norm(a: np.ndarray, axes: int = 2) -> np.ndarray:
     return np.einsum("...i,...i->...", x, x)
 
 
-def _cholesky_lower(a: np.ndarray, name: str) -> np.ndarray:
-    from scipy.linalg.lapack import zpotrf
-
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"{name} needs a square matrix, got {a.shape}")
-    c, info = zpotrf(a, lower=1)
-    if info != 0:
-        raise NumericError(
-            f"{name}: matrix is not positive definite (pivot {info} failed)"
-        )
-    return c
-
-
 def solve_hpd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a @ x = b for Hermitian positive definite a via Cholesky.
 
@@ -142,22 +95,19 @@ def solve_hpd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     a = as_matrix(a, "a")
     b = as_matrix(b, "b")
+    if a.shape[0] != a.shape[1]:
+        raise ShapeError(f"solve_hpd needs a square matrix, got {a.shape}")
     if a.shape[0] != b.shape[0]:
         raise ShapeError(f"solve_hpd shapes do not align: {a.shape} vs {b.shape}")
-    from scipy.linalg.lapack import zpotrs
+    from scipy.linalg.lapack import zpotrf, zpotrs
 
-    c = _cholesky_lower(a, "solve_hpd")
+    c, info = zpotrf(a, lower=1)
+    if info != 0:
+        raise NumericError(f"solve_hpd: matrix is not positive definite (pivot {info} failed)")
     x, info = zpotrs(c, b, lower=1)
     if info != 0:  # pragma: no cover - zpotrs only fails on bad arguments
         raise NumericError(f"solve_hpd: triangular solve failed (info={info})")
     return x
-
-
-def logdet_hpd(a: np.ndarray) -> float:
-    """log-determinant (natural log) of a Hermitian positive definite matrix."""
-    a = as_matrix(a, "a")
-    c = _cholesky_lower(a, "logdet_hpd")
-    return float(2.0 * np.sum(np.log(np.real(np.diagonal(c)))))
 
 
 def cholesky_stack(a: np.ndarray) -> np.ndarray:

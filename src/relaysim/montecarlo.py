@@ -5,6 +5,17 @@ index): workers never share state, and the per-trial capacities are
 assembled into one array in trial order before any reduction. Output is
 therefore byte-identical for any --workers setting, and all schemes of a
 sweep point see common random channels.
+
+Work is shared between the points of a sweep. The channel draw depends
+only on (m, n, k, seed, trial), and the beamformers only on the channels
+and alpha; the powers p and q enter at power control. Points whose
+configs agree on m, n, k and alpha form a group, and a job is one
+(group, trial chunk) pair: it draws the chunk's channels once and builds
+each scheme's beamformers once, then runs power control, the link and
+the bound for each point of the group. Chunk bounds, array shapes and
+each point's sequence of operations are those of a one-point sweep, so
+every float, and every byte of results.csv, equals what the point gives
+on its own. On a relay count sweep every group has one point.
 """
 
 from __future__ import annotations
@@ -18,6 +29,7 @@ import numpy as np
 
 from .beamformers import Scheme, stacked_beamformers, stacked_power_factors
 from .channel import NetworkConfig, channels_for_trials, check_seed
+from .linalg import NumericError
 from .link import stacked_scheme_capacity, stacked_upper_bound
 
 UPPER_BOUND_LABEL = "upper-bound"
@@ -137,60 +149,70 @@ class SweepRow:
     capacity_stderr_bits: float
 
 
-def _capacity_chunk(args) -> tuple:
-    """Per-trial capacities for trials [start, stop) of one sweep point.
+def _capacity_chunk(job) -> np.ndarray:
+    """Per-trial capacities (points, T, series) for trials [start, stop)
+    of one point group: sweep points, given as (label, config) pairs,
+    whose configs share m, n, k and alpha.
 
-    The chunk's channels are drawn in one batch, then every series is
-    evaluated on it; a scheme's intermediates are released before the
-    next scheme starts.
+    The chunk's channels are drawn once and each scheme's beamformers are
+    built once; power control and the link then run per point. A scheme's
+    intermediates are released before the next scheme starts. A
+    NumericError is re-raised naming the point(s), the series and the
+    trial range.
     """
-    config, schemes, include_upper, seed, start, stop = args
-    h, g = channels_for_trials(config, seed, start, stop)
-    columns = []
-    for scheme in schemes:
-        fh, gf, f_sq = stacked_beamformers(scheme, h, g, config.alpha)[1:]
-        rho = stacked_power_factors(
-            fh, f_sq, config.p, config.m, config.sigma1_sq, config.q
-        )
-        columns.append(stacked_scheme_capacity(g, fh, gf, rho, config))
-        del fh, gf
-    if include_upper:
-        columns.append(stacked_upper_bound(h, config))
-    return start, np.column_stack(columns)
+    points, schemes, include_upper, seed, start, stop = job
+    labels, configs = zip(*points)
+    h, g = channels_for_trials(configs[0], seed, start, stop)
+    table = np.empty((len(points), stop - start, len(schemes) + int(include_upper)))
+    try:
+        for j, scheme in enumerate(schemes):
+            where = labels, scheme.value
+            fh, gf, f_sq = stacked_beamformers(scheme, h, g, configs[0].alpha)[1:]
+            for i, config in enumerate(configs):
+                where = labels[i : i + 1], scheme.value
+                rho = stacked_power_factors(
+                    fh, f_sq, config.p, config.m, config.sigma1_sq, config.q
+                )
+                table[i, :, j] = stacked_scheme_capacity(g, fh, gf, rho, config)
+            del fh, gf
+        if include_upper:
+            for i, config in enumerate(configs):
+                where = labels[i : i + 1], UPPER_BOUND_LABEL
+                table[i, :, -1] = stacked_upper_bound(h, config)
+    except NumericError as exc:
+        failed, series = where
+        raise NumericError(
+            f"{'; '.join(failed)}: {series} at trials [{start}, {stop}): {exc}"
+        ) from exc
+    return table
 
 
-@contextlib.contextmanager
-def _chunk_map(workers: int, trials: int):
-    """A map over chunk jobs: the builtin map, or the map of one process
-    pool with at most one worker per chunk of `trials`, kept open for
-    every point of a sweep."""
+def _capacity_tables(
+    points: list, schemes: tuple, include_upper: bool, trials: int, seed: int, workers: int
+) -> np.ndarray:
+    """(points, trials, series) per-trial capacities of every (label,
+    config) point, in trial order, from one map over (point group, trial
+    chunk) jobs, run in at most one process per job."""
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    workers = min(workers, -(-trials // TRIAL_CHUNK))
-    if workers == 1:
-        yield map
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield pool.map
-
-
-def _capacity_table(
-    config: NetworkConfig,
-    schemes: tuple,
-    include_upper: bool,
-    trials: int,
-    seed: int,
-    chunk_map,
-) -> np.ndarray:
-    """trials x series matrix of per-trial capacities, in trial order."""
-    jobs = [
-        (config, schemes, include_upper, seed, start, min(start + TRIAL_CHUNK, trials))
-        for start in range(0, trials, TRIAL_CHUNK)
-    ]
-    table = np.empty((trials, len(schemes) + int(include_upper)))
-    for start, block in chunk_map(_capacity_chunk, jobs):
-        table[start : start + len(block)] = block
-    return table
+    groups = {}
+    for index, (_, config) in enumerate(points):
+        groups.setdefault((config.m, config.n, config.k, config.alpha), []).append(index)
+    jobs, owners = [], []
+    for indices in groups.values():
+        group = tuple(points[i] for i in indices)
+        for start in range(0, trials, TRIAL_CHUNK):
+            stop = min(start + TRIAL_CHUNK, trials)
+            jobs.append((group, schemes, include_upper, seed, start, stop))
+            owners.append(indices)
+    tables = np.empty((len(points), trials, len(schemes) + int(include_upper)))
+    workers = min(workers, len(jobs))
+    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        blocks = (pool.map if pool else map)(_capacity_chunk, jobs)
+        for job, indices, block in zip(jobs, owners, blocks):
+            start, stop = job[-2:]
+            tables[indices, start:stop] = block
+    return tables
 
 
 def _estimate(values: np.ndarray, trials: int, scheme: str) -> CapacityEstimate:
@@ -213,9 +235,8 @@ def estimate_ergodic_capacity(
     """Mean instantaneous capacity of one scheme over `trials` channels."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    with _chunk_map(workers, trials) as chunk_map:
-        table = _capacity_table(config, (scheme,), False, trials, seed, chunk_map)
-    return _estimate(table[:, 0], trials, scheme.value)
+    table = _capacity_tables([(str(config), config)], (scheme,), False, trials, seed, workers)
+    return _estimate(table[0, :, 0], trials, scheme.value)
 
 
 def estimate_upper_bound(
@@ -224,9 +245,8 @@ def estimate_upper_bound(
     """Mean cut-set bound over the same channel draws the schemes see."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    with _chunk_map(workers, trials) as chunk_map:
-        table = _capacity_table(config, (), True, trials, seed, chunk_map)
-    return _estimate(table[:, 0], trials, UPPER_BOUND_LABEL)
+    table = _capacity_tables([(str(config), config)], (), True, trials, seed, workers)
+    return _estimate(table[0, :, 0], trials, UPPER_BOUND_LABEL)
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
@@ -234,21 +254,23 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
 
     Rows are ordered axis-major, series-minor, with the upper bound (if
     requested) last within each point. All series of one point share the
-    same per-trial channel realizations. One process pool (for workers
-    above 1) serves every point.
+    same per-trial channel realizations. One map over (point group, trial
+    chunk) jobs, and for workers above 1 one process pool, serves the
+    whole sweep.
     """
     rows = []
     labels = [s.value for s in spec.schemes]
     if spec.include_upper_bound:
         labels.append(UPPER_BOUND_LABEL)
-    with _chunk_map(workers, spec.trials) as chunk_map:
-        points = [spec.point(value) for value in spec.values]
-        tables = [
-            _capacity_table(
-                config, spec.schemes, spec.include_upper_bound, spec.trials, spec.seed, chunk_map
-            )
-            for config, _, _ in points
-        ]
+    points = [spec.point(value) for value in spec.values]
+    tables = _capacity_tables(
+        [(f"{spec.axis} = {v}", config) for v, (config, _, _) in zip(spec.values, points)],
+        spec.schemes,
+        spec.include_upper_bound,
+        spec.trials,
+        spec.seed,
+        workers,
+    )
     for value, (config, pnr_db, qnr_db), table in zip(spec.values, points, tables):
         for j, label in enumerate(labels):
             est = _estimate(table[:, j], spec.trials, label)

@@ -16,7 +16,9 @@ from relaysim.beamformers import (
     stacked_beamformers,
 )
 from relaysim.channel import NetworkConfig, channels_for_trials, realization_for_trial
-from relaysim.linalg import NumericError, conj_transpose, matmul
+from relaysim.linalg import NumericError
+
+from matrix_helpers import conj_transpose, matmul
 
 
 def realized_power(f, rho, h, cfg):

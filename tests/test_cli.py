@@ -2,7 +2,10 @@
 
 import pytest
 
+from relaysim import cli, montecarlo
+from relaysim.beamformers import Scheme
 from relaysim.cli import CSV_COLUMNS, main
+from relaysim.linalg import NumericError
 
 TINY = """\
 network:
@@ -173,3 +176,40 @@ def test_nonpositive_workers_exit_2(tiny_scenario, tmp_path, capsys, workers):
     assert _run(["run", tiny_scenario, "--out", tmp_path / "out", "--workers", workers]) == 2
     err = capsys.readouterr().err
     assert err == f"error: workers must be >= 1, got {workers}\n"
+
+
+def test_numeric_error_exits_1_naming_point_scheme_and_trials(
+    tiny_scenario, tmp_path, capsys, monkeypatch
+):
+    original = montecarlo.stacked_beamformers
+
+    def singular_at_two_relays(scheme, h, g, alpha):
+        if scheme is Scheme.MF and h.shape[-3] == 2:
+            raise NumericError("cholesky_stack: matrix not positive definite")
+        return original(scheme, h, g, alpha)
+
+    monkeypatch.setattr(montecarlo, "stacked_beamformers", singular_at_two_relays)
+    assert _run(["run", tiny_scenario, "--out", tmp_path / "out", "--workers", 1]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "error: relay_count = 2: mf at trials [0, 64): "
+        "cholesky_stack: matrix not positive definite\n"
+    )
+    assert not (tmp_path / "out" / "results.csv").exists()
+
+
+@pytest.mark.parametrize("target", ["write_results_csv", "emit_plot"])
+def test_failed_write_keeps_earlier_files(tiny_scenario, tmp_path, capsys, monkeypatch, target):
+    out = tmp_path / "out"
+    assert _run(["run", tiny_scenario, "--out", out]) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert sorted(before) == ["results.csv", "tiny.svg"]
+
+    def write_half_then_fail(rows, path, **kwargs):
+        path.write_text("scheme,axis,axi")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, target, write_half_then_fail)
+    assert _run(["run", tiny_scenario, "--out", out, "--seed", 6]) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before

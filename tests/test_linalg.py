@@ -9,16 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relaysim import linalg
-from relaysim.linalg import (
-    NumericError,
-    ShapeError,
+from relaysim.linalg import NumericError, ShapeError, qr_decompose, solve_hpd
+
+from matrix_helpers import (
     conj_transpose,
     frobenius_norm,
     logdet_hpd,
     matmul,
-    qr_decompose,
     row_norm_sq,
-    solve_hpd,
     trace,
 )
 

@@ -15,7 +15,9 @@ from relaysim.link import (
     simulate_transmission,
     upper_bound_capacity,
 )
-from relaysim.linalg import conj_transpose, qr_decompose
+from relaysim.linalg import qr_decompose
+
+from matrix_helpers import conj_transpose
 
 
 def identity_network():

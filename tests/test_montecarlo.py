@@ -5,11 +5,14 @@ determinism across seeds and worker counts."""
 import numpy as np
 import pytest
 
+from relaysim import montecarlo
 from relaysim.beamformers import Scheme, build_weights
 from relaysim.channel import NetworkConfig, realization_for_trial
+from relaysim.linalg import NumericError
 from relaysim.link import compute_link_metrics, upper_bound_capacity
 from relaysim.montecarlo import (
     AXES,
+    TRIAL_CHUNK,
     CapacityEstimate,
     ConfigError,
     SweepSpec,
@@ -106,19 +109,25 @@ def test_axis_point_errors_name_the_point():
 
 @pytest.mark.parametrize("m, n, k", [(4, 4, 4), (2, 3, 2), (8, 8, 10)])
 def test_chunk_matches_per_realization_chain(m, n, k):
-    # the fused batch kernel against the single-realization API, trial by
-    # trial, for every scheme and the bound
-    cfg = NetworkConfig.from_db(m=m, n=n, k=k, pnr_db=10.0, qnr_db=5.0, alpha=0.7)
+    # the fused batch kernel on a two-point group against the
+    # single-realization API, trial by trial, for every scheme and the bound
+    configs = [
+        NetworkConfig.from_db(m=m, n=n, k=k, pnr_db=pnr, qnr_db=qnr, alpha=0.7)
+        for pnr, qnr in ((10.0, 5.0), (20.0, 15.0))
+    ]
+    points = tuple((f"point {p}", cfg) for p, cfg in enumerate(configs))
     schemes = (Scheme.AF, Scheme.MF, Scheme.MF_RZF)
     seed, start, stop = 17, 2050, 2066
-    first, block = _capacity_chunk((cfg, schemes, True, seed, start, stop))
-    assert first == start and block.shape == (stop - start, 4)
+    block = _capacity_chunk((points, schemes, True, seed, start, stop))
+    assert block.shape == (2, stop - start, 4)
     for i, trial in enumerate(range(start, stop)):
-        real = realization_for_trial(cfg, seed, trial)
-        for j, scheme in enumerate(schemes):
-            expected = compute_link_metrics(real, build_weights(scheme, real, cfg), cfg)
-            assert block[i, j] == pytest.approx(expected.capacity_bits, rel=0, abs=1e-12)
-        assert block[i, 3] == pytest.approx(upper_bound_capacity(real, cfg), rel=0, abs=1e-12)
+        real = realization_for_trial(configs[0], seed, trial)
+        for p, cfg in enumerate(configs):
+            for j, scheme in enumerate(schemes):
+                expected = compute_link_metrics(real, build_weights(scheme, real, cfg), cfg)
+                assert block[p, i, j] == pytest.approx(expected.capacity_bits, rel=0, abs=1e-12)
+            bound = upper_bound_capacity(real, cfg)
+            assert block[p, i, 3] == pytest.approx(bound, rel=0, abs=1e-12)
 
 
 def test_estimate_is_deterministic():
@@ -227,6 +236,93 @@ def test_sweep_is_deterministic_across_workers():
     a = run_sweep(spec, workers=1)
     b = run_sweep(spec, workers=2)
     assert a == b
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(montecarlo, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, name, counted)
+    return calls
+
+
+def test_power_sweep_draws_and_builds_beamformers_once_per_chunk(monkeypatch):
+    draws = _count_calls(monkeypatch, "channels_for_trials")
+    beamformers = _count_calls(monkeypatch, "stacked_beamformers")
+    spec = base_spec(axis="pnr_equals_qnr_db", values=(0.0, 10.0, 20.0), trials=1030)
+    rows = run_sweep(spec)
+    assert len(rows) == 3 * 4
+    assert len(draws) == 2  # two chunks, shared by the three points
+    assert len(beamformers) == 3 * 2  # one call per scheme per chunk
+
+
+def test_relay_count_sweep_draws_once_per_point_and_chunk(monkeypatch):
+    draws = _count_calls(monkeypatch, "channels_for_trials")
+    beamformers = _count_calls(monkeypatch, "stacked_beamformers")
+    run_sweep(base_spec(values=(1, 2), trials=1030))
+    assert len(draws) == 2 * 2
+    assert len(beamformers) == 3 * 2 * 2
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_power_sweep_rows_equal_one_point_sweeps(workers):
+    # two chunks per point, so workers 2 runs a pool
+    values = (0.0, 10.0, 20.0)
+    alone = []
+    for value in values:
+        one = base_spec(axis="pnr_equals_qnr_db", values=(value,), trials=1030, seed=4)
+        alone += run_sweep(one)
+    spec = base_spec(axis="pnr_equals_qnr_db", values=values, trials=1030, seed=4)
+    assert run_sweep(spec, workers=workers) == alone  # bitwise on the floats
+
+
+def test_numeric_error_names_point_scheme_and_trials(monkeypatch):
+    original = montecarlo.stacked_beamformers
+
+    def singular_at_two_relays(scheme, h, g, alpha):
+        # only at two relays, in the second, short chunk
+        if scheme is Scheme.MF_RZF and h.shape[-3] == 2 and len(h) < TRIAL_CHUNK:
+            raise NumericError("cholesky_stack: matrix not positive definite")
+        return original(scheme, h, g, alpha)
+
+    monkeypatch.setattr(montecarlo, "stacked_beamformers", singular_at_two_relays)
+    with pytest.raises(NumericError) as info:
+        run_sweep(base_spec(values=(1, 2), trials=1030))
+    assert str(info.value) == (
+        "relay_count = 2: mf-rzf at trials [1024, 1030): "
+        "cholesky_stack: matrix not positive definite"
+    )
+
+
+def test_numeric_error_in_shared_beamformers_names_every_point_of_the_group(monkeypatch):
+    def singular(scheme, h, g, alpha):
+        raise NumericError("cholesky_stack: matrix not positive definite")
+
+    monkeypatch.setattr(montecarlo, "stacked_beamformers", singular)
+    spec = base_spec(axis="pnr_equals_qnr_db", values=(0.0, 10.0), trials=64)
+    with pytest.raises(NumericError) as info:
+        run_sweep(spec)
+    assert str(info.value).startswith(
+        "pnr_equals_qnr_db = 0.0; pnr_equals_qnr_db = 10.0: af at trials [0, 64): "
+    )
+
+
+def test_numeric_error_in_power_control_names_its_point(monkeypatch):
+    original = montecarlo.stacked_power_factors
+
+    def failing_at_10db(fh, f_sq, p, m, sigma1_sq, q):
+        if p == 10.0:
+            raise NumericError("a relay's output power is not positive")
+        return original(fh, f_sq, p, m, sigma1_sq, q)
+
+    monkeypatch.setattr(montecarlo, "stacked_power_factors", failing_at_10db)
+    spec = base_spec(axis="pnr_equals_qnr_db", values=(0.0, 10.0, 20.0), trials=64)
+    with pytest.raises(NumericError, match=r"^pnr_equals_qnr_db = 10.0: af at trials \[0, 64\): "):
+        run_sweep(spec)
 
 
 def test_mf_capacity_grows_with_relay_count():
