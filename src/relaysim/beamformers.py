@@ -10,22 +10,36 @@ Three schemes:
 Every relay scales its transmit matrix by a power control factor rho so
 the average radiated power is exactly q per relay, whatever the scheme.
 
-The per-relay builders below are the readable reference forms. The
-Monte Carlo loop goes through stacked_beamformers / stacked_power_factors,
-which apply the same formulas over arbitrary leading batch axes and
-work from the products f h and g f, formed once per scheme; the test
-suite pins the two routes to each other.
+The per-relay builders below are the readable reference forms, and
+build_weights stacks them for one realization. The Monte Carlo loop
+never forms F. The SIC receiver needs four things from each relay: the
+cascade P = G F H, the forwarded-noise Gram S = (G F)(G F)^H, ||F H||^2
+and ||F||^2. With A = G G^H, B = H^H H and D = (A + alpha I)^-1 (which
+commutes with A), these are
+
+    af:      P = G H,  S = A,      ||FH||^2 = tr B,         ||F||^2 = n
+    mf:      P = A B,  S = P A,    ||FH||^2 = tr(P B),      ||F||^2 = tr P
+    mf-rzf:  X = D B,  C = A D,  P = A X,  S = P C,
+             ||FH||^2 = Re sum P o conj(X),  ||F||^2 = tr(C X)
+
+so for mf and mf-rzf all four are m x m functions of A and B, formed
+once per chunk of trials by relay_grams and stacked_beamformers. The
+powers p and q enter only through rho (stacked_power_factors). C is the
+product A D and not I - alpha D, which is the same matrix in exact
+arithmetic but cancels at large alpha. The test suite pins the Gram
+route to the per-relay builders.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .channel import ChannelRealization, NetworkConfig
-from .linalg import NumericError, ShapeError, as_matrix, cholesky_stack, sq_norm, solve_hpd
+from .linalg import NumericError, ShapeError, as_matrix, cholesky_stack, re_inner, solve_hpd
 
 
 class Scheme(enum.Enum):
@@ -107,49 +121,77 @@ def power_control_factor(
     n = f.shape[0]
     if f.shape[1] != n or h.shape[0] != n:
         raise ShapeError(f"f {f.shape} does not act on relay input of {h.shape}")
+    fh = f @ h
     rho = stacked_power_factors(
-        (f @ h)[np.newaxis], sq_norm(f)[np.newaxis], p=p, m=m, sigma1_sq=sigma1_sq, q=q
+        re_inner(fh, fh), re_inner(f, f), p=p, m=m, sigma1_sq=sigma1_sq, q=q
     )
-    return float(rho[0])
+    return float(rho)
 
 
-def stacked_beamformers(
-    scheme: Scheme, h: np.ndarray, g: np.ndarray, alpha: float
-) -> tuple:
-    """Beamformers of stacks h (..., k, n, m), g (..., k, m, n), returned
-    as (f, fh, gf, f_sq): the (..., k, n, n) matrices f, the products
-    fh = f h and gf = g f that power control and the link need, and the
-    squared Frobenius norms f_sq = ||f||^2 (..., k).
+class RelayGrams(NamedTuple):
+    """The m x m channel products of stacks h (..., k, n, m) and
+    g (..., k, m, n) that stacked_beamformers works from: a = g g^H,
+    b = h^H h and, when af needs it, the cascade g h (else None); n is
+    the relay antenna count."""
+
+    a: np.ndarray
+    b: np.ndarray
+    cascade: np.ndarray | None
+    n: int
+
+
+def relay_grams(h: np.ndarray, g: np.ndarray, cascade: bool = True) -> RelayGrams:
+    """RelayGrams of channel stacks h (..., k, n, m) and g (..., k, m, n),
+    with the cascade g h only if `cascade`."""
+    a = g @ np.swapaxes(g, -1, -2).conj()
+    b = np.swapaxes(h, -1, -2).conj() @ h
+    return RelayGrams(a, b, g @ h if cascade else None, h.shape[-2])
+
+
+def stacked_beamformers(scheme: Scheme, grams: RelayGrams, alpha: float) -> tuple:
+    """What the link needs from each relay's beamformer F under `scheme`,
+    from the channel products `grams` (..., k, m, m): (P, S, fh_sq, f_sq)
+    with the cascades P = g F h and forwarded-noise Grams
+    S = (g F)(g F)^H, both (..., k, m, m), and ||F h||^2, ||F||^2, both
+    (..., k). See the module docstring for the identities.
 
     Leading axes are broadcast batch dimensions (Monte Carlo trials),
-    axis -3 indexes relays. For af, f is the identity: it is returned as
-    None, with fh = h, gf = g and f_sq = n, and no product is formed.
+    axis -3 indexes relays. mf-rzf raises NumericError unless every
+    A + alpha I is positive definite.
     """
+    a, b = grams.a, grams.b
     if scheme is Scheme.AF:
-        n = h.shape[-2]
-        return None, h, g, np.full(h.shape[:-2], float(n))
-    hh = np.swapaxes(h, -1, -2).conj()
-    gh = np.swapaxes(g, -1, -2).conj()
+        trace_b = np.real(np.trace(b, axis1=-2, axis2=-1))
+        return grams.cascade, a, trace_b, np.full(trace_b.shape, float(grams.n))
     if scheme is Scheme.MF:
-        f = gh @ hh
-    elif scheme is Scheme.MF_RZF:
-        m = g.shape[-2]
-        gram = g @ gh
+        p = a @ b
+        # tr(P B) as Re sum P o conj(B): B is Hermitian
+        return p, p @ a, re_inner(p, b), np.real(np.trace(p, axis1=-2, axis2=-1))
+    if scheme is Scheme.MF_RZF:
+        m = a.shape[-1]
+        gram = a.copy()
         gram[..., range(m), range(m)] += alpha
         cholesky_stack(gram)  # raises NumericError unless positive definite
-        f = gh @ np.linalg.solve(gram, hh)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    return f, f @ h, g @ f, sq_norm(f)
+        d = np.linalg.inv(gram)
+        del gram
+        x = d @ b
+        c = a @ d
+        del d
+        p = a @ x
+        # tr(C X) as Re sum X o conj(C): C = A D is Hermitian
+        fh_sq, f_sq = re_inner(p, x), re_inner(x, c)
+        del x
+        return p, p @ c, fh_sq, f_sq
+    raise ValueError(f"unknown scheme {scheme!r}")
 
 
 def stacked_power_factors(
-    fh: np.ndarray, f_sq: np.ndarray, p: float, m: int, sigma1_sq: float, q: float
+    fh_sq: np.ndarray, f_sq: np.ndarray, p: float, m: int, sigma1_sq: float, q: float
 ) -> np.ndarray:
-    """rho for stacks fh = f h (..., k, n, m) and f_sq = ||f||^2 (..., k):
-    per relay, sqrt(q / tr{f ((p/m) h h^H + sigma1_sq I) f^H}), where the
-    trace is (p/m) ||f h||^2 + sigma1_sq ||f||^2."""
-    power = (p / m) * sq_norm(fh) + sigma1_sq * f_sq
+    """rho for stacks of ||f h||^2 and ||f||^2 (..., k): per relay,
+    sqrt(q / tr{f ((p/m) h h^H + sigma1_sq I) f^H}), where the trace is
+    (p/m) ||f h||^2 + sigma1_sq ||f||^2."""
+    power = (p / m) * fh_sq + sigma1_sq * f_sq
     if not np.all(power > 0):
         raise NumericError("a relay's output power is not positive")
     return np.sqrt(q / power)
@@ -159,7 +201,8 @@ def build_weights(
     scheme: Scheme, realization: ChannelRealization, config: NetworkConfig
 ) -> RelayWeights:
     """Beamforming matrices and power scales for every relay of one
-    realization, equal to the per-relay builders applied relay by relay."""
+    realization: the per-relay builders applied relay by relay, and
+    power_control_factor's formula applied to the stack."""
     h, g = realization.h, realization.g
     k, n, m = h.shape
     if (n, m) != (config.n, config.m) or k != config.k:
@@ -167,8 +210,16 @@ def build_weights(
             f"realization dims {h.shape} do not match config "
             f"(k={config.k}, n={config.n}, m={config.m})"
         )
-    f, fh, _, f_sq = stacked_beamformers(scheme, h, g, config.alpha)
-    rho = stacked_power_factors(fh, f_sq, config.p, config.m, config.sigma1_sq, config.q)
-    if f is None:
-        f = np.broadcast_to(af_beamformer(n), (k, n, n))
+    if scheme is Scheme.AF:
+        f = np.stack([af_beamformer(n)] * k)
+    elif scheme is Scheme.MF:
+        f = np.stack([mf_beamformer(h_i, g_i) for h_i, g_i in zip(h, g)])
+    elif scheme is Scheme.MF_RZF:
+        f = np.stack([mf_rzf_beamformer(h_i, g_i, config.alpha) for h_i, g_i in zip(h, g)])
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    fh = f @ h
+    rho = stacked_power_factors(
+        re_inner(fh, fh), re_inner(f, f), config.p, config.m, config.sigma1_sq, config.q
+    )
     return RelayWeights(f=f, rho=rho)

@@ -16,6 +16,14 @@ import numpy as np
 _SEED_LIMIT = 1 << 64
 
 
+def _from_db(value: float, field: str) -> float:
+    """10^(value/10), with a ValueError naming `field` where it overflows."""
+    try:
+        return 10.0 ** (value / 10.0)
+    except OverflowError:
+        raise ValueError(f"{field} = {value} dB is too large for a float") from None
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     """Dimensions and power budget of one dual-hop relay network.
@@ -68,8 +76,8 @@ class NetworkConfig:
             m=m,
             n=n,
             k=k,
-            p=sigma1_sq * 10.0 ** (pnr_db / 10.0),
-            q=sigma2_sq * 10.0 ** (qnr_db / 10.0),
+            p=sigma1_sq * _from_db(pnr_db, "pnr_db"),
+            q=sigma2_sq * _from_db(qnr_db, "qnr_db"),
             sigma1_sq=sigma1_sq,
             sigma2_sq=sigma2_sq,
             alpha=alpha,

@@ -2,7 +2,7 @@
 
 Thin, checked wrappers around LAPACK-backed numpy/scipy routines. All
 matrices are 2-D complex128 ndarrays, except for the *_stack routines
-and sq_norm, which take stacks (..., rows, cols). Decompositions raise
+and re_inner, which take stacks (..., rows, cols). Decompositions raise
 NumericError instead of returning garbage, and shape mismatches raise
 ShapeError with both operand shapes in the message.
 
@@ -77,14 +77,15 @@ def qr_decompose(a: np.ndarray) -> QrFactors:
     return QrFactors(q=q, r=r)
 
 
-def sq_norm(a: np.ndarray, axes: int = 2) -> np.ndarray:
-    """Sum of |a|^2 over the trailing `axes` axes of a complex stack: the
-    squared Frobenius norm of each matrix (axes=2) or the squared norm of
-    each row (axes=1). Computed from the float64 view of the array, which
-    avoids forming a.conj() and a complex product."""
+def re_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re sum(a o conj(b)) = Re tr(a b^H) over the trailing two axes of
+    complex stacks (..., rows, cols). Computed from the float64 views of
+    the arrays, which avoids forming conj(b) and a complex product."""
     x = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
-    x = x.reshape(x.shape[: x.ndim - axes] + (-1,))
-    return np.einsum("...i,...i->...", x, x)
+    y = np.ascontiguousarray(b, dtype=np.complex128).view(np.float64)
+    return np.einsum(
+        "...i,...i->...", x.reshape(x.shape[:-2] + (-1,)), y.reshape(y.shape[:-2] + (-1,))
+    )
 
 
 def solve_hpd(a: np.ndarray, b: np.ndarray) -> np.ndarray:

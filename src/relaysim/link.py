@@ -9,10 +9,18 @@ receiver noise. Capacity carries the 1/2 pre-log of the two-slot
 half-duplex protocol.
 
 The stacked_* functions evaluate whole batches of Monte Carlo trials at
-once (leading axes broadcast). They take the relay products fh = f h and
-gf = g f that stacked_beamformers forms once per scheme; the
-single-realization API forms them from RelayWeights and wraps the same
-functions.
+once (leading axes broadcast). They never see a beamformer F, only the
+per-relay m x m products that stacked_beamformers forms once per chunk
+and scheme: the cascade P_k = g_k F_k h_k and the forwarded-noise Gram
+S_k = (g_k F_k)(g_k F_k)^H. Per sweep point, what is left is
+
+    effective channel  H_sd = sum_k rho_k P_k
+    relay noise Gram   M    = sum_k rho_k^2 S_k
+    row power of q^H [rho_1 g_1 F_1, ..., rho_k g_k F_k]  =  Re diag(q^H M q)
+
+where q is the unitary factor of H_sd, and the cut-set bound needs only
+sum_k h_k^H h_k. The single-realization API forms P and S from
+RelayWeights.f and wraps the same functions.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ import numpy as np
 
 from .beamformers import RelayWeights
 from .channel import ChannelRealization, NetworkConfig
-from .linalg import QrFactors, logdet_hpd_stack, qr_stack, sq_norm
+from .linalg import QrFactors, logdet_hpd_stack, qr_stack
 
 _LN2 = float(np.log(2.0))
 
@@ -44,28 +52,21 @@ class LinkMetrics:
             raise ValueError("per-stream SNRs must be finite and non-negative")
 
 
-def _weighted_block_row(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """[rho_1 a_1, ..., rho_k a_k] for a stack a (..., k, r, c): the
-    (..., r, k*c) block row of the relays' weighted matrices, so that a
-    sum over relays becomes one matrix product per trial."""
-    *lead, k, r, c = a.shape
-    out = np.empty((*lead, r, k, c), dtype=np.complex128)
-    np.multiply(a, rho[..., np.newaxis, np.newaxis], out=np.swapaxes(out, -3, -2))
-    return out.reshape(*lead, r, k * c)
+def _relay_sum(weights: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """sum_k weights_k a_k for weights (..., k) and a stack a (..., k, m, m),
+    as one (1, k) @ (k, m*m) product per trial."""
+    *lead, k, m, _ = a.shape
+    return (weights[..., np.newaxis, :] @ a.reshape(*lead, k, m * m)).reshape(*lead, m, m)
 
 
-def stacked_effective_channel(
-    g: np.ndarray, fh: np.ndarray, rho: np.ndarray
-) -> np.ndarray:
+def stacked_effective_channel(p: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Source-to-destination cascade summed over relays:
-    sum_k rho_k g_k (f_k h_k), batched over leading axes."""
-    *lead, k, n, m = fh.shape
-    return _weighted_block_row(g, rho) @ fh.reshape(*lead, k * n, m)
+    sum_k rho_k P_k with P_k = g_k f_k h_k, batched over leading axes."""
+    return _relay_sum(rho, p)
 
 
 def stacked_snr(
-    gf: np.ndarray,
-    rho: np.ndarray,
+    noise_gram: np.ndarray,
     q: np.ndarray,
     r: np.ndarray,
     config: NetworkConfig,
@@ -78,11 +79,10 @@ def stacked_snr(
 
         sigma1_sq * sum_k rho_k^2 ||row_m(q^H g_k f_k)||^2 + sigma2_sq
 
-    The sum over relays is the squared norm of row m of
-    q^H [rho_1 g_1 f_1, ..., rho_k g_k f_k].
+    The sum over relays is the m-th diagonal entry of q^H M q, where
+    noise_gram is M = sum_k rho_k^2 (g_k f_k)(g_k f_k)^H.
     """
-    qh = np.swapaxes(q, -1, -2).conj()
-    row_power = sq_norm(qh @ _weighted_block_row(gf, rho), axes=1)
+    row_power = np.real(np.einsum("...ij,...ij->...j", q.conj(), noise_gram @ q))
     noise = config.sigma1_sq * row_power + config.sigma2_sq
     diag = np.real(np.diagonal(r, axis1=-2, axis2=-1))
     return (config.p / config.m) * diag**2 / noise
@@ -94,25 +94,25 @@ def stacked_capacity_bits(snr: np.ndarray) -> np.ndarray:
 
 
 def stacked_scheme_capacity(
-    g: np.ndarray, fh: np.ndarray, gf: np.ndarray, rho: np.ndarray, config: NetworkConfig
+    p: np.ndarray, s: np.ndarray, rho: np.ndarray, config: NetworkConfig
 ) -> np.ndarray:
-    """Capacity of every trial in a batch under one beamforming scheme."""
-    q, r = qr_stack(stacked_effective_channel(g, fh, rho))
-    return stacked_capacity_bits(stacked_snr(gf, rho, q, r, config))
+    """Capacity of every trial in a batch under one beamforming scheme,
+    from the relays' cascades p and forwarded-noise Grams s."""
+    q, r = qr_stack(stacked_effective_channel(p, rho))
+    return stacked_capacity_bits(stacked_snr(_relay_sum(rho**2, s), q, r, config))
 
 
-def stacked_upper_bound(h: np.ndarray, config: NetworkConfig) -> np.ndarray:
-    """Cut-set bound at the source cut, batched over leading axes:
+def stacked_upper_bound(b_sum: np.ndarray, config: NetworkConfig) -> np.ndarray:
+    """Cut-set bound at the source cut, batched over leading axes, from
+    b_sum = sum_k h_k^H h_k (..., m, m):
 
         0.5 * log2 det(I + p/(m sigma1_sq) * sum_k h_k^H h_k)
 
     Depends only on the first-hop channels, so it is unaffected by the
     relay power budget q and by the beamforming scheme.
     """
-    *lead, k, n, m = h.shape
-    stacked = h.reshape(*lead, k * n, m)  # [h_1; ...; h_k]
-    gram = np.swapaxes(stacked, -1, -2).conj() @ stacked  # sum_k h_k^H h_k
-    arg = np.eye(m) + (config.p / (m * config.sigma1_sq)) * gram
+    m = b_sum.shape[-1]
+    arg = np.eye(m) + (config.p / (m * config.sigma1_sq)) * b_sum
     return 0.5 * logdet_hpd_stack(arg) / _LN2
 
 
@@ -121,7 +121,7 @@ def effective_channel(
 ) -> np.ndarray:
     """Effective m x m source-destination channel of one realization."""
     return stacked_effective_channel(
-        realization.g, weights.f @ realization.h, weights.rho
+        realization.g @ weights.f @ realization.h, weights.rho
     )
 
 
@@ -132,7 +132,9 @@ def per_stream_snr(
     config: NetworkConfig,
 ) -> np.ndarray:
     """Post-detection SNRs of one realization under one scheme."""
-    return stacked_snr(realization.g @ weights.f, weights.rho, qr.q, qr.r, config)
+    gf = realization.g @ weights.f
+    s = gf @ np.swapaxes(gf, -1, -2).conj()
+    return stacked_snr(_relay_sum(weights.rho**2, s), qr.q, qr.r, config)
 
 
 def instantaneous_capacity(snr_per_stream: np.ndarray) -> float:
@@ -165,7 +167,9 @@ def upper_bound_capacity(
     realization: ChannelRealization, config: NetworkConfig
 ) -> float:
     """Cut-set bound of one realization, in bits."""
-    return float(stacked_upper_bound(realization.h, config))
+    h = realization.h
+    b_sum = np.sum(np.swapaxes(h, -1, -2).conj() @ h, axis=0)
+    return float(stacked_upper_bound(b_sum, config))
 
 
 def simulate_transmission(

@@ -10,12 +10,15 @@ Work is shared between the points of a sweep. The channel draw depends
 only on (m, n, k, seed, trial), and the beamformers only on the channels
 and alpha; the powers p and q enter at power control. Points whose
 configs agree on m, n, k and alpha form a group, and a job is one
-(group, trial chunk) pair: it draws the chunk's channels once and builds
-each scheme's beamformers once, then runs power control, the link and
-the bound for each point of the group. Chunk bounds, array shapes and
-each point's sequence of operations are those of a one-point sweep, so
-every float, and every byte of results.csv, equals what the point gives
-on its own. On a relay count sweep every group has one point.
+(group, trial chunk) pair: it draws the chunk's channels once, reduces
+them to the relays' m x m Grams g g^H and h^H h (and the cascade g h
+for af), and forms each scheme's per-relay link products from those
+once. What is left per point of the group is power control, two
+rho-weighted sums over relays, the QR and SNR, and the bound. Chunk
+bounds, array shapes and each point's sequence of operations are those
+of a one-point sweep, so every float, and every byte of results.csv,
+equals what the point gives on its own. On a relay count sweep every
+group has one point.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamformers import Scheme, stacked_beamformers, stacked_power_factors
+from .beamformers import Scheme, relay_grams, stacked_beamformers, stacked_power_factors
 from .channel import NetworkConfig, channels_for_trials, check_seed
 from .linalg import NumericError
 from .link import stacked_scheme_capacity, stacked_upper_bound
@@ -154,31 +157,34 @@ def _capacity_chunk(job) -> np.ndarray:
     of one point group: sweep points, given as (label, config) pairs,
     whose configs share m, n, k and alpha.
 
-    The chunk's channels are drawn once and each scheme's beamformers are
-    built once; power control and the link then run per point. A scheme's
-    intermediates are released before the next scheme starts. A
-    NumericError is re-raised naming the point(s), the series and the
-    trial range.
+    The chunk's channels are drawn once and reduced to their Grams, and
+    each scheme's link products are formed once; power control, the link
+    and the bound then run per point. A scheme's products are released
+    before the next scheme starts. A NumericError is re-raised naming the
+    point(s), the series and the trial range.
     """
     points, schemes, include_upper, seed, start, stop = job
     labels, configs = zip(*points)
     h, g = channels_for_trials(configs[0], seed, start, stop)
+    grams = relay_grams(h, g, cascade=Scheme.AF in schemes)
+    del h, g
     table = np.empty((len(points), stop - start, len(schemes) + int(include_upper)))
     try:
         for j, scheme in enumerate(schemes):
             where = labels, scheme.value
-            fh, gf, f_sq = stacked_beamformers(scheme, h, g, configs[0].alpha)[1:]
+            p, s, fh_sq, f_sq = stacked_beamformers(scheme, grams, configs[0].alpha)
             for i, config in enumerate(configs):
                 where = labels[i : i + 1], scheme.value
                 rho = stacked_power_factors(
-                    fh, f_sq, config.p, config.m, config.sigma1_sq, config.q
+                    fh_sq, f_sq, config.p, config.m, config.sigma1_sq, config.q
                 )
-                table[i, :, j] = stacked_scheme_capacity(g, fh, gf, rho, config)
-            del fh, gf
+                table[i, :, j] = stacked_scheme_capacity(p, s, rho, config)
+            del p, s
         if include_upper:
+            b_sum = np.sum(grams.b, axis=-3)
             for i, config in enumerate(configs):
                 where = labels[i : i + 1], UPPER_BOUND_LABEL
-                table[i, :, -1] = stacked_upper_bound(h, config)
+                table[i, :, -1] = stacked_upper_bound(b_sum, config)
     except NumericError as exc:
         failed, series = where
         raise NumericError(

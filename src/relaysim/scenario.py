@@ -10,12 +10,13 @@ A scenario has three sections plus an optional top-level description:
 
 Unknown keys anywhere are rejected with the file and section named, and
 every axis value is materialized once at parse time so a bad point fails
-here, not mid-run.
+here, not mid-run. Numbers follow YAML 1.2, so 1e-3 is a float.
 """
 
 from __future__ import annotations
 
 import importlib.resources
+import re
 from pathlib import Path
 
 import yaml
@@ -35,6 +36,19 @@ _RUN_KEYS = ("schemes", "trials", "seed", "include_upper_bound")
 
 DEFAULT_TRIALS = 10_000
 DEFAULT_ALPHA = 1.0
+
+
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that also reads YAML 1.2 exponent floats such as 1e1 and
+    1.0e-3, which YAML 1.1 leaves as strings (it wants a dot and a signed
+    exponent)."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\d+(?:\.\d*)?|\.\d+)[eE][-+]?\d+$"),
+    list("-+0123456789."),
+)
 
 
 def _require_section(data: dict, name: str, keys: tuple, source: str) -> dict:
@@ -68,7 +82,7 @@ def _get(section: dict, key: str, kind, source: str, ctx: str, default=None):
 def parse_scenario_text(text: str, source: str = "<scenario>") -> SweepSpec:
     """Parse and fully validate one scenario document."""
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" (line {mark.line + 1}, column {mark.column + 1})" if mark else ""
@@ -185,7 +199,7 @@ def list_bundled() -> list:
 
 
 def bundled_description(name: str) -> str:
-    data = yaml.safe_load(_load_bundled_text(name))
+    data = yaml.load(_load_bundled_text(name), Loader=_Loader)
     return data.get("description", "") if isinstance(data, dict) else ""
 
 

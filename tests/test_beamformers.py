@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from relaysim.beamformers import (
@@ -13,6 +13,7 @@ from relaysim.beamformers import (
     mf_beamformer,
     mf_rzf_beamformer,
     power_control_factor,
+    relay_grams,
     stacked_beamformers,
 )
 from relaysim.channel import NetworkConfig, channels_for_trials, realization_for_trial
@@ -70,10 +71,48 @@ def test_mf_rzf_singular_gram_in_a_chunk_raises():
     # its Gram matrix g g^H is singular and the whole chunk must fail
     cfg = NetworkConfig(m=4, n=4, k=4, p=1.0, q=1.0, alpha=0.0)
     h, g = channels_for_trials(cfg, seed=3, start=100, stop=164)
-    stacked_beamformers(Scheme.MF_RZF, h, g, alpha=0.0)  # full rank: fine
+    stacked_beamformers(Scheme.MF_RZF, relay_grams(h, g), alpha=0.0)  # full rank: fine
     g[37, 2, 1, :] = 0.0
     with pytest.raises(NumericError):
-        stacked_beamformers(Scheme.MF_RZF, h, g, alpha=0.0)
+        stacked_beamformers(Scheme.MF_RZF, relay_grams(h, g), alpha=0.0)
+
+
+def _relative_error(actual, expected):
+    return np.linalg.norm(actual - expected) / np.linalg.norm(expected)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    m=st.integers(1, 4),
+    extra=st.integers(0, 2),
+    k=st.integers(1, 4),
+    alpha=st.sampled_from([0.0, 0.7, 1e4, 1e8]),
+)
+def test_gram_products_equal_per_relay_builder_products(seed, m, extra, k, alpha):
+    # (P, S, ||fh||^2, ||f||^2) from g g^H and h^H h against the products
+    # of the per-relay builders' f; fails for C = I - alpha D at alpha = 1e8
+    cfg = NetworkConfig(m=m, n=m + extra, k=k, p=1.0, q=1.0, alpha=alpha)
+    h, g = channels_for_trials(cfg, seed=seed, start=0, stop=3)
+    grams = relay_grams(h, g)
+    if alpha == 0.0:
+        # both routes invert g g^H, so their errors grow with its condition
+        assume(np.linalg.cond(grams.a).max() < 1e4)
+    builders = {
+        Scheme.AF: lambda h_i, g_i: af_beamformer(cfg.n),
+        Scheme.MF: mf_beamformer,
+        Scheme.MF_RZF: lambda h_i, g_i: mf_rzf_beamformer(h_i, g_i, alpha),
+    }
+    for scheme, builder in builders.items():
+        p, s, fh_sq, f_sq = stacked_beamformers(scheme, grams, alpha)
+        for t in range(len(h)):
+            for i in range(k):
+                f = builder(h[t, i], g[t, i])
+                gf = g[t, i] @ f
+                assert _relative_error(p[t, i], gf @ h[t, i]) < 1e-10
+                assert _relative_error(s[t, i], gf @ conj_transpose(gf)) < 1e-10
+                assert fh_sq[t, i] == pytest.approx(np.linalg.norm(f @ h[t, i]) ** 2, rel=1e-10)
+                assert f_sq[t, i] == pytest.approx(np.linalg.norm(f) ** 2, rel=1e-10)
 
 
 def test_mf_rzf_large_alpha_approaches_mf():

@@ -178,15 +178,34 @@ def test_nonpositive_workers_exit_2(tiny_scenario, tmp_path, capsys, workers):
     assert err == f"error: workers must be >= 1, got {workers}\n"
 
 
+@pytest.mark.parametrize(
+    "edits, field",
+    [
+        ({"pnr_db: 10": "pnr_db: 4000"}, "pnr_db"),  # network value
+        ({"axis: relay_count": "axis: qnr_db", "values: [1, 2]": "values: [1, 4000]"}, "qnr_db"),
+    ],
+)
+def test_overflowing_power_exits_2_naming_the_field(tmp_path, capsys, edits, field):
+    text = TINY
+    for old, new in edits.items():
+        text = text.replace(old, new)
+    path = tmp_path / "big.yaml"
+    path.write_text(text)
+    assert _run(["run", path, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: big.yaml: ")
+    assert f"{field} = 4000" in err
+
+
 def test_numeric_error_exits_1_naming_point_scheme_and_trials(
     tiny_scenario, tmp_path, capsys, monkeypatch
 ):
     original = montecarlo.stacked_beamformers
 
-    def singular_at_two_relays(scheme, h, g, alpha):
-        if scheme is Scheme.MF and h.shape[-3] == 2:
+    def singular_at_two_relays(scheme, grams, alpha):
+        if scheme is Scheme.MF and grams.a.shape[-3] == 2:
             raise NumericError("cholesky_stack: matrix not positive definite")
-        return original(scheme, h, g, alpha)
+        return original(scheme, grams, alpha)
 
     monkeypatch.setattr(montecarlo, "stacked_beamformers", singular_at_two_relays)
     assert _run(["run", tiny_scenario, "--out", tmp_path / "out", "--workers", 1]) == 1

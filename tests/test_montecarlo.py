@@ -258,6 +258,8 @@ def test_power_sweep_draws_and_builds_beamformers_once_per_chunk(monkeypatch):
     assert len(rows) == 3 * 4
     assert len(draws) == 2  # two chunks, shared by the three points
     assert len(beamformers) == 3 * 2  # one call per scheme per chunk
+    assert [args[0] for args in beamformers] == list(spec.schemes) * 2
+    assert [len(args[1].a) for args in beamformers] == [TRIAL_CHUNK] * 3 + [6] * 3
 
 
 def test_relay_count_sweep_draws_once_per_point_and_chunk(monkeypatch):
@@ -266,6 +268,10 @@ def test_relay_count_sweep_draws_once_per_point_and_chunk(monkeypatch):
     run_sweep(base_spec(values=(1, 2), trials=1030))
     assert len(draws) == 2 * 2
     assert len(beamformers) == 3 * 2 * 2
+    # chunk length and relay count of each call's Grams (T, k, m, m)
+    assert [args[1].a.shape[:2] for args in beamformers] == (
+        [(TRIAL_CHUNK, 1)] * 3 + [(6, 1)] * 3 + [(TRIAL_CHUNK, 2)] * 3 + [(6, 2)] * 3
+    )
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -283,11 +289,11 @@ def test_power_sweep_rows_equal_one_point_sweeps(workers):
 def test_numeric_error_names_point_scheme_and_trials(monkeypatch):
     original = montecarlo.stacked_beamformers
 
-    def singular_at_two_relays(scheme, h, g, alpha):
+    def singular_at_two_relays(scheme, grams, alpha):
         # only at two relays, in the second, short chunk
-        if scheme is Scheme.MF_RZF and h.shape[-3] == 2 and len(h) < TRIAL_CHUNK:
+        if scheme is Scheme.MF_RZF and grams.a.shape[-3] == 2 and len(grams.a) < TRIAL_CHUNK:
             raise NumericError("cholesky_stack: matrix not positive definite")
-        return original(scheme, h, g, alpha)
+        return original(scheme, grams, alpha)
 
     monkeypatch.setattr(montecarlo, "stacked_beamformers", singular_at_two_relays)
     with pytest.raises(NumericError) as info:
@@ -299,7 +305,7 @@ def test_numeric_error_names_point_scheme_and_trials(monkeypatch):
 
 
 def test_numeric_error_in_shared_beamformers_names_every_point_of_the_group(monkeypatch):
-    def singular(scheme, h, g, alpha):
+    def singular(scheme, grams, alpha):
         raise NumericError("cholesky_stack: matrix not positive definite")
 
     monkeypatch.setattr(montecarlo, "stacked_beamformers", singular)
@@ -314,10 +320,10 @@ def test_numeric_error_in_shared_beamformers_names_every_point_of_the_group(monk
 def test_numeric_error_in_power_control_names_its_point(monkeypatch):
     original = montecarlo.stacked_power_factors
 
-    def failing_at_10db(fh, f_sq, p, m, sigma1_sq, q):
+    def failing_at_10db(fh_sq, f_sq, p, m, sigma1_sq, q):
         if p == 10.0:
             raise NumericError("a relay's output power is not positive")
-        return original(fh, f_sq, p, m, sigma1_sq, q)
+        return original(fh_sq, f_sq, p, m, sigma1_sq, q)
 
     monkeypatch.setattr(montecarlo, "stacked_power_factors", failing_at_10db)
     spec = base_spec(axis="pnr_equals_qnr_db", values=(0.0, 10.0, 20.0), trials=64)

@@ -102,6 +102,17 @@ def test_non_numeric_sweep_value_rejected():
         parse_scenario_text(text)
 
 
+def test_exponent_numbers_are_floats():
+    # YAML 1.1 reads 1e1 and 1e-3 as strings; scenarios follow YAML 1.2
+    text = MINIMAL.replace("axis: relay_count", "axis: pnr_db").replace(
+        "values: [1, 2, 4]", "values: [1e1, 1.5E+1, 2e1]"
+    )
+    spec = parse_scenario_text(text.replace("  qnr_db: 10", "  qnr_db: 10\n  alpha: 1e-3"))
+    assert spec.values == (10.0, 15.0, 20.0)
+    assert spec.base.alpha == 0.001
+    assert parse_scenario_text(serialize_scenario(spec)) == spec
+
+
 def test_wrong_type_reports_key_and_expectation():
     text = MINIMAL.replace("m: 2", "m: 2.5")
     with pytest.raises(ScenarioError, match="key 'm'.*must be int, got float"):
