@@ -2,15 +2,8 @@
 MIMO relay networks with matched-filter and regularized zero-forcing
 relay beamforming."""
 
-from .beamformers import RelayWeights, Scheme, build_weights
-from .channel import ChannelRealization, NetworkConfig, realization_for_trial
-from .link import (
-    LinkMetrics,
-    compute_link_metrics,
-    effective_channel,
-    simulate_transmission,
-    upper_bound_capacity,
-)
+from .beamformers import Scheme
+from .channel import NetworkConfig
 from .montecarlo import (
     CapacityEstimate,
     SweepRow,
@@ -25,24 +18,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapacityEstimate",
-    "ChannelRealization",
-    "LinkMetrics",
     "NetworkConfig",
-    "RelayWeights",
     "ScenarioError",
     "Scheme",
     "SweepRow",
     "SweepSpec",
-    "build_weights",
-    "compute_link_metrics",
-    "effective_channel",
     "estimate_ergodic_capacity",
     "estimate_upper_bound",
     "list_bundled",
     "load_bundled",
     "parse_scenario",
-    "realization_for_trial",
     "run_sweep",
-    "simulate_transmission",
-    "upper_bound_capacity",
 ]

@@ -10,12 +10,10 @@ Three schemes:
 Every relay scales its transmit matrix by a power control factor rho so
 the average radiated power is exactly q per relay, whatever the scheme.
 
-The per-relay builders below are the readable reference forms, and
-build_weights stacks them for one realization. The Monte Carlo loop
-never forms F. The SIC receiver needs four things from each relay: the
-cascade P = G F H, the forwarded-noise Gram S = (G F)(G F)^H, ||F H||^2
-and ||F||^2. With A = G G^H, B = H^H H and D = (A + alpha I)^-1 (which
-commutes with A), these are
+The Monte Carlo loop never forms F. The SIC receiver needs four things
+from each relay: the cascade P = G F H, the forwarded-noise Gram
+S = (G F)(G F)^H, ||F H||^2 and ||F||^2. With A = G G^H, B = H^H H
+and D = (A + alpha I)^-1 (which commutes with A), these are
 
     af:      P = G H,  S = A,      ||FH||^2 = tr B,         ||F||^2 = n
     mf:      P = A B,  S = P A,    ||FH||^2 = tr(P B),      ||F||^2 = tr P
@@ -27,19 +25,17 @@ once per chunk of trials by relay_grams and stacked_beamformers. The
 powers p and q enter only through rho (stacked_power_factors). C is the
 product A D and not I - alpha D, which is the same matrix in exact
 arithmetic but cancels at large alpha. The test suite pins the Gram
-route to the per-relay builders.
+route to per-relay builders that do form F.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .channel import ChannelRealization, NetworkConfig
-from .linalg import NumericError, ShapeError, as_matrix, cholesky_stack, re_inner, solve_hpd
+from .linalg import NumericError, cholesky_stack, re_inner
 
 
 class Scheme(enum.Enum):
@@ -51,81 +47,6 @@ class Scheme(enum.Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-@dataclass(frozen=True)
-class RelayWeights:
-    """Per-relay beamforming matrices f (stacked k x n x n) and power
-    control scalars rho (length k, strictly positive)."""
-
-    f: np.ndarray
-    rho: np.ndarray
-
-    def __post_init__(self):
-        if self.f.ndim != 3 or self.f.shape[1] != self.f.shape[2]:
-            raise ValueError(f"f must be stacked square matrices, got {self.f.shape}")
-        if self.rho.shape != (self.f.shape[0],):
-            raise ValueError(
-                f"rho shape {self.rho.shape} does not match {self.f.shape[0]} relays"
-            )
-        if not np.all(self.rho > 0) or not np.all(np.isfinite(self.rho)):
-            raise ValueError("rho entries must be strictly positive and finite")
-        self.f.flags.writeable = False
-        self.rho.flags.writeable = False
-
-
-def af_beamformer(n: int) -> np.ndarray:
-    """Identity relay: retransmit the received vector as-is (before scaling)."""
-    if n < 1:
-        raise ShapeError(f"n must be >= 1, got {n}")
-    return np.eye(n, dtype=np.complex128)
-
-
-def mf_beamformer(h: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Matched filter F = G^H H^H for one relay."""
-    h = as_matrix(h, "h")
-    g = as_matrix(g, "g")
-    if h.shape[1] != g.shape[0] or h.shape[0] != g.shape[1]:
-        raise ShapeError(f"h {h.shape} and g {g.shape} are not a dual-hop pair")
-    return g.conj().T @ h.conj().T
-
-
-def mf_rzf_beamformer(h: np.ndarray, g: np.ndarray, alpha: float) -> np.ndarray:
-    """Regularized second-hop inversion, F = G^H (G G^H + alpha I)^-1 H^H.
-
-    The inverse is applied through a Cholesky solve, never formed. With
-    alpha = 0 and a rank-deficient G G^H this raises NumericError.
-    """
-    h = as_matrix(h, "h")
-    g = as_matrix(g, "g")
-    if h.shape[1] != g.shape[0] or h.shape[0] != g.shape[1]:
-        raise ShapeError(f"h {h.shape} and g {g.shape} are not a dual-hop pair")
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    m = g.shape[0]
-    gram = g @ g.conj().T + alpha * np.eye(m)
-    x = solve_hpd(gram, h.conj().T)
-    return g.conj().T @ x
-
-
-def power_control_factor(
-    f: np.ndarray, h: np.ndarray, p: float, m: int, sigma1_sq: float, q: float
-) -> float:
-    """Scale rho that sets the relay's average transmit power to exactly q.
-
-    The relay input covariance is (p/m) h h^H + sigma1_sq I, so the
-    un-scaled output power is tr{f ((p/m) h h^H + sigma1_sq I) f^H}.
-    """
-    f = as_matrix(f, "f")
-    h = as_matrix(h, "h")
-    n = f.shape[0]
-    if f.shape[1] != n or h.shape[0] != n:
-        raise ShapeError(f"f {f.shape} does not act on relay input of {h.shape}")
-    fh = f @ h
-    rho = stacked_power_factors(
-        re_inner(fh, fh), re_inner(f, f), p=p, m=m, sigma1_sq=sigma1_sq, q=q
-    )
-    return float(rho)
 
 
 class RelayGrams(NamedTuple):
@@ -196,30 +117,3 @@ def stacked_power_factors(
         raise NumericError("a relay's output power is not positive")
     return np.sqrt(q / power)
 
-
-def build_weights(
-    scheme: Scheme, realization: ChannelRealization, config: NetworkConfig
-) -> RelayWeights:
-    """Beamforming matrices and power scales for every relay of one
-    realization: the per-relay builders applied relay by relay, and
-    power_control_factor's formula applied to the stack."""
-    h, g = realization.h, realization.g
-    k, n, m = h.shape
-    if (n, m) != (config.n, config.m) or k != config.k:
-        raise ValueError(
-            f"realization dims {h.shape} do not match config "
-            f"(k={config.k}, n={config.n}, m={config.m})"
-        )
-    if scheme is Scheme.AF:
-        f = np.stack([af_beamformer(n)] * k)
-    elif scheme is Scheme.MF:
-        f = np.stack([mf_beamformer(h_i, g_i) for h_i, g_i in zip(h, g)])
-    elif scheme is Scheme.MF_RZF:
-        f = np.stack([mf_rzf_beamformer(h_i, g_i, config.alpha) for h_i, g_i in zip(h, g)])
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    fh = f @ h
-    rho = stacked_power_factors(
-        re_inner(fh, fh), re_inner(f, f), config.p, config.m, config.sigma1_sq, config.q
-    )
-    return RelayWeights(f=f, rho=rho)

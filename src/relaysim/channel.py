@@ -84,32 +84,6 @@ class NetworkConfig:
         )
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One fading realization: h[k] is the n x m first-hop matrix of relay k,
-    g[k] the m x n second-hop matrix. Arrays are stacked (k, rows, cols) and
-    frozen read-only after construction."""
-
-    h: np.ndarray
-    g: np.ndarray
-
-    def __post_init__(self):
-        h, g = self.h, self.g
-        if h.ndim != 3 or g.ndim != 3 or h.shape[0] != g.shape[0]:
-            raise ValueError(f"bad realization shapes {h.shape} / {g.shape}")
-        k, n, m = h.shape
-        if g.shape != (k, m, n):
-            raise ValueError(f"g shape {g.shape} does not mirror h shape {h.shape}")
-        if not (np.all(np.isfinite(h)) and np.all(np.isfinite(g))):
-            raise ValueError("realization contains non-finite entries")
-        h.flags.writeable = False
-        g.flags.writeable = False
-
-    @property
-    def relay_count(self) -> int:
-        return self.h.shape[0]
-
-
 def check_seed(seed: int, field: str = "seed") -> int:
     """Return seed if it is an integer in [0, 2**64), else raise
     ValueError naming `field`. Seeds key the Philox streams, which take
@@ -119,14 +93,6 @@ def check_seed(seed: int, field: str = "seed") -> int:
     if not 0 <= seed < _SEED_LIMIT:
         raise ValueError(f"{field} must be in [0, 2**64), got {seed}")
     return int(seed)
-
-
-def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Independent Philox stream for one (seed, trial) pair."""
-    check_seed(seed)
-    if trial < 0:
-        raise ValueError(f"trial index must be >= 0, got {trial}")
-    return np.random.Generator(np.random.Philox(key=np.array([seed, trial], dtype=np.uint64)))
 
 
 def channels_for_trials(
@@ -170,9 +136,3 @@ def channels_for_trials(
     g = entries[:, per:].reshape(-1, k, n, m).swapaxes(-1, -2).copy()
     return h, g
 
-
-def realization_for_trial(config: NetworkConfig, seed: int, trial: int) -> ChannelRealization:
-    """The fading realization of Monte Carlo trial `trial` under `seed`:
-    the one-trial view of channels_for_trials."""
-    h, g = channels_for_trials(config, seed, trial, trial + 1)
-    return ChannelRealization(h=h[0], g=g[0])

@@ -8,6 +8,7 @@ is needed.
 
 from __future__ import annotations
 
+import html
 import math
 from pathlib import Path
 
@@ -28,7 +29,6 @@ SERIES_STYLE = {
     "mf-rzf": ("#2ca02c", None),
     "upper-bound": ("#555555", "7 4"),
 }
-FALLBACK_COLORS = ("#9467bd", "#8c564b", "#e377c2", "#17becf")
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list:
@@ -93,7 +93,7 @@ def emit_plot(rows: list, path: str | Path, title: str = "") -> None:
     if title:
         parts.append(
             f'<text x="{MARGIN_L + plot_w / 2:.2f}" y="16" font-size="14" '
-            f'text-anchor="middle">{title}</text>'
+            f'text-anchor="middle">{html.escape(title, quote=False)}</text>'
         )
 
     # frame and ticks
@@ -129,14 +129,9 @@ def emit_plot(rows: list, path: str | Path, title: str = "") -> None:
     )
 
     # series
-    fallback = 0
     legend_y = MARGIN_T + 12
     for name, points in series.items():
-        if name in SERIES_STYLE:
-            color, dash = SERIES_STYLE[name]
-        else:
-            color, dash = FALLBACK_COLORS[fallback % len(FALLBACK_COLORS)], None
-            fallback += 1
+        color, dash = SERIES_STYLE[name]
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         pts = sorted(points, key=lambda r: float(r.axis_value))
         coords = " ".join(

@@ -161,30 +161,6 @@ def parse_scenario(path: str | Path) -> SweepSpec:
     return parse_scenario_text(path.read_text(), source=path.name)
 
 
-def serialize_scenario(spec: SweepSpec, description: str | None = None) -> str:
-    """Render a SweepSpec back to scenario text; parse of the output
-    yields an equal SweepSpec."""
-    data = {}
-    if description:
-        data["description"] = description
-    data["network"] = {
-        "m": spec.base.m,
-        "n": spec.base.n,
-        "k": spec.base.k,
-        "pnr_db": spec.base_pnr_db,
-        "qnr_db": spec.base_qnr_db,
-        "alpha": spec.base.alpha,
-    }
-    data["sweep"] = {"axis": spec.axis, "values": list(spec.values)}
-    data["run"] = {
-        "schemes": [s.value for s in spec.schemes],
-        "trials": spec.trials,
-        "seed": spec.seed,
-        "include_upper_bound": spec.include_upper_bound,
-    }
-    return yaml.safe_dump(data, sort_keys=False, default_flow_style=False)
-
-
 def _bundled_dir():
     return importlib.resources.files("relaysim").joinpath("scenarios")
 

@@ -5,21 +5,21 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from relaysim.beamformers import (
-    RelayWeights,
-    Scheme,
-    af_beamformer,
-    build_weights,
-    mf_beamformer,
-    mf_rzf_beamformer,
-    power_control_factor,
-    relay_grams,
-    stacked_beamformers,
-)
-from relaysim.channel import NetworkConfig, channels_for_trials, realization_for_trial
+from relaysim.beamformers import Scheme, relay_grams, stacked_beamformers
+from relaysim.channel import NetworkConfig, channels_for_trials
 from relaysim.linalg import NumericError
 
-from matrix_helpers import conj_transpose, matmul
+from oracle import (
+    RelayWeights,
+    af_beamformer,
+    build_weights,
+    conj_transpose,
+    mf_beamformer,
+    matmul,
+    mf_rzf_beamformer,
+    power_control_factor,
+    realization_for_trial,
+)
 
 
 def realized_power(f, rho, h, cfg):

@@ -8,13 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from relaysim.channel import (
-    ChannelRealization,
-    NetworkConfig,
-    channels_for_trials,
-    realization_for_trial,
-    trial_rng,
-)
+from relaysim.channel import NetworkConfig, channels_for_trials
+
+from oracle import ChannelRealization, realization_for_trial, trial_rng
 
 
 def sample_gaussian_matrix(rows, cols, rng):

@@ -1,5 +1,9 @@
 """End-to-end CLI behavior: files written, seed precedence, exit codes."""
 
+import subprocess
+import sys
+import xml.etree.ElementTree as ET
+
 import pytest
 
 from relaysim import cli, montecarlo
@@ -232,3 +236,40 @@ def test_failed_write_keeps_earlier_files(tiny_scenario, tmp_path, capsys, monke
     assert _run(["run", tiny_scenario, "--out", out, "--seed", 6]) == 2
     assert "No space left on device" in capsys.readouterr().err
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+def test_svg_title_with_markup_characters_is_escaped(tmp_path):
+    # the chart title is the scenario file's stem
+    path = tmp_path / "a&b<c.yaml"
+    path.write_text(TINY)
+    assert _run(["run", path, "--out", tmp_path / "out"]) == 0
+    root = ET.parse(tmp_path / "out" / "a&b<c.svg").getroot()
+    assert "a&b<c" in [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+
+
+WITHOUT_SCIPY = """
+import sys
+
+class HideScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is hidden")
+
+sys.meta_path.insert(0, HideScipy())
+from relaysim import NetworkConfig, Scheme, estimate_ergodic_capacity
+from relaysim.cli import main
+
+assert main(["run", "fig2", "--trials", "16", "--out", sys.argv[1]]) == 0
+cfg = NetworkConfig.from_db(m=4, n=4, k=4, pnr_db=10.0, qnr_db=10.0)
+assert estimate_ergodic_capacity(cfg, Scheme.MF_RZF, trials=64, seed=1).mean_bits > 0
+assert "scipy" not in sys.modules
+"""
+
+
+def test_product_runs_without_scipy(tmp_path):
+    # scipy is a test-only dependency: the CLI and the estimators never import it
+    proc = subprocess.run(
+        [sys.executable, "-c", WITHOUT_SCIPY, str(tmp_path)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "results.csv").is_file() and (tmp_path / "fig2.svg").is_file()

@@ -5,19 +5,23 @@ noise simulation."""
 import numpy as np
 import pytest
 
-from relaysim.beamformers import Scheme, build_weights
-from relaysim.channel import ChannelRealization, NetworkConfig, realization_for_trial, trial_rng
-from relaysim.link import (
+from relaysim.beamformers import Scheme
+from relaysim.channel import NetworkConfig
+
+from oracle import (
+    ChannelRealization,
+    build_weights,
     compute_link_metrics,
+    conj_transpose,
     effective_channel,
     instantaneous_capacity,
     per_stream_snr,
+    qr_decompose,
+    realization_for_trial,
     simulate_transmission,
+    trial_rng,
     upper_bound_capacity,
 )
-from relaysim.linalg import qr_decompose
-
-from matrix_helpers import conj_transpose
 
 
 def identity_network():
