@@ -9,6 +9,7 @@ Three schemes:
 
 Every relay scales its transmit matrix by a power control factor rho so
 the average radiated power is exactly q per relay, whatever the scheme.
+Noise variances are 1, so p and q are PNR and QNR.
 
 The Monte Carlo loop never forms F. The SIC receiver needs four things
 from each relay: the cascade P = G F H, the forwarded-noise Gram
@@ -107,12 +108,12 @@ def stacked_beamformers(scheme: Scheme, grams: RelayGrams, alpha: float) -> tupl
 
 
 def stacked_power_factors(
-    fh_sq: np.ndarray, f_sq: np.ndarray, p: float, m: int, sigma1_sq: float, q: float
+    fh_sq: np.ndarray, f_sq: np.ndarray, p: float, m: int, q: float
 ) -> np.ndarray:
     """rho for stacks of ||f h||^2 and ||f||^2 (..., k): per relay,
-    sqrt(q / tr{f ((p/m) h h^H + sigma1_sq I) f^H}), where the trace is
-    (p/m) ||f h||^2 + sigma1_sq ||f||^2."""
-    power = (p / m) * fh_sq + sigma1_sq * f_sq
+    sqrt(q / tr{f ((p/m) h h^H + I) f^H}), where the trace is
+    (p/m) ||f h||^2 + ||f||^2."""
+    power = (p / m) * fh_sq + f_sq
     if not np.all(power > 0):
         raise NumericError("a relay's output power is not positive")
     return np.sqrt(q / power)

@@ -17,11 +17,15 @@ _SEED_LIMIT = 1 << 64
 
 
 def _from_db(value: float, field: str) -> float:
-    """10^(value/10), with a ValueError naming `field` where it overflows."""
+    """10^(value/10), with a ValueError naming `field` unless that is a
+    finite positive float (it overflows, underflows to 0, or is nan)."""
     try:
-        return 10.0 ** (value / 10.0)
+        power = 10.0 ** (value / 10.0)
     except OverflowError:
-        raise ValueError(f"{field} = {value} dB is too large for a float") from None
+        power = math.inf
+    if not 0.0 < power < math.inf:
+        raise ValueError(f"{field} = {value} dB is not a finite positive power")
+    return power
 
 
 @dataclass(frozen=True)
@@ -29,9 +33,10 @@ class NetworkConfig:
     """Dimensions and power budget of one dual-hop relay network.
 
     m: antennas at source and destination, n: antennas per relay,
-    k: number of relays. p is the total source transmit power, q the
-    per-relay transmit power, both linear (not dB). alpha is the
-    regularization weight of the mf-rzf beamformer.
+    k: number of relays. p is PNR, the total source transmit power, and q
+    is QNR, the per-relay transmit power, both as linear ratios (not dB)
+    to the noise variance, which is 1 at the relays and the destination.
+    alpha is the regularization weight of the mf-rzf beamformer.
     """
 
     m: int
@@ -39,8 +44,6 @@ class NetworkConfig:
     k: int
     p: float
     q: float
-    sigma1_sq: float = 1.0
-    sigma2_sq: float = 1.0
     alpha: float = 1.0
 
     def __post_init__(self):
@@ -52,7 +55,7 @@ class NetworkConfig:
             )
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        for field in ("p", "q", "sigma1_sq", "sigma2_sq"):
+        for field in ("p", "q"):
             value = getattr(self, field)
             if not (value > 0) or not math.isfinite(value):
                 raise ValueError(f"{field} must be strictly positive, got {value}")
@@ -61,25 +64,15 @@ class NetworkConfig:
 
     @classmethod
     def from_db(
-        cls,
-        m: int,
-        n: int,
-        k: int,
-        pnr_db: float,
-        qnr_db: float,
-        alpha: float = 1.0,
-        sigma1_sq: float = 1.0,
-        sigma2_sq: float = 1.0,
+        cls, m: int, n: int, k: int, pnr_db: float, qnr_db: float, alpha: float = 1.0
     ) -> "NetworkConfig":
-        """Build a config from PNR = p/sigma1_sq and QNR = q/sigma2_sq in dB."""
+        """Build a config from PNR and QNR in dB."""
         return cls(
             m=m,
             n=n,
             k=k,
-            p=sigma1_sq * _from_db(pnr_db, "pnr_db"),
-            q=sigma2_sq * _from_db(qnr_db, "qnr_db"),
-            sigma1_sq=sigma1_sq,
-            sigma2_sq=sigma2_sq,
+            p=_from_db(pnr_db, "pnr_db"),
+            q=_from_db(qnr_db, "qnr_db"),
             alpha=alpha,
         )
 

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .channel import check_seed
 from .linalg import NumericError
-from .montecarlo import ConfigError, run_sweep
+from .montecarlo import ConfigError, SweepRow, run_sweep
 from .plotting import emit_plot
 from .scenario import (
     ScenarioError,
@@ -33,21 +33,7 @@ from .scenario import (
     parse_scenario,
 )
 
-CSV_COLUMNS = (
-    "scheme",
-    "axis",
-    "axis_value",
-    "m",
-    "n",
-    "k",
-    "pnr_db",
-    "qnr_db",
-    "alpha",
-    "trials",
-    "seed",
-    "capacity_mean_bits",
-    "capacity_stderr_bits",
-)
+CSV_COLUMNS = tuple(field.name for field in dataclasses.fields(SweepRow))
 
 
 def write_results_csv(rows: list, path: str | Path) -> None:

@@ -5,8 +5,8 @@ The destination QR-decomposes the effective source-destination channel
 and detects streams in reverse order, cancelling already-decoded ones.
 With perfect cancellation stream m sees only the m-th diagonal of the
 triangular factor as signal, plus forwarded relay noise and local
-receiver noise. Capacity carries the 1/2 pre-log of the two-slot
-half-duplex protocol.
+receiver noise, both of unit variance (powers are PNR and QNR). Capacity
+carries the 1/2 pre-log of the two-slot half-duplex protocol.
 
 The stacked_* functions evaluate whole batches of Monte Carlo trials at
 once (leading axes broadcast). They never see a beamformer F, only the
@@ -57,13 +57,13 @@ def stacked_snr(
     is the relay noise forwarded through rho_k g_k f_k, rotated by q^H,
     plus the destination noise:
 
-        sigma1_sq * sum_k rho_k^2 ||row_m(q^H g_k f_k)||^2 + sigma2_sq
+        sum_k rho_k^2 ||row_m(q^H g_k f_k)||^2 + 1
 
     The sum over relays is the m-th diagonal entry of q^H M q, where
     noise_gram is M = sum_k rho_k^2 (g_k f_k)(g_k f_k)^H.
     """
     row_power = np.real(np.einsum("...ij,...ij->...j", q.conj(), noise_gram @ q))
-    noise = config.sigma1_sq * row_power + config.sigma2_sq
+    noise = row_power + 1.0
     diag = np.real(np.diagonal(r, axis1=-2, axis2=-1))
     return (config.p / config.m) * diag**2 / noise
 
@@ -86,12 +86,12 @@ def stacked_upper_bound(b_sum: np.ndarray, config: NetworkConfig) -> np.ndarray:
     """Cut-set bound at the source cut, batched over leading axes, from
     b_sum = sum_k h_k^H h_k (..., m, m):
 
-        0.5 * log2 det(I + p/(m sigma1_sq) * sum_k h_k^H h_k)
+        0.5 * log2 det(I + p/m * sum_k h_k^H h_k)
 
     Depends only on the first-hop channels, so it is unaffected by the
     relay power budget q and by the beamforming scheme.
     """
     m = b_sum.shape[-1]
-    arg = np.eye(m) + (config.p / (m * config.sigma1_sq)) * b_sum
+    arg = np.eye(m) + (config.p / m) * b_sum
     return 0.5 * logdet_hpd_stack(arg) / _LN2
 

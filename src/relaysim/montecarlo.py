@@ -72,15 +72,19 @@ class CapacityEstimate:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One sweep: an axis, its values, and the base network the axis
-    perturbs. base_pnr_db / base_qnr_db mirror base.p / base.q in dB so
-    reports can echo the configured values exactly."""
+    """One sweep, field for field the keys of a scenario file: an axis,
+    its values, the base network the axis perturbs (powers in dB) and the
+    run settings. The base network and every point are materialized
+    here, so a bad value fails when the spec is built, not mid-run."""
 
     axis: str
     values: tuple
-    base: NetworkConfig
-    base_pnr_db: float
-    base_qnr_db: float
+    m: int
+    n: int
+    k: int
+    pnr_db: float
+    qnr_db: float
+    alpha: float = 1.0
     schemes: tuple = (Scheme.AF, Scheme.MF, Scheme.MF_RZF)
     include_upper_bound: bool = True
     trials: int = 10_000
@@ -88,7 +92,9 @@ class SweepSpec:
 
     def __post_init__(self):
         if self.axis not in AXES:
-            raise ConfigError(f"unknown sweep axis {self.axis!r}, expected one of {AXES}")
+            raise ConfigError(
+                f"sweep axis must be one of {', '.join(AXES)}, got {self.axis!r}"
+            )
         if len(self.values) == 0:
             raise ConfigError("sweep values must be non-empty")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
@@ -101,12 +107,15 @@ class SweepSpec:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         try:
             check_seed(self.seed)
+            NetworkConfig.from_db(self.m, self.n, self.k, self.pnr_db, self.qnr_db, self.alpha)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        for value in self.values:
+            self.point(value)
 
     def point(self, value) -> tuple[NetworkConfig, float, float]:
         """Materialize (config, pnr_db, qnr_db) for one axis value."""
-        pnr_db, qnr_db, k = self.base_pnr_db, self.base_qnr_db, self.base.k
+        pnr_db, qnr_db, k = float(self.pnr_db), float(self.qnr_db), self.k
         if self.axis == "relay_count":
             if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
                 raise ConfigError(f"axis point {value!r}: relay count must be an integer")
@@ -118,16 +127,7 @@ class SweepSpec:
         else:  # pnr_equals_qnr_db
             pnr_db = qnr_db = float(value)
         try:
-            cfg = NetworkConfig.from_db(
-                m=self.base.m,
-                n=self.base.n,
-                k=k,
-                pnr_db=pnr_db,
-                qnr_db=qnr_db,
-                alpha=self.base.alpha,
-                sigma1_sq=self.base.sigma1_sq,
-                sigma2_sq=self.base.sigma2_sq,
-            )
+            cfg = NetworkConfig.from_db(self.m, self.n, k, pnr_db, qnr_db, self.alpha)
         except ValueError as exc:
             raise ConfigError(f"axis point {value!r}: {exc}") from exc
         return cfg, pnr_db, qnr_db
@@ -175,9 +175,7 @@ def _capacity_chunk(job) -> np.ndarray:
             p, s, fh_sq, f_sq = stacked_beamformers(scheme, grams, configs[0].alpha)
             for i, config in enumerate(configs):
                 where = labels[i : i + 1], scheme.value
-                rho = stacked_power_factors(
-                    fh_sq, f_sq, config.p, config.m, config.sigma1_sq, config.q
-                )
+                rho = stacked_power_factors(fh_sq, f_sq, config.p, config.m, config.q)
                 table[i, :, j] = stacked_scheme_capacity(p, s, rho, config)
             del p, s
         if include_upper:

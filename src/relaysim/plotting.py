@@ -121,7 +121,7 @@ def emit_plot(rows: list, path: str | Path, title: str = "") -> None:
             )
     parts.append(
         f'<text x="{MARGIN_L + plot_w / 2:.2f}" y="{HEIGHT - 14}" font-size="13" '
-        f'text-anchor="middle">{AXIS_LABELS.get(axis, axis)}</text>'
+        f'text-anchor="middle">{AXIS_LABELS[axis]}</text>'
     )
     parts.append(
         f'<text x="18" y="{MARGIN_T + plot_h / 2:.2f}" font-size="13" text-anchor="middle" '

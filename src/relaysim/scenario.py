@@ -3,45 +3,63 @@
 A scenario has three sections plus an optional top-level description:
 
     description: one line shown by list-scenarios   (optional)
-    network:  m, n, k, pnr_db, qnr_db, alpha (default 1.0)
+    network:  m, n, k, pnr_db, qnr_db, alpha (optional)
     sweep:    axis, values
-    run:      schemes, seed, trials (default 10000),
-              include_upper_bound (default true)
+    run:      schemes, seed, trials (optional),
+              include_upper_bound (optional)
 
-Unknown keys anywhere are rejected with the file and section named, and
-every axis value is materialized once at parse time so a bad point fails
-here, not mid-run. Numbers follow YAML 1.2, so 1e-3 is a float.
+The keys are the fields of SweepSpec, one for one, and a missing optional
+key takes SweepSpec's default. This module checks only the file format:
+UTF-8 YAML, sections, unknown or duplicated keys, types, scheme names,
+the seed and that sweep values are numbers. SweepSpec checks the values
+and materializes every point, so a bad point fails here, not mid-run.
+Numbers follow YAML 1.2, so 1e-3 is a float.
 """
 
 from __future__ import annotations
 
 import importlib.resources
 import re
+from collections.abc import Hashable
 from pathlib import Path
 
 import yaml
 
 from .beamformers import Scheme
-from .channel import NetworkConfig, check_seed
-from .montecarlo import AXES, ConfigError, SweepSpec
+from .channel import check_seed
+from .montecarlo import SweepSpec
 
 
 class ScenarioError(ValueError):
     """A scenario file is malformed; the message names file and field."""
 
 
-_NETWORK_KEYS = ("m", "n", "k", "pnr_db", "qnr_db", "alpha")
-_SWEEP_KEYS = ("axis", "values")
-_RUN_KEYS = ("schemes", "trials", "seed", "include_upper_bound")
-
-DEFAULT_TRIALS = 10_000
-DEFAULT_ALPHA = 1.0
+# section -> {key: type}; every key is a SweepSpec field
+_SECTIONS = {
+    "network": {"m": int, "n": int, "k": int, "pnr_db": float, "qnr_db": float, "alpha": float},
+    "sweep": {"axis": str, "values": list},
+    "run": {"schemes": list, "trials": int, "seed": int, "include_upper_bound": bool},
+}
+_OPTIONAL = ("alpha", "trials", "include_upper_bound")
 
 
 class _Loader(yaml.SafeLoader):
-    """SafeLoader that also reads YAML 1.2 exponent floats such as 1e1 and
-    1.0e-3, which YAML 1.1 leaves as strings (it wants a dot and a signed
-    exponent)."""
+    """SafeLoader that rejects a duplicated mapping key, and also reads
+    YAML 1.2 exponent floats such as 1e1 and 1.0e-3, which YAML 1.1
+    leaves as strings (it wants a dot and a signed exponent)."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            key = self.construct_object(key_node, deep=True)
+            if not isinstance(key, Hashable):
+                continue  # the base constructor rejects it
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    problem=f"duplicate key {key!r}", problem_mark=key_node.start_mark
+                )
+            seen.add(key)
+        return super().construct_mapping(node, deep)
 
 
 _Loader.add_implicit_resolver(
@@ -51,24 +69,19 @@ _Loader.add_implicit_resolver(
 )
 
 
-def _require_section(data: dict, name: str, keys: tuple, source: str) -> dict:
+def _require_section(data: dict, name: str, source: str) -> dict:
     if name not in data:
         raise ScenarioError(f"{source}: missing section '{name}'")
     section = data[name]
     if not isinstance(section, dict):
         raise ScenarioError(f"{source}: section '{name}' must be a mapping")
     for key in section:
-        if key not in keys:
+        if key not in _SECTIONS[name]:
             raise ScenarioError(f"{source}: unknown key '{key}' in section '{name}'")
     return section
 
 
-def _get(section: dict, key: str, kind, source: str, ctx: str, default=None):
-    if key not in section:
-        if default is not None:
-            return default
-        raise ScenarioError(f"{source}: missing key '{key}' in section '{ctx}'")
-    value = section[key]
+def _typed(value, kind, key: str, ctx: str, source: str):
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
     if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
@@ -86,39 +99,29 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> SweepSpec:
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" (line {mark.line + 1}, column {mark.column + 1})" if mark else ""
-        raise ScenarioError(f"{source}: not valid YAML{where}: {exc}") from exc
+        detail = getattr(exc, "problem", None) or exc
+        raise ScenarioError(f"{source}: not valid YAML{where}: {detail}") from exc
     if not isinstance(data, dict):
         raise ScenarioError(f"{source}: top level must be a mapping of sections")
     for key in data:
-        if key not in ("description", "network", "sweep", "run"):
+        if key != "description" and key not in _SECTIONS:
             raise ScenarioError(f"{source}: unknown top-level key '{key}'")
 
-    network = _require_section(data, "network", _NETWORK_KEYS, source)
-    sweep = _require_section(data, "sweep", _SWEEP_KEYS, source)
-    run = _require_section(data, "run", _RUN_KEYS, source)
+    sections = {name: _require_section(data, name, source) for name in _SECTIONS}
+    fields = {}
+    for name, kinds in _SECTIONS.items():
+        for key, kind in kinds.items():
+            if key in sections[name]:
+                fields[key] = _typed(sections[name][key], kind, key, name, source)
+            elif key not in _OPTIONAL:
+                raise ScenarioError(f"{source}: missing key '{key}' in section '{name}'")
 
-    m = _get(network, "m", int, source, "network")
-    n = _get(network, "n", int, source, "network")
-    k = _get(network, "k", int, source, "network")
-    pnr_db = _get(network, "pnr_db", float, source, "network")
-    qnr_db = _get(network, "qnr_db", float, source, "network")
-    alpha = _get(network, "alpha", float, source, "network", default=DEFAULT_ALPHA)
-
-    axis = _get(sweep, "axis", str, source, "sweep")
-    if axis not in AXES:
-        raise ScenarioError(
-            f"{source}: sweep axis must be one of {', '.join(AXES)}, got '{axis}'"
-        )
-    values = _get(sweep, "values", list, source, "sweep")
-    if not values:
-        raise ScenarioError(f"{source}: sweep values must be a non-empty list")
-    for v in values:
+    for v in fields["values"]:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ScenarioError(f"{source}: sweep value {v!r} is not a number")
-
-    scheme_names = _get(run, "schemes", list, source, "run")
+    fields["values"] = tuple(fields["values"])
     schemes = []
-    for name in scheme_names:
+    for name in fields["schemes"]:
         try:
             schemes.append(Scheme(name))
         except ValueError:
@@ -126,39 +129,24 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> SweepSpec:
             raise ScenarioError(
                 f"{source}: unknown scheme '{name}' (known: {known})"
             ) from None
-    trials = _get(run, "trials", int, source, "run", default=DEFAULT_TRIALS)
-    seed = _get(run, "seed", int, source, "run")
+    fields["schemes"] = tuple(schemes)
     try:
-        check_seed(seed, "key 'seed' in section 'run'")
+        check_seed(fields["seed"], "key 'seed' in section 'run'")
+        return SweepSpec(**fields)
     except ValueError as exc:
-        raise ScenarioError(f"{source}: {exc}") from None
-    include_upper = _get(run, "include_upper_bound", bool, source, "run", default=True)
-
-    try:
-        base = NetworkConfig.from_db(
-            m=m, n=n, k=k, pnr_db=pnr_db, qnr_db=qnr_db, alpha=alpha
-        )
-        spec = SweepSpec(
-            axis=axis,
-            values=tuple(values),
-            base=base,
-            base_pnr_db=pnr_db,
-            base_qnr_db=qnr_db,
-            schemes=tuple(schemes),
-            include_upper_bound=include_upper,
-            trials=trials,
-            seed=seed,
-        )
-        for v in spec.values:
-            spec.point(v)
-    except (ValueError, ConfigError) as exc:
         raise ScenarioError(f"{source}: {exc}") from exc
-    return spec
 
 
 def parse_scenario(path: str | Path) -> SweepSpec:
     path = Path(path)
-    return parse_scenario_text(path.read_text(), source=path.name)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(
+            f"{path.name}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x} "
+            f"at offset {exc.start})"
+        ) from None
+    return parse_scenario_text(text, source=path.name)
 
 
 def _bundled_dir():

@@ -243,7 +243,7 @@ def power_control_factor(
     if f.shape[-2] != n or h.shape[-2] != n:
         raise ShapeError(f"f {f.shape} does not act on relay input of {h.shape}")
     fh = f @ h
-    return stacked_power_factors(re_inner(fh, fh), re_inner(f, f), p, m, sigma1_sq, q)
+    return stacked_power_factors(re_inner(fh, fh), sigma1_sq * re_inner(f, f), p, m, q)
 
 
 def build_weights(
@@ -267,7 +267,7 @@ def build_weights(
         f = np.stack([mf_rzf_beamformer(h_i, g_i, config.alpha) for h_i, g_i in zip(h, g)])
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    rho = power_control_factor(f, h, config.p, config.m, config.sigma1_sq, config.q)
+    rho = power_control_factor(f, h, config.p, config.m, 1.0, config.q)
     return RelayWeights(f=f, rho=rho)
 
 
@@ -336,8 +336,8 @@ def simulate_transmission(
     config: NetworkConfig,
     draws: int,
     rng: np.random.Generator,
-    sigma1_sq: float | None = None,
-    sigma2_sq: float | None = None,
+    sigma1_sq: float = 1.0,
+    sigma2_sq: float = 1.0,
 ) -> np.ndarray:
     """Measure per-stream SNR by actually running the signal chain.
 
@@ -350,13 +350,13 @@ def simulate_transmission(
     power (p/m) r_mm^2 over the empirical variance of what remains.
 
     sigma1_sq / sigma2_sq override the noise variances in the draws only
-    (default: the config values); setting both to 0 checks the zero-noise
-    limit where the residual must vanish identically.
+    (default: 1, what the config's powers are relative to); setting both
+    to 0 checks the zero-noise limit where the residual must vanish
+    identically.
     """
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
-    s1 = config.sigma1_sq if sigma1_sq is None else float(sigma1_sq)
-    s2 = config.sigma2_sq if sigma2_sq is None else float(sigma2_sq)
+    s1, s2 = float(sigma1_sq), float(sigma2_sq)
     if s1 < 0 or s2 < 0:
         raise ValueError("noise variances must be >= 0")
 

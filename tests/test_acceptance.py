@@ -62,7 +62,7 @@ def test_01_per_relay_power_meets_budget_exactly():
                     for i in range(k):
                         fw = w.rho[i] * w.f[i]
                         h = real.h[i]
-                        cov = (cfg.p / cfg.m) * (h @ h.conj().T) + cfg.sigma1_sq * np.eye(cfg.n)
+                        cov = (cfg.p / cfg.m) * (h @ h.conj().T) + np.eye(cfg.n)
                         power = float(np.trace(fw @ cov @ fw.conj().T).real)
                         worst = max(worst, abs(power / cfg.q - 1.0))
                 realizations += 1

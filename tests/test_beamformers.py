@@ -24,7 +24,7 @@ from oracle import (
 
 def realized_power(f, rho, h, cfg):
     """Independent check of the average relay transmit power."""
-    cov = (cfg.p / cfg.m) * (h @ conj_transpose(h)) + cfg.sigma1_sq * np.eye(cfg.n)
+    cov = (cfg.p / cfg.m) * (h @ conj_transpose(h)) + np.eye(cfg.n)
     scaled = rho * f
     return float(np.real(np.trace(scaled @ cov @ conj_transpose(scaled))))
 
@@ -192,9 +192,7 @@ def test_build_weights_matches_per_relay_ops():
         weights = build_weights(scheme, real, cfg)
         for i in range(cfg.k):
             f_i = builder(real.h[i], real.g[i])
-            rho_i = power_control_factor(
-                f_i, real.h[i], cfg.p, cfg.m, cfg.sigma1_sq, cfg.q
-            )
+            rho_i = power_control_factor(f_i, real.h[i], cfg.p, cfg.m, 1.0, cfg.q)
             assert np.allclose(weights.f[i], f_i, atol=1e-12)
             assert weights.rho[i] == pytest.approx(rho_i, rel=1e-12)
 

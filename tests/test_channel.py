@@ -38,8 +38,6 @@ def test_config_rejects_nonpositive_powers():
         NetworkConfig(m=2, n=2, k=1, p=0.0, q=1.0)
     with pytest.raises(ValueError):
         NetworkConfig(m=2, n=2, k=1, p=1.0, q=-3.0)
-    with pytest.raises(ValueError):
-        NetworkConfig(m=2, n=2, k=1, p=1.0, q=1.0, sigma1_sq=0.0)
 
 
 def test_config_rejects_zero_relays_and_negative_alpha():
@@ -53,7 +51,6 @@ def test_config_from_db():
     cfg = NetworkConfig.from_db(m=4, n=4, k=3, pnr_db=10.0, qnr_db=20.0)
     assert cfg.p == pytest.approx(10.0)
     assert cfg.q == pytest.approx(100.0)
-    assert cfg.sigma1_sq == 1.0 and cfg.sigma2_sq == 1.0
 
 
 def test_realization_shape_validation():

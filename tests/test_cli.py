@@ -1,8 +1,10 @@
 """End-to-end CLI behavior: files written, seed precedence, exit codes."""
 
+import runpy
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -183,13 +185,28 @@ def test_nonpositive_workers_exit_2(tiny_scenario, tmp_path, capsys, workers):
 
 
 @pytest.mark.parametrize(
-    "edits, field",
+    "edits, field, value",
     [
-        ({"pnr_db: 10": "pnr_db: 4000"}, "pnr_db"),  # network value
-        ({"axis: relay_count": "axis: qnr_db", "values: [1, 2]": "values: [1, 4000]"}, "qnr_db"),
+        # network values, then axis values
+        pytest.param({"pnr_db: 10": "pnr_db: 4000"}, "pnr_db", "4000.0", id="edits0-pnr_db"),
+        pytest.param({"pnr_db: 10": "pnr_db: .inf"}, "pnr_db", "inf", id="pnr_db-inf"),
+        pytest.param({"qnr_db: 10": "qnr_db: -.inf"}, "qnr_db", "-inf", id="qnr_db-minus-inf"),
+        pytest.param({"qnr_db: 10": "qnr_db: -4000"}, "qnr_db", "-4000.0", id="qnr_db-underflow"),
+        pytest.param(
+            {"axis: relay_count": "axis: qnr_db", "values: [1, 2]": "values: [1, 4000]"},
+            "qnr_db",
+            "4000.0",
+            id="edits1-qnr_db",
+        ),
+        pytest.param(
+            {"axis: relay_count": "axis: pnr_db", "values: [1, 2]": "values: [1, .nan]"},
+            "pnr_db",
+            "nan",
+            id="pnr_db-axis-nan",
+        ),
     ],
 )
-def test_overflowing_power_exits_2_naming_the_field(tmp_path, capsys, edits, field):
+def test_overflowing_power_exits_2_naming_the_field(tmp_path, capsys, edits, field, value):
     text = TINY
     for old, new in edits.items():
         text = text.replace(old, new)
@@ -198,7 +215,16 @@ def test_overflowing_power_exits_2_naming_the_field(tmp_path, capsys, edits, fie
     assert _run(["run", path, "--out", tmp_path / "out"]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: big.yaml: ")
-    assert f"{field} = 4000" in err
+    assert f"{field} = {value} dB" in err
+
+
+def test_non_utf8_scenario_exits_2_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes(TINY.replace("  seed: 5", "  seed: 5  # caf\xe9").encode("latin-1"))
+    assert _run(["run", path, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: latin1.yaml: ")
+    assert "0xe9" in err
 
 
 def test_numeric_error_exits_1_naming_point_scheme_and_trials(
@@ -273,3 +299,16 @@ def test_product_runs_without_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "results.csv").is_file() and (tmp_path / "fig2.svg").is_file()
+
+
+def test_reproduce_figures_script_runs_every_bundled_scenario(tmp_path, capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_figures.py"
+    reproduce = runpy.run_path(str(script))["main"]
+    assert reproduce(["--out", str(tmp_path), "--trials", "16"]) == 0
+    for name in ("fig2", "fig3", "fig4", "fig5", "fig6"):
+        lines = (tmp_path / name / "results.csv").read_text().splitlines()
+        assert lines[0] == ",".join(CSV_COLUMNS)
+        assert {dict(zip(CSV_COLUMNS, line.split(",")))["trials"] for line in lines[1:]} == {"16"}
+    capsys.readouterr()
+    assert reproduce(["--out", str(tmp_path / "zero"), "--trials", "0"]) == 2
+    assert capsys.readouterr().err == "error: trials must be >= 1, got 0\n"

@@ -77,10 +77,10 @@ def test_per_stream_snr_term_by_term():
     qr = qr_decompose(effective_channel(real, weights))
     snr = per_stream_snr(real, weights, qr, cfg)
     for m in range(cfg.m):
-        noise = cfg.sigma2_sq
+        noise = 1.0
         for i in range(cfg.k):
             row = (conj_transpose(qr.q) @ real.g[i] @ weights.f[i])[m]
-            noise += cfg.sigma1_sq * weights.rho[i] ** 2 * float(
+            noise += weights.rho[i] ** 2 * float(
                 np.real(np.vdot(row, row))
             )
         signal = (cfg.p / cfg.m) * float(np.real(qr.r[m, m])) ** 2
@@ -117,7 +117,7 @@ def test_upper_bound_against_lu_determinant_oracle():
     gram = sum(
         conj_transpose(real.h[i]) @ real.h[i] for i in range(cfg.k)
     )
-    arg = np.eye(2) + (cfg.p / (2 * cfg.sigma1_sq)) * gram
+    arg = np.eye(2) + (cfg.p / 2) * gram
     expected = 0.5 * np.log2(np.real(np.linalg.det(arg)))
     assert upper_bound_capacity(real, cfg) == pytest.approx(expected, rel=1e-10)
 

@@ -28,9 +28,11 @@ def base_spec(**overrides):
     kwargs = dict(
         axis="relay_count",
         values=(1, 2),
-        base=NetworkConfig.from_db(m=2, n=2, k=1, pnr_db=10.0, qnr_db=10.0),
-        base_pnr_db=10.0,
-        base_qnr_db=10.0,
+        m=2,
+        n=2,
+        k=1,
+        pnr_db=10.0,
+        qnr_db=10.0,
         schemes=(Scheme.AF, Scheme.MF, Scheme.MF_RZF),
         include_upper_bound=True,
         trials=200,
@@ -95,6 +97,11 @@ def test_axis_point_semantics():
     assert cfg.p == pytest.approx(1000.0)
     assert cfg.q == pytest.approx(1000.0)
     assert (pnr, qnr) == (30.0, 30.0)
+
+
+def test_bad_point_fails_when_the_spec_is_built():
+    with pytest.raises(ConfigError, match="axis point 0: k must be >= 1"):
+        base_spec(values=(0, 1))
 
 
 def test_axis_point_errors_name_the_point():
@@ -321,10 +328,10 @@ def test_numeric_error_in_shared_beamformers_names_every_point_of_the_group(monk
 def test_numeric_error_in_power_control_names_its_point(monkeypatch):
     original = montecarlo.stacked_power_factors
 
-    def failing_at_10db(fh_sq, f_sq, p, m, sigma1_sq, q):
+    def failing_at_10db(fh_sq, f_sq, p, m, q):
         if p == 10.0:
             raise NumericError("a relay's output power is not positive")
-        return original(fh_sq, f_sq, p, m, sigma1_sq, q)
+        return original(fh_sq, f_sq, p, m, q)
 
     monkeypatch.setattr(montecarlo, "stacked_power_factors", failing_at_10db)
     spec = base_spec(axis="pnr_equals_qnr_db", values=(0.0, 10.0, 20.0), trials=64)

@@ -4,8 +4,8 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from relaysim.montecarlo import SweepRow
-from relaysim.plotting import emit_plot
+from relaysim.montecarlo import AXES, SweepRow
+from relaysim.plotting import AXIS_LABELS, emit_plot
 
 
 def _row(scheme, axis_value, mean, stderr=0.1):
@@ -82,3 +82,7 @@ def test_output_is_wellformed_xml(tmp_path):
 def test_empty_rows_rejected(tmp_path):
     with pytest.raises(ValueError, match="empty result table"):
         emit_plot([], tmp_path / "chart.svg")
+
+
+def test_axis_labels_cover_exactly_the_sweep_axes():
+    assert set(AXIS_LABELS) == set(AXES)

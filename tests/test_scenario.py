@@ -1,12 +1,13 @@
 """Scenario file parsing, round trips, and the bundled registry."""
 
+import dataclasses
+
 import pytest
 import yaml
 
 from relaysim.beamformers import Scheme
+from relaysim.montecarlo import SweepSpec
 from relaysim.scenario import (
-    DEFAULT_ALPHA,
-    DEFAULT_TRIALS,
     ScenarioError,
     bundled_description,
     list_bundled,
@@ -34,9 +35,7 @@ run:
 def scenario_text(spec, description=None):
     """A scenario document holding every field of `spec`, written by
     PyYAML's emitter: parsing it must give back an equal spec."""
-    base = spec.base
-    network = dict(m=base.m, n=base.n, k=base.k, alpha=base.alpha)
-    network.update(pnr_db=spec.base_pnr_db, qnr_db=spec.base_qnr_db)
+    network = {key: getattr(spec, key) for key in ("m", "n", "k", "pnr_db", "qnr_db", "alpha")}
     run = dict(schemes=[s.value for s in spec.schemes], trials=spec.trials, seed=spec.seed)
     run.update(include_upper_bound=spec.include_upper_bound)
     data = dict(network=network, sweep=dict(axis=spec.axis, values=list(spec.values)), run=run)
@@ -47,22 +46,25 @@ def scenario_text(spec, description=None):
 
 def test_minimal_scenario_parses_with_defaults():
     spec = parse_scenario_text(MINIMAL)
-    assert spec.base.m == 2 and spec.base.n == 3 and spec.base.k == 4
+    assert spec.m == 2 and spec.n == 3 and spec.k == 4
     assert spec.axis == "relay_count"
     assert spec.values == (1, 2, 4)
     assert spec.schemes == (Scheme.MF, Scheme.MF_RZF)
     assert spec.seed == 3
-    assert spec.trials == DEFAULT_TRIALS
-    assert spec.base.alpha == DEFAULT_ALPHA
-    assert spec.include_upper_bound is True
+    # a missing optional key takes SweepSpec's own default
+    defaults = {field.name: field.default for field in dataclasses.fields(SweepSpec)}
+    assert spec.trials == defaults["trials"] == 10_000
+    assert spec.alpha == defaults["alpha"] == 1.0
+    assert spec.include_upper_bound is defaults["include_upper_bound"] is True
 
 
 def test_pnr_values_stored_in_db():
     spec = parse_scenario_text(MINIMAL)
-    assert spec.base_pnr_db == 10.0
-    assert spec.base_qnr_db == 10.0
-    assert spec.base.p == pytest.approx(10.0)
-    assert spec.base.q == pytest.approx(10.0)
+    assert spec.pnr_db == 10.0
+    assert spec.qnr_db == 10.0
+    config, _, _ = spec.point(1)
+    assert config.p == pytest.approx(10.0)
+    assert config.q == pytest.approx(10.0)
 
 
 def test_unknown_section_key_names_file_and_section():
@@ -123,7 +125,7 @@ def test_exponent_numbers_are_floats():
     )
     spec = parse_scenario_text(text.replace("  qnr_db: 10", "  qnr_db: 10\n  alpha: 1e-3"))
     assert spec.values == (10.0, 15.0, 20.0)
-    assert spec.base.alpha == 0.001
+    assert spec.alpha == 0.001
     assert parse_scenario_text(scenario_text(spec)) == spec
 
 
@@ -131,6 +133,14 @@ def test_wrong_type_reports_key_and_expectation():
     text = MINIMAL.replace("m: 2", "m: 2.5")
     with pytest.raises(ScenarioError, match="key 'm'.*must be int, got float"):
         parse_scenario_text(text)
+
+
+def test_duplicated_key_is_rejected_naming_key_and_line():
+    text = MINIMAL.replace("  m: 2", "  m: 2\n  m: 3")
+    with pytest.raises(ScenarioError, match=r"\(line 3, column 3\): duplicate key 'm'$"):
+        parse_scenario_text(text)
+    with pytest.raises(ScenarioError, match=r"\(line 13, column 1\): duplicate key 'run'$"):
+        parse_scenario_text(MINIMAL + "run:\n  seed: 4\n")
 
 
 def test_yaml_syntax_error_reports_line():
@@ -172,7 +182,7 @@ def test_bundled_registry_lists_all_five():
 @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig5", "fig6"])
 def test_bundled_scenarios_parse_and_describe(name):
     spec = load_bundled(name)
-    assert spec.trials == DEFAULT_TRIALS
+    assert spec.trials == 10_000
     assert spec.seed == 1
     assert spec.schemes == (Scheme.AF, Scheme.MF, Scheme.MF_RZF)
     assert spec.include_upper_bound is True
@@ -184,7 +194,7 @@ def test_bundled_relay_sweeps_share_axis():
         spec = load_bundled(name)
         assert spec.axis == "relay_count"
         assert spec.values == tuple(range(1, 9))
-        assert spec.base.m == spec.base.n == 4
+        assert spec.m == spec.n == 4
 
 
 def test_bundled_power_sweeps():
@@ -193,8 +203,8 @@ def test_bundled_power_sweeps():
     fig6 = load_bundled("fig6")
     assert fig6.axis == "pnr_db"
     for spec in (fig5, fig6):
-        assert spec.base.m == spec.base.n == 8
-        assert spec.base.k == 10
+        assert spec.m == spec.n == 8
+        assert spec.k == 10
         assert spec.values == (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
 
 
