@@ -13,13 +13,13 @@ Noise variances are 1, so p and q are PNR and QNR.
 
 The Monte Carlo loop never forms F. The SIC receiver needs four things
 from each relay: the cascade P = G F H, the forwarded-noise Gram
-S = (G F)(G F)^H, ||F H||^2 and ||F||^2. With A = G G^H, B = H^H H
-and D = (A + alpha I)^-1 (which commutes with A), these are
+S = (G F)(G F)^H, ||F H||^2 and ||F||^2. mf and mf-rzf are one family,
+F = G^H D H^H, with D = I for mf and D = (A + alpha I)^-1 for mf-rzf,
+where A = G G^H and B = H^H H (D commutes with A). These are
 
-    af:      P = G H,  S = A,      ||FH||^2 = tr B,         ||F||^2 = n
-    mf:      P = A B,  S = P A,    ||FH||^2 = tr(P B),      ||F||^2 = tr P
-    mf-rzf:  X = D B,  C = A D,  P = A X,  S = P C,
-             ||FH||^2 = Re sum P o conj(X),  ||F||^2 = tr(C X)
+    af:         P = G H,  S = A,  ||FH||^2 = tr B,  ||F||^2 = n
+    mf, mf-rzf: X = D B,  C = A D,  P = A X,  S = P C,
+                ||FH||^2 = Re sum P o conj(X),  ||F||^2 = tr(C X)
 
 so for mf and mf-rzf all four are m x m functions of A and B, formed
 once per chunk of trials by relay_grams and stacked_beamformers. The
@@ -85,10 +85,9 @@ def stacked_beamformers(scheme: Scheme, grams: RelayGrams, alpha: float) -> tupl
     if scheme is Scheme.AF:
         trace_b = np.real(np.trace(b, axis1=-2, axis2=-1))
         return grams.cascade, a, trace_b, np.full(trace_b.shape, float(grams.n))
-    if scheme is Scheme.MF:
-        p = a @ b
-        # tr(P B) as Re sum P o conj(B): B is Hermitian
-        return p, p @ a, re_inner(p, b), np.real(np.trace(p, axis1=-2, axis2=-1))
+    if scheme not in (Scheme.MF, Scheme.MF_RZF):
+        raise ValueError(f"unknown scheme {scheme!r}")
+    x, c = b, a  # D = I
     if scheme is Scheme.MF_RZF:
         m = a.shape[-1]
         gram = a.copy()
@@ -96,15 +95,13 @@ def stacked_beamformers(scheme: Scheme, grams: RelayGrams, alpha: float) -> tupl
         cholesky_stack(gram)  # raises NumericError unless positive definite
         d = np.linalg.inv(gram)
         del gram
-        x = d @ b
-        c = a @ d
+        x, c = d @ b, a @ d
         del d
-        p = a @ x
-        # tr(C X) as Re sum X o conj(C): C = A D is Hermitian
-        fh_sq, f_sq = re_inner(p, x), re_inner(x, c)
-        del x
-        return p, p @ c, fh_sq, f_sq
-    raise ValueError(f"unknown scheme {scheme!r}")
+    p = a @ x
+    # tr(C X) as Re sum X o conj(C): C = A D is Hermitian
+    fh_sq, f_sq = re_inner(p, x), re_inner(x, c)
+    del x
+    return p, p @ c, fh_sq, f_sq
 
 
 def stacked_power_factors(

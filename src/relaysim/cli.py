@@ -9,8 +9,9 @@ chart named after the scenario. Both are written beside their final
 names and then moved into place, so a failed run leaves earlier files
 intact. The seed resolution order is: --seed flag, then the
 RELAYSIM_SEED environment variable, then the scenario file. Output is
-byte-identical for any --workers value. Bad input exits 2 and a
-numerical failure exits 1, each with one `error:` line on stderr.
+byte-identical for any --workers value. Bad input exits 2, and a
+numerical failure or a run too large for memory exits 1, each with one
+`error:` line on stderr.
 """
 
 from __future__ import annotations
@@ -155,7 +156,7 @@ def main(argv=None) -> int:
     except (ScenarioError, ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericError as exc:
+    except (NumericError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

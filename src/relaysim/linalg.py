@@ -15,23 +15,11 @@ class NumericError(ArithmeticError):
 
 
 def qr_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Phase-normalized QR of a stack (..., m, m) of square matrices.
-
-    LAPACK's Householder QR leaves each diagonal entry of r with an
-    arbitrary unit phase; multiplying column m of q and row m of r by the
-    conjugate phase cancels it without changing the product q @ r. A zero
-    diagonal entry (rank-deficient input) is left at exactly 0.
-    """
+    """QR of a stack (..., m, m) of square matrices as (q, |diag r|), the
+    (..., m) magnitudes being all of r that successive detection reads.
+    q is LAPACK's Householder factor as it comes, not normalized."""
     q, r = np.linalg.qr(a)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    mag = np.abs(d)
-    phase = np.where(mag > 0, d / np.where(mag > 0, mag, 1.0), 1.0)
-    q = q * phase[..., np.newaxis, :]
-    r = r * phase.conj()[..., :, np.newaxis]
-    # kill the residual imaginary dust on the diagonal; it is |d| by construction
-    idx = np.arange(a.shape[-1])
-    r[..., idx, idx] = mag
-    return q, r
+    return q, np.abs(np.diagonal(r, axis1=-2, axis2=-1))
 
 
 def re_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -3,10 +3,10 @@ per-stream SNR, and instantaneous capacity.
 
 The destination QR-decomposes the effective source-destination channel
 and detects streams in reverse order, cancelling already-decoded ones.
-With perfect cancellation stream m sees only the m-th diagonal of the
-triangular factor as signal, plus forwarded relay noise and local
-receiver noise, both of unit variance (powers are PNR and QNR). Capacity
-carries the 1/2 pre-log of the two-slot half-duplex protocol.
+With perfect cancellation stream m sees |r_mm| as signal gain, plus
+forwarded relay noise rotated by q^H and local receiver noise, both of
+unit variance (powers are PNR and QNR): SIC reads only q and |diag r|.
+Capacity carries the 1/2 pre-log of the two-slot half-duplex protocol.
 
 The stacked_* functions evaluate whole batches of Monte Carlo trials at
 once (leading axes broadcast). They never see a beamformer F, only the
@@ -48,12 +48,14 @@ def stacked_effective_channel(p: np.ndarray, rho: np.ndarray) -> np.ndarray:
 def stacked_snr(
     noise_gram: np.ndarray,
     q: np.ndarray,
-    r: np.ndarray,
+    r_diag: np.ndarray,
     config: NetworkConfig,
 ) -> np.ndarray:
-    """Post-detection SNR of each stream, batched over leading axes.
+    """Post-detection SNR of each stream, batched over leading axes, from
+    the QR factor q and |diag r| (..., m) of the effective channel. A unit
+    phase on a column of q leaves the SNR unchanged.
 
-    Signal power of stream m is (p/m) r_mm^2. The noise seen by stream m
+    Signal power of stream m is (p/m) |r_mm|^2. The noise seen by stream m
     is the relay noise forwarded through rho_k g_k f_k, rotated by q^H,
     plus the destination noise:
 
@@ -63,9 +65,7 @@ def stacked_snr(
     noise_gram is M = sum_k rho_k^2 (g_k f_k)(g_k f_k)^H.
     """
     row_power = np.real(np.einsum("...ij,...ij->...j", q.conj(), noise_gram @ q))
-    noise = row_power + 1.0
-    diag = np.real(np.diagonal(r, axis1=-2, axis2=-1))
-    return (config.p / config.m) * diag**2 / noise
+    return (config.p / config.m) * r_diag**2 / (row_power + 1.0)
 
 
 def stacked_capacity_bits(snr: np.ndarray) -> np.ndarray:
@@ -78,8 +78,8 @@ def stacked_scheme_capacity(
 ) -> np.ndarray:
     """Capacity of every trial in a batch under one beamforming scheme,
     from the relays' cascades p and forwarded-noise Grams s."""
-    q, r = qr_stack(stacked_effective_channel(p, rho))
-    return stacked_capacity_bits(stacked_snr(_relay_sum(rho**2, s), q, r, config))
+    q, r_diag = qr_stack(stacked_effective_channel(p, rho))
+    return stacked_capacity_bits(stacked_snr(_relay_sum(rho**2, s), q, r_diag, config))
 
 
 def stacked_upper_bound(b_sum: np.ndarray, config: NetworkConfig) -> np.ndarray:

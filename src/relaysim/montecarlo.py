@@ -161,15 +161,16 @@ def _capacity_chunk(job) -> np.ndarray:
     each scheme's link products are formed once; power control, the link
     and the bound then run per point. A scheme's products are released
     before the next scheme starts. A NumericError is re-raised naming the
-    point(s), the series and the trial range.
+    point(s), the series and the trial range, and a MemoryError naming
+    the point(s) and the trial range.
     """
     points, schemes, include_upper, seed, start, stop = job
     labels, configs = zip(*points)
-    h, g = channels_for_trials(configs[0], seed, start, stop)
-    grams = relay_grams(h, g, cascade=Scheme.AF in schemes)
-    del h, g
-    table = np.empty((len(points), stop - start, len(schemes) + int(include_upper)))
     try:
+        h, g = channels_for_trials(configs[0], seed, start, stop)
+        grams = relay_grams(h, g, cascade=Scheme.AF in schemes)
+        del h, g
+        table = np.empty((len(points), stop - start, len(schemes) + int(include_upper)))
         for j, scheme in enumerate(schemes):
             where = labels, scheme.value
             p, s, fh_sq, f_sq = stacked_beamformers(scheme, grams, configs[0].alpha)
@@ -188,6 +189,9 @@ def _capacity_chunk(job) -> np.ndarray:
         raise NumericError(
             f"{'; '.join(failed)}: {series} at trials [{start}, {stop}): {exc}"
         ) from exc
+    except MemoryError as exc:
+        # numpy's _ArrayMemoryError cannot be built from a message
+        raise MemoryError(f"{'; '.join(labels)} at trials [{start}, {stop}): {exc}") from exc
     return table
 
 
@@ -199,6 +203,10 @@ def _capacity_tables(
     chunk) jobs, run in at most one process per job."""
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
+    try:  # before the job list, which holds trials / TRIAL_CHUNK tuples per group
+        tables = np.empty((len(points), trials, len(schemes) + int(include_upper)))
+    except MemoryError as exc:
+        raise MemoryError(f"trials = {trials}: {exc}") from exc
     groups = {}
     for index, (_, config) in enumerate(points):
         groups.setdefault((config.m, config.n, config.k, config.alpha), []).append(index)
@@ -209,7 +217,6 @@ def _capacity_tables(
             stop = min(start + TRIAL_CHUNK, trials)
             jobs.append((group, schemes, include_upper, seed, start, stop))
             owners.append(indices)
-    tables = np.empty((len(points), trials, len(schemes) + int(include_upper)))
     workers = min(workers, len(jobs))
     with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
         blocks = (pool.map if pool else map)(_capacity_chunk, jobs)
@@ -229,28 +236,29 @@ def _estimate(values: np.ndarray, trials: int, scheme: str) -> CapacityEstimate:
     )
 
 
-def estimate_ergodic_capacity(
-    config: NetworkConfig,
-    scheme: Scheme,
-    trials: int,
-    seed: int,
-    workers: int = 1,
+def _one_series(
+    config: NetworkConfig, scheme: Scheme | None, trials: int, seed: int, workers: int
 ) -> CapacityEstimate:
-    """Mean instantaneous capacity of one scheme over `trials` channels."""
+    """Estimate of one series at one point: `scheme`, or the bound if None."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    table = _capacity_tables([(str(config), config)], (scheme,), False, trials, seed, workers)
-    return _estimate(table[0, :, 0], trials, scheme.value)
+    schemes, label = ((), UPPER_BOUND_LABEL) if scheme is None else ((scheme,), scheme.value)
+    table = _capacity_tables([(str(config), config)], schemes, not schemes, trials, seed, workers)
+    return _estimate(table[0, :, 0], trials, label)
+
+
+def estimate_ergodic_capacity(
+    config: NetworkConfig, scheme: Scheme, trials: int, seed: int, workers: int = 1
+) -> CapacityEstimate:
+    """Mean instantaneous capacity of one scheme over `trials` channels."""
+    return _one_series(config, scheme, trials, seed, workers)
 
 
 def estimate_upper_bound(
     config: NetworkConfig, trials: int, seed: int, workers: int = 1
 ) -> CapacityEstimate:
     """Mean cut-set bound over the same channel draws the schemes see."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    table = _capacity_tables([(str(config), config)], (), True, trials, seed, workers)
-    return _estimate(table[0, :, 0], trials, UPPER_BOUND_LABEL)
+    return _one_series(config, None, trials, seed, workers)
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list:

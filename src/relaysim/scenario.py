@@ -81,13 +81,12 @@ def _require_section(data: dict, name: str, source: str) -> dict:
     return section
 
 
-def _typed(value, kind, key: str, ctx: str, source: str):
+def _typed(value, kind, field: str, source: str):
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
     if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
         raise ScenarioError(
-            f"{source}: key '{key}' in section '{ctx}' must be {kind.__name__}, "
-            f"got {type(value).__name__}"
+            f"{source}: {field} must be {kind.__name__}, got {type(value).__name__}"
         )
     return value
 
@@ -104,7 +103,9 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> SweepSpec:
     if not isinstance(data, dict):
         raise ScenarioError(f"{source}: top level must be a mapping of sections")
     for key in data:
-        if key != "description" and key not in _SECTIONS:
+        if key == "description":
+            _typed(data[key], str, "top-level key 'description'", source)
+        elif key not in _SECTIONS:
             raise ScenarioError(f"{source}: unknown top-level key '{key}'")
 
     sections = {name: _require_section(data, name, source) for name in _SECTIONS}
@@ -112,7 +113,8 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> SweepSpec:
     for name, kinds in _SECTIONS.items():
         for key, kind in kinds.items():
             if key in sections[name]:
-                fields[key] = _typed(sections[name][key], kind, key, name, source)
+                field = f"key '{key}' in section '{name}'"
+                fields[key] = _typed(sections[name][key], kind, field, source)
             elif key not in _OPTIONAL:
                 raise ScenarioError(f"{source}: missing key '{key}' in section '{name}'")
 

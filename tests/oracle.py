@@ -21,7 +21,7 @@ import numpy as np
 
 from relaysim.beamformers import Scheme, stacked_power_factors
 from relaysim.channel import NetworkConfig, channels_for_trials, check_seed
-from relaysim.linalg import NumericError, logdet_hpd_stack, qr_stack, re_inner
+from relaysim.linalg import NumericError, logdet_hpd_stack, re_inner
 from relaysim.link import (
     _relay_sum,
     stacked_capacity_bits,
@@ -89,19 +89,33 @@ def logdet_hpd(a: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class QrFactors:
-    """QR factors of a square matrix, with q unitary and r upper
-    triangular with a real non-negative diagonal (relaysim.linalg.qr_stack)."""
+    """Phase-normalized QR factors of a square matrix: q unitary and r
+    upper triangular with a real non-negative diagonal. relaysim's
+    qr_stack returns only q, with LAPACK's column phases, and |diag r|."""
 
     q: np.ndarray
     r: np.ndarray
 
 
 def qr_decompose(a: np.ndarray) -> QrFactors:
-    """QR factorization of one square matrix, r diagonal real and >= 0."""
+    """QR factorization of one square matrix, r diagonal real and >= 0.
+
+    LAPACK's Householder QR leaves each diagonal entry of r with an
+    arbitrary unit phase; multiplying column m of q and row m of r by the
+    conjugate phase cancels it without changing the product q @ r. A zero
+    diagonal entry (rank-deficient input) is left at exactly 0.
+    """
     a = as_matrix(a, "a")
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"qr_decompose needs a square matrix, got {a.shape}")
-    q, r = qr_stack(a)
+    q, r = np.linalg.qr(a)
+    d = np.diagonal(r)
+    mag = np.abs(d)
+    phase = np.where(mag > 0, d / np.where(mag > 0, mag, 1.0), 1.0)
+    q = q * phase[np.newaxis, :]
+    r = r * phase.conj()[:, np.newaxis]
+    # kill the residual imaginary dust on the diagonal; it is |d| by construction
+    r[np.diag_indices_from(r)] = mag
     return QrFactors(q=q, r=r)
 
 
@@ -296,7 +310,7 @@ def per_stream_snr(
     """Post-detection SNRs of one realization under one scheme."""
     gf = realization.g @ weights.f
     s = gf @ np.swapaxes(gf, -1, -2).conj()
-    return stacked_snr(_relay_sum(weights.rho**2, s), qr.q, qr.r, config)
+    return stacked_snr(_relay_sum(weights.rho**2, s), qr.q, np.real(np.diagonal(qr.r)), config)
 
 
 def instantaneous_capacity(snr_per_stream: np.ndarray) -> float:

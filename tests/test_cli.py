@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: files written, seed precedence, exit codes."""
 
+import os
+import resource
 import runpy
 import subprocess
 import sys
@@ -271,6 +273,40 @@ def test_svg_title_with_markup_characters_is_escaped(tmp_path):
     assert _run(["run", path, "--out", tmp_path / "out"]) == 0
     root = ET.parse(tmp_path / "out" / "a&b<c.svg").getroot()
     assert "a&b<c" in [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+
+
+def _cap_address_space():
+    # 2 GiB: a normal run fits, and a run that tries to fill the host fails fast
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize(
+    "values, extra, message",
+    [
+        ("[1, 1000000000000000]", [], "relay_count = 1000000000000000 at trials [0, 4): "),
+        ("[1, 2]", ["--trials", "1000000000000000"], "trials = 1000000000000000: "),
+        ("[1, 2]", [], None),
+    ],
+    ids=["relay-count", "trials", "fits"],
+)
+def test_run_too_large_for_memory_exits_1_with_one_line(tmp_path, values, extra, message):
+    path = tmp_path / "big.yaml"
+    path.write_text(TINY.replace("[1, 2]", values).replace("trials: 64", "trials: 4"))
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "relaysim", "run", path, "--out", tmp_path / "out", *extra],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=_cap_address_space,
+    )
+    if message is None:
+        assert proc.returncode == 0, proc.stderr
+        return
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: {message}") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out" / "results.csv").exists()
 
 
 WITHOUT_SCIPY = """

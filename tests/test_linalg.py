@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relaysim.linalg import NumericError
+from relaysim.linalg import NumericError, qr_stack
 
 from oracle import (
     ShapeError,
@@ -175,6 +175,21 @@ def test_qr_contract(seed, n):
     d = np.diagonal(f.r)
     assert np.all(np.imag(d) == 0.0)
     assert np.all(np.real(d) >= 0.0)
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 10_000), st.integers(1, 8))
+def test_qr_stack_matches_normalized_oracle_up_to_column_phases(seed, n):
+    # the product keeps LAPACK's q and only |diag r|; the oracle rotates
+    # the phases out of r's diagonal and into q's columns
+    a = random_complex(np.random.default_rng(seed), n, n)
+    q, r_diag = qr_stack(a)
+    f = qr_decompose(a)
+    assert r_diag.shape == (n,)
+    assert np.array_equal(r_diag, np.real(np.diagonal(f.r)))
+    phase = np.sum(q.conj() * f.q, axis=0)
+    assert np.allclose(np.abs(phase), 1.0, rtol=0, atol=1e-12)
+    assert np.allclose(q * phase, f.q, rtol=0, atol=1e-12)
 
 
 # ------------------------------------------------------------ solve_hpd

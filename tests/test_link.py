@@ -7,6 +7,8 @@ import pytest
 
 from relaysim.beamformers import Scheme
 from relaysim.channel import NetworkConfig
+from relaysim.linalg import qr_stack
+from relaysim.link import stacked_snr
 
 from oracle import (
     ChannelRealization,
@@ -109,6 +111,33 @@ def test_rank_deficient_stream_gets_zero_snr():
     assert metrics.snr_per_stream[1] == pytest.approx(0.0, abs=1e-18)
     assert metrics.snr_per_stream[0] > 0
     assert np.isfinite(metrics.capacity_bits)
+
+
+def random_stack(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def test_snr_ignores_unit_phases_on_the_columns_of_q():
+    cfg = NetworkConfig(m=4, n=4, k=3, p=10.0, q=5.0)
+    rng = np.random.default_rng(21)
+    q, r_diag = qr_stack(random_stack(rng, 32, 4, 4))
+    w = random_stack(rng, 32, 4, 6)
+    noise_gram = w @ np.swapaxes(w, -1, -2).conj()
+    phases = np.exp(2j * np.pi * rng.random((32, 1, 4)))
+    snr = stacked_snr(noise_gram, q, r_diag, cfg)
+    np.testing.assert_allclose(stacked_snr(noise_gram, q * phases, r_diag, cfg), snr, rtol=1e-12)
+
+
+def test_rank_deficient_effective_channel_gives_its_last_stream_zero_snr():
+    # the last column is a combination of the others, so r_mm is rounding dust
+    cfg = NetworkConfig(m=3, n=3, k=1, p=100.0, q=1.0)
+    rng = np.random.default_rng(4)
+    h_sd = random_stack(rng, 16, 3, 3)
+    h_sd[..., 2] = h_sd[..., 0] - 2j * h_sd[..., 1]
+    q, r_diag = qr_stack(h_sd)
+    snr = stacked_snr(np.zeros_like(h_sd), q, r_diag, cfg)
+    assert np.all(snr[:, :2] > 0)
+    assert np.all(snr[:, 2] < 1e-18)
 
 
 def test_upper_bound_against_lu_determinant_oracle():

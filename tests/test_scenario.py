@@ -135,6 +135,12 @@ def test_wrong_type_reports_key_and_expectation():
         parse_scenario_text(text)
 
 
+def test_non_string_description_is_rejected():
+    text = "description: [1, 2]\n" + MINIMAL
+    with pytest.raises(ScenarioError, match="top-level key 'description' must be str, got list"):
+        parse_scenario_text(text)
+
+
 def test_duplicated_key_is_rejected_naming_key_and_line():
     text = MINIMAL.replace("  m: 2", "  m: 2\n  m: 3")
     with pytest.raises(ScenarioError, match=r"\(line 3, column 3\): duplicate key 'm'$"):
