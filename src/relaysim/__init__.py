@@ -4,27 +4,17 @@ relay beamforming."""
 
 from .beamformers import Scheme
 from .channel import NetworkConfig
-from .montecarlo import (
-    CapacityEstimate,
-    SweepRow,
-    SweepSpec,
-    estimate_ergodic_capacity,
-    estimate_upper_bound,
-    run_sweep,
-)
+from .montecarlo import SweepRow, SweepSpec, run_sweep
 from .scenario import ScenarioError, list_bundled, load_bundled, parse_scenario
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CapacityEstimate",
     "NetworkConfig",
     "ScenarioError",
     "Scheme",
     "SweepRow",
     "SweepSpec",
-    "estimate_ergodic_capacity",
-    "estimate_upper_bound",
     "list_bundled",
     "load_bundled",
     "parse_scenario",

@@ -1,4 +1,11 @@
-"""Ergodic capacity estimation and parameter sweeps.
+"""Ergodic capacity estimation: every estimate is a sweep.
+
+run_sweep(spec) is the one estimator. For each axis value of a SweepSpec
+and each series (the schemes, then the cut-set bound) it gives a SweepRow
+with the mean capacity and its standard error; a one-point estimate is a
+sweep of one value. A floating-point overflow, division by zero or
+invalid operation in a job is a NumericError naming the point,
+series and trial range, not a silently wrong mean.
 
 Every trial is a pure function of (network dimensions, seed, trial
 index): workers never share state, and the per-trial capacities are
@@ -24,7 +31,6 @@ group has one point.
 from __future__ import annotations
 
 import contextlib
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -46,28 +52,6 @@ AXES = ("relay_count", "pnr_db", "qnr_db", "pnr_equals_qnr_db")
 
 class ConfigError(ValueError):
     """A sweep point or scenario value is invalid."""
-
-
-@dataclass(frozen=True)
-class CapacityEstimate:
-    """Monte Carlo mean capacity with its standard error.
-
-    stderr_bits is the sample standard deviation over sqrt(trials); for
-    the degenerate single-trial case it is defined as 0.0.
-    """
-
-    mean_bits: float
-    stderr_bits: float
-    trials: int
-    scheme: str
-
-    def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if not math.isfinite(self.mean_bits) or self.mean_bits < 0:
-            raise ValueError(f"mean_bits must be finite and >= 0, got {self.mean_bits}")
-        if not math.isfinite(self.stderr_bits) or self.stderr_bits < 0:
-            raise ValueError(f"stderr_bits must be >= 0, got {self.stderr_bits}")
 
 
 @dataclass(frozen=True)
@@ -99,6 +83,14 @@ class SweepSpec:
             raise ConfigError("sweep values must be non-empty")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ConfigError(f"sweep values must be strictly increasing: {self.values}")
+        schemes = []
+        for name in self.schemes:
+            try:
+                schemes.append(Scheme(name))
+            except ValueError:
+                known = ", ".join(s.value for s in Scheme)
+                raise ConfigError(f"unknown scheme '{name}' (known: {known})") from None
+        object.__setattr__(self, "schemes", tuple(schemes))
         if len(self.schemes) == 0:
             raise ConfigError("at least one scheme is required")
         if len(set(self.schemes)) != len(self.schemes):
@@ -152,6 +144,7 @@ class SweepRow:
     capacity_stderr_bits: float
 
 
+@np.errstate(over="raise", divide="raise", invalid="raise")
 def _capacity_chunk(job) -> np.ndarray:
     """Per-trial capacities (points, T, series) for trials [start, stop)
     of one point group: sweep points, given as (label, config) pairs,
@@ -160,9 +153,10 @@ def _capacity_chunk(job) -> np.ndarray:
     The chunk's channels are drawn once and reduced to their Grams, and
     each scheme's link products are formed once; power control, the link
     and the bound then run per point. A scheme's products are released
-    before the next scheme starts. A NumericError is re-raised naming the
-    point(s), the series and the trial range, and a MemoryError naming
-    the point(s) and the trial range.
+    before the next scheme starts. A NumericError, or a floating-point
+    overflow, division by zero or invalid operation, is raised as a
+    NumericError naming the point(s), the series and the trial range, and
+    a MemoryError naming the point(s) and the trial range.
     """
     points, schemes, include_upper, seed, start, stop = job
     labels, configs = zip(*points)
@@ -184,7 +178,7 @@ def _capacity_chunk(job) -> np.ndarray:
             for i, config in enumerate(configs):
                 where = labels[i : i + 1], UPPER_BOUND_LABEL
                 table[i, :, -1] = stacked_upper_bound(b_sum, config)
-    except NumericError as exc:
+    except (NumericError, FloatingPointError) as exc:
         failed, series = where
         raise NumericError(
             f"{'; '.join(failed)}: {series} at trials [{start}, {stop}): {exc}"
@@ -195,18 +189,18 @@ def _capacity_chunk(job) -> np.ndarray:
     return table
 
 
-def _capacity_tables(
-    points: list, schemes: tuple, include_upper: bool, trials: int, seed: int, workers: int
-) -> np.ndarray:
-    """(points, trials, series) per-trial capacities of every (label,
-    config) point, in trial order, from one map over (point group, trial
+def _capacity_tables(spec: SweepSpec, workers: int) -> np.ndarray:
+    """(points, trials, series) per-trial capacities of every point of
+    the sweep, in trial order, from one map over (point group, trial
     chunk) jobs, run in at most one process per job."""
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
+    schemes, include_upper, trials = spec.schemes, spec.include_upper_bound, spec.trials
     try:  # before the job list, which holds trials / TRIAL_CHUNK tuples per group
-        tables = np.empty((len(points), trials, len(schemes) + int(include_upper)))
+        tables = np.empty((len(spec.values), trials, len(schemes) + int(include_upper)))
     except MemoryError as exc:
         raise MemoryError(f"trials = {trials}: {exc}") from exc
+    points = [(f"{spec.axis} = {value}", spec.point(value)[0]) for value in spec.values]
     groups = {}
     for index, (_, config) in enumerate(points):
         groups.setdefault((config.m, config.n, config.k, config.alpha), []).append(index)
@@ -215,7 +209,7 @@ def _capacity_tables(
         group = tuple(points[i] for i in indices)
         for start in range(0, trials, TRIAL_CHUNK):
             stop = min(start + TRIAL_CHUNK, trials)
-            jobs.append((group, schemes, include_upper, seed, start, stop))
+            jobs.append((group, schemes, include_upper, spec.seed, start, stop))
             owners.append(indices)
     workers = min(workers, len(jobs))
     with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
@@ -226,43 +220,10 @@ def _capacity_tables(
     return tables
 
 
-def _estimate(values: np.ndarray, trials: int, scheme: str) -> CapacityEstimate:
-    stderr = float(np.std(values, ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
-    return CapacityEstimate(
-        mean_bits=float(np.mean(values)),
-        stderr_bits=stderr,
-        trials=trials,
-        scheme=scheme,
-    )
-
-
-def _one_series(
-    config: NetworkConfig, scheme: Scheme | None, trials: int, seed: int, workers: int
-) -> CapacityEstimate:
-    """Estimate of one series at one point: `scheme`, or the bound if None."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    schemes, label = ((), UPPER_BOUND_LABEL) if scheme is None else ((scheme,), scheme.value)
-    table = _capacity_tables([(str(config), config)], schemes, not schemes, trials, seed, workers)
-    return _estimate(table[0, :, 0], trials, label)
-
-
-def estimate_ergodic_capacity(
-    config: NetworkConfig, scheme: Scheme, trials: int, seed: int, workers: int = 1
-) -> CapacityEstimate:
-    """Mean instantaneous capacity of one scheme over `trials` channels."""
-    return _one_series(config, scheme, trials, seed, workers)
-
-
-def estimate_upper_bound(
-    config: NetworkConfig, trials: int, seed: int, workers: int = 1
-) -> CapacityEstimate:
-    """Mean cut-set bound over the same channel draws the schemes see."""
-    return _one_series(config, None, trials, seed, workers)
-
-
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
-    """Evaluate every series at every axis point.
+    """Evaluate every series at every axis point: its mean capacity over
+    spec.trials channels, and the standard error of that mean (the sample
+    standard deviation over sqrt(trials), or 0.0 for one trial).
 
     Rows are ordered axis-major, series-minor, with the upper bound (if
     requested) last within each point. All series of one point share the
@@ -274,18 +235,12 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
     labels = [s.value for s in spec.schemes]
     if spec.include_upper_bound:
         labels.append(UPPER_BOUND_LABEL)
-    points = [spec.point(value) for value in spec.values]
-    tables = _capacity_tables(
-        [(f"{spec.axis} = {v}", config) for v, (config, _, _) in zip(spec.values, points)],
-        spec.schemes,
-        spec.include_upper_bound,
-        spec.trials,
-        spec.seed,
-        workers,
-    )
-    for value, (config, pnr_db, qnr_db), table in zip(spec.values, points, tables):
+    trials = spec.trials
+    for value, table in zip(spec.values, _capacity_tables(spec, workers)):
+        config, pnr_db, qnr_db = spec.point(value)
         for j, label in enumerate(labels):
-            est = _estimate(table[:, j], spec.trials, label)
+            col = table[:, j]
+            stderr = float(np.std(col, ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
             rows.append(
                 SweepRow(
                     scheme=label,
@@ -297,10 +252,10 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
                     pnr_db=pnr_db,
                     qnr_db=qnr_db,
                     alpha=config.alpha,
-                    trials=spec.trials,
+                    trials=trials,
                     seed=spec.seed,
-                    capacity_mean_bits=est.mean_bits,
-                    capacity_stderr_bits=est.stderr_bits,
+                    capacity_mean_bits=float(np.mean(col)),
+                    capacity_stderr_bits=stderr,
                 )
             )
     return rows

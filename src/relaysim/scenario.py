@@ -10,9 +10,10 @@ A scenario has three sections plus an optional top-level description:
 
 The keys are the fields of SweepSpec, one for one, and a missing optional
 key takes SweepSpec's default. This module checks only the file format:
-UTF-8 YAML, sections, unknown or duplicated keys, types, scheme names,
-the seed and that sweep values are numbers. SweepSpec checks the values
-and materializes every point, so a bad point fails here, not mid-run.
+UTF-8 YAML, sections, unknown or duplicated keys, types, the seed and
+that sweep values are numbers. SweepSpec checks the values, parses the
+scheme names and materializes every point, so a bad point fails here,
+not mid-run.
 Numbers follow YAML 1.2, so 1e-3 is a float.
 """
 
@@ -25,7 +26,6 @@ from pathlib import Path
 
 import yaml
 
-from .beamformers import Scheme
 from .channel import check_seed
 from .montecarlo import SweepSpec
 
@@ -122,16 +122,6 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> SweepSpec:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ScenarioError(f"{source}: sweep value {v!r} is not a number")
     fields["values"] = tuple(fields["values"])
-    schemes = []
-    for name in fields["schemes"]:
-        try:
-            schemes.append(Scheme(name))
-        except ValueError:
-            known = ", ".join(s.value for s in Scheme)
-            raise ScenarioError(
-                f"{source}: unknown scheme '{name}' (known: {known})"
-            ) from None
-    fields["schemes"] = tuple(schemes)
     try:
         check_seed(fields["seed"], "key 'seed' in section 'run'")
         return SweepSpec(**fields)

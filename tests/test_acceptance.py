@@ -21,7 +21,7 @@ import numpy as np
 
 from relaysim.beamformers import Scheme
 from relaysim.channel import NetworkConfig
-from relaysim.montecarlo import _capacity_tables, estimate_ergodic_capacity, estimate_upper_bound
+from relaysim.montecarlo import SweepSpec, _capacity_tables, run_sweep
 
 from oracle import (
     build_weights,
@@ -45,7 +45,7 @@ def _gate(num: int, name: str, ok: bool, detail: str, elapsed: float, budget: fl
 
 
 def _combined_stderr(a, b) -> float:
-    return float(np.hypot(a.stderr_bits, b.stderr_bits))
+    return float(np.hypot(a.capacity_stderr_bits, b.capacity_stderr_bits))
 
 
 def test_01_per_relay_power_meets_budget_exactly():
@@ -120,9 +120,11 @@ def test_03_capacity_never_exceeds_cutset_bound():
     total = 0
     worst_margin = -np.inf
     for m, k, snr in grid:
-        cfg = NetworkConfig.from_db(m=m, n=m, k=k, pnr_db=snr, qnr_db=snr)
+        spec = SweepSpec(
+            "relay_count", (k,), m=m, n=m, k=k, pnr_db=snr, qnr_db=snr, trials=per_config, seed=30
+        )
         # per trial: the three schemes' capacities, then that trial's bound
-        table = _capacity_tables([(str(cfg), cfg)], ALL_SCHEMES, True, per_config, 30, 1)[0]
+        table = _capacity_tables(spec, 1)[0]
         caps, bound = table[:, :-1], table[:, -1:]
         worst_margin = max(worst_margin, float(np.max(caps - bound)))
         violations += int(np.count_nonzero(caps > bound + 1e-9))
@@ -163,8 +165,11 @@ def test_04_measured_snr_matches_analytic_formula():
 def test_05_matches_independent_scalar_oracle():
     start = time.perf_counter()
     trials = 100_000
-    cfg = NetworkConfig.from_db(m=1, n=1, k=1, pnr_db=10.0, qnr_db=10.0)
-    est = estimate_ergodic_capacity(cfg, Scheme.MF, trials=trials, seed=50)
+    spec = SweepSpec(
+        "relay_count", (1,), m=1, n=1, k=1, pnr_db=10.0, qnr_db=10.0,
+        schemes=(Scheme.MF,), include_upper_bound=False, trials=trials, seed=50,
+    )
+    (est,) = run_sweep(spec)
 
     # Closed-form single-antenna chain, written out from scratch: the
     # beamformer is conj(g) conj(h), the composite channel is real, and
@@ -182,13 +187,13 @@ def test_05_matches_independent_scalar_oracle():
     oracle_mean = float(caps.mean())
     oracle_se = float(caps.std(ddof=1) / np.sqrt(trials))
 
-    gap = abs(est.mean_bits - oracle_mean)
-    limit = 3.0 * float(np.hypot(est.stderr_bits, oracle_se))
+    gap = abs(est.capacity_mean_bits - oracle_mean)
+    limit = 3.0 * float(np.hypot(est.capacity_stderr_bits, oracle_se))
     _gate(
         5,
         "independent scalar oracle",
         gap < limit,
-        f"simulator {est.mean_bits:.5f} vs oracle {oracle_mean:.5f} bits, gap {gap:.5f} < {limit:.5f}",
+        f"simulator {est.capacity_mean_bits:.5f} vs oracle {oracle_mean:.5f} bits, gap {gap:.5f} < {limit:.5f}",
         time.perf_counter() - start,
         10.0,
     )
@@ -218,15 +223,16 @@ def test_06_huge_regularizer_recovers_matched_filter():
 
 def test_07_capacity_ordering_with_clear_gaps():
     start = time.perf_counter()
-    cfg = NetworkConfig.from_db(m=4, n=4, k=4, pnr_db=10.0, qnr_db=10.0)
-    est = {s: estimate_ergodic_capacity(cfg, s, trials=10_000, seed=70) for s in ALL_SCHEMES}
-    bound = estimate_upper_bound(cfg, trials=10_000, seed=70)
-    chain = [est[Scheme.AF], est[Scheme.MF], est[Scheme.MF_RZF], bound]
+    # af, mf, mf-rzf, then the bound
+    spec = SweepSpec(
+        "relay_count", (4,), m=4, n=4, k=4, pnr_db=10.0, qnr_db=10.0, trials=10_000, seed=70
+    )
+    chain = run_sweep(spec)
     gaps = [
-        (hi.mean_bits - lo.mean_bits) / (3.0 * _combined_stderr(lo, hi))
+        (hi.capacity_mean_bits - lo.capacity_mean_bits) / (3.0 * _combined_stderr(lo, hi))
         for lo, hi in zip(chain, chain[1:])
     ]
-    means = " < ".join(f"{e.mean_bits:.3f}" for e in chain)
+    means = " < ".join(f"{e.capacity_mean_bits:.3f}" for e in chain)
     _gate(
         7,
         "scheme ordering",
@@ -240,16 +246,16 @@ def test_07_capacity_ordering_with_clear_gaps():
 
 def test_08_relay_scaling_gains():
     start = time.perf_counter()
-    est = {}
-    for k in (2, 8):
-        cfg = NetworkConfig.from_db(m=4, n=4, k=k, pnr_db=10.0, qnr_db=10.0)
-        for s in ALL_SCHEMES:
-            est[(k, s)] = estimate_ergodic_capacity(cfg, s, trials=10_000, seed=80)
-    mf_gain = est[(8, Scheme.MF)].mean_bits - est[(2, Scheme.MF)].mean_bits
-    rzf_gain = est[(8, Scheme.MF_RZF)].mean_bits - est[(2, Scheme.MF_RZF)].mean_bits
-    mf_limit = 3.0 * _combined_stderr(est[(2, Scheme.MF)], est[(8, Scheme.MF)])
-    rzf_limit = 3.0 * _combined_stderr(est[(2, Scheme.MF_RZF)], est[(8, Scheme.MF_RZF)])
-    af_change = abs(est[(8, Scheme.AF)].mean_bits - est[(2, Scheme.AF)].mean_bits)
+    spec = SweepSpec(
+        "relay_count", (2, 8), m=4, n=4, k=2, pnr_db=10.0, qnr_db=10.0,
+        include_upper_bound=False, trials=10_000, seed=80,
+    )
+    est = {(row.k, row.scheme): row for row in run_sweep(spec)}
+    mf_gain = est[(8, "mf")].capacity_mean_bits - est[(2, "mf")].capacity_mean_bits
+    rzf_gain = est[(8, "mf-rzf")].capacity_mean_bits - est[(2, "mf-rzf")].capacity_mean_bits
+    mf_limit = 3.0 * _combined_stderr(est[(2, "mf")], est[(8, "mf")])
+    rzf_limit = 3.0 * _combined_stderr(est[(2, "mf-rzf")], est[(8, "mf-rzf")])
+    af_change = abs(est[(8, "af")].capacity_mean_bits - est[(2, "af")].capacity_mean_bits)
     gains_ok = mf_gain > mf_limit and rzf_gain > rzf_limit
     af_ok = af_change < 0.10 * mf_gain
     _gate(
@@ -265,13 +271,13 @@ def test_08_relay_scaling_gains():
 
 def test_09_capacity_saturates_at_fixed_relay_power():
     start = time.perf_counter()
-    mf = {}
-    ub = {}
-    for pnr in (0.0, 10.0, 20.0, 30.0):
-        cfg = NetworkConfig.from_db(m=8, n=8, k=10, pnr_db=pnr, qnr_db=10.0)
-        mf[pnr] = estimate_ergodic_capacity(cfg, Scheme.MF, trials=2000, seed=90).mean_bits
-        if pnr > 0:
-            ub[pnr] = estimate_upper_bound(cfg, trials=2000, seed=90).mean_bits
+    spec = SweepSpec(
+        "pnr_db", (0.0, 10.0, 20.0, 30.0), m=8, n=8, k=10, pnr_db=0.0, qnr_db=10.0,
+        schemes=(Scheme.MF,), trials=2000, seed=90,
+    )
+    rows = run_sweep(spec)
+    mf = {row.pnr_db: row.capacity_mean_bits for row in rows if row.scheme == "mf"}
+    ub = {row.pnr_db: row.capacity_mean_bits for row in rows if row.scheme == "upper-bound"}
     mf_ratio = (mf[30.0] - mf[20.0]) / (mf[10.0] - mf[0.0])
     ub_dev = abs((ub[30.0] - ub[20.0]) / (ub[20.0] - ub[10.0]) - 1.0)
     _gate(
@@ -316,12 +322,15 @@ def test_10_cli_output_is_deterministic(tmp_path):
 
 def test_11_weak_first_hop_keeps_proposed_schemes_ahead():
     start = time.perf_counter()
-    cfg = NetworkConfig.from_db(m=4, n=4, k=4, pnr_db=5.0, qnr_db=20.0)
-    est = {s: estimate_ergodic_capacity(cfg, s, trials=10_000, seed=110) for s in ALL_SCHEMES}
-    mf_margin = est[Scheme.MF].mean_bits - est[Scheme.AF].mean_bits
-    rzf_margin = est[Scheme.MF_RZF].mean_bits - est[Scheme.AF].mean_bits
-    mf_limit = 3.0 * _combined_stderr(est[Scheme.AF], est[Scheme.MF])
-    rzf_limit = 3.0 * _combined_stderr(est[Scheme.AF], est[Scheme.MF_RZF])
+    spec = SweepSpec(
+        "relay_count", (4,), m=4, n=4, k=4, pnr_db=5.0, qnr_db=20.0,
+        include_upper_bound=False, trials=10_000, seed=110,
+    )
+    af, mf, rzf = run_sweep(spec)
+    mf_margin = mf.capacity_mean_bits - af.capacity_mean_bits
+    rzf_margin = rzf.capacity_mean_bits - af.capacity_mean_bits
+    mf_limit = 3.0 * _combined_stderr(af, mf)
+    rzf_limit = 3.0 * _combined_stderr(af, rzf)
     _gate(
         11,
         "weak first hop",

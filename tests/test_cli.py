@@ -249,6 +249,23 @@ def test_numeric_error_exits_1_naming_point_scheme_and_trials(
     assert not (tmp_path / "out" / "results.csv").exists()
 
 
+def test_floating_point_overflow_exits_1_with_one_line(tmp_path):
+    # at 3080 dB (p/m) ||FH||^2 overflows, and so would the bound
+    path = tmp_path / "loud.yaml"
+    path.write_text(
+        TINY.replace("axis: relay_count", "axis: pnr_db").replace("[1, 2]", "[3060.0, 3080.0]")
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "relaysim", "run", path, "--out", tmp_path / "out"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: pnr_db = 3080.0: mf at trials [0, 64): overflow")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert not (tmp_path / "out" / "results.csv").exists()
+
+
 @pytest.mark.parametrize("target", ["write_results_csv", "emit_plot"])
 def test_failed_write_keeps_earlier_files(tiny_scenario, tmp_path, capsys, monkeypatch, target):
     out = tmp_path / "out"
@@ -318,18 +335,19 @@ class HideScipy:
             raise ImportError(f"{name} is hidden")
 
 sys.meta_path.insert(0, HideScipy())
-from relaysim import NetworkConfig, Scheme, estimate_ergodic_capacity
+from relaysim import Scheme, SweepSpec, run_sweep
 from relaysim.cli import main
 
 assert main(["run", "fig2", "--trials", "16", "--out", sys.argv[1]]) == 0
-cfg = NetworkConfig.from_db(m=4, n=4, k=4, pnr_db=10.0, qnr_db=10.0)
-assert estimate_ergodic_capacity(cfg, Scheme.MF_RZF, trials=64, seed=1).mean_bits > 0
+spec = SweepSpec("relay_count", (4,), m=4, n=4, k=4, pnr_db=10.0, qnr_db=10.0,
+                 schemes=(Scheme.MF_RZF,), include_upper_bound=False, trials=64, seed=1)
+assert run_sweep(spec)[0].capacity_mean_bits > 0
 assert "scipy" not in sys.modules
 """
 
 
 def test_product_runs_without_scipy(tmp_path):
-    # scipy is a test-only dependency: the CLI and the estimators never import it
+    # scipy is a test-only dependency: the CLI and run_sweep never import it
     proc = subprocess.run(
         [sys.executable, "-c", WITHOUT_SCIPY, str(tmp_path)], capture_output=True, text=True
     )

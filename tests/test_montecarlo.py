@@ -2,6 +2,8 @@
 scalar oracle, common random numbers, axis semantics, and bitwise
 determinism across seeds and worker counts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,12 +14,9 @@ from relaysim.linalg import NumericError
 from relaysim.montecarlo import (
     AXES,
     TRIAL_CHUNK,
-    CapacityEstimate,
     ConfigError,
     SweepSpec,
     _capacity_chunk,
-    estimate_ergodic_capacity,
-    estimate_upper_bound,
     run_sweep,
 )
 
@@ -45,15 +44,6 @@ def base_spec(**overrides):
 # ------------------------------------------------------------ data types
 
 
-def test_capacity_estimate_validation():
-    with pytest.raises(ValueError):
-        CapacityEstimate(mean_bits=1.0, stderr_bits=0.1, trials=0, scheme="mf")
-    with pytest.raises(ValueError):
-        CapacityEstimate(mean_bits=-1.0, stderr_bits=0.1, trials=10, scheme="mf")
-    with pytest.raises(ValueError):
-        CapacityEstimate(mean_bits=1.0, stderr_bits=-0.1, trials=10, scheme="mf")
-
-
 def test_sweep_spec_validation():
     with pytest.raises(ConfigError):
         base_spec(axis="bandwidth")
@@ -67,6 +57,10 @@ def test_sweep_spec_validation():
         base_spec(schemes=())
     with pytest.raises(ConfigError):
         base_spec(schemes=(Scheme.MF, Scheme.MF))
+    with pytest.raises(ConfigError, match="duplicate schemes"):
+        base_spec(schemes=("mf", Scheme.MF))
+    with pytest.raises(ConfigError, match=r"^unknown scheme 'zf' \(known: af, mf, mf-rzf\)$"):
+        base_spec(schemes=("mf", "zf"))
     with pytest.raises(ConfigError):
         base_spec(trials=0)
     with pytest.raises(ConfigError, match="seed"):
@@ -74,6 +68,12 @@ def test_sweep_spec_validation():
     with pytest.raises(ConfigError, match="seed"):
         base_spec(seed=2**64)
     assert set(AXES) == {"relay_count", "pnr_db", "qnr_db", "pnr_equals_qnr_db"}
+
+
+def test_scheme_names_are_parsed_by_the_spec():
+    assert base_spec(schemes=("mf", Scheme.AF)).schemes == (Scheme.MF, Scheme.AF)
+    rows = run_sweep(base_spec(values=(1,), schemes=("mf",), trials=16))
+    assert [r.scheme for r in rows] == ["mf", "upper-bound"]
 
 
 def test_axis_point_semantics():
@@ -138,33 +138,34 @@ def test_chunk_matches_per_realization_chain(m, n, k):
             assert block[p, i, 3] == pytest.approx(bound, rel=0, abs=1e-12)
 
 
+def one_point(value, scheme, **overrides):
+    """A sweep of one axis value and one scheme, without the bound."""
+    return base_spec(values=(value,), schemes=(scheme,), include_upper_bound=False, **overrides)
+
+
 def test_estimate_is_deterministic():
-    cfg = NetworkConfig.from_db(m=2, n=2, k=2, pnr_db=10.0, qnr_db=10.0)
-    a = estimate_ergodic_capacity(cfg, Scheme.MF, trials=300, seed=11)
-    b = estimate_ergodic_capacity(cfg, Scheme.MF, trials=300, seed=11)
-    assert a == b  # dataclass equality, bitwise on the floats
-    c = estimate_ergodic_capacity(cfg, Scheme.MF, trials=300, seed=12)
-    assert c.mean_bits != a.mean_bits
+    spec = one_point(2, Scheme.MF, trials=300, seed=11)
+    a = run_sweep(spec)
+    assert run_sweep(spec) == a  # dataclass equality, bitwise on the floats
+    c = run_sweep(dataclasses.replace(spec, seed=12))
+    assert c[0].capacity_mean_bits != a[0].capacity_mean_bits
 
 
 def test_estimate_fields():
-    cfg = NetworkConfig.from_db(m=2, n=2, k=1, pnr_db=10.0, qnr_db=10.0)
-    est = estimate_ergodic_capacity(cfg, Scheme.AF, trials=50, seed=0)
+    spec = one_point(1, Scheme.AF, trials=50, seed=0)
+    (est,) = run_sweep(spec)
     assert est.scheme == "af"
     assert est.trials == 50
-    assert est.mean_bits > 0
-    assert est.stderr_bits > 0
-    single = estimate_ergodic_capacity(cfg, Scheme.AF, trials=1, seed=0)
-    assert single.stderr_bits == 0.0
+    assert est.capacity_mean_bits > 0
+    assert est.capacity_stderr_bits > 0
+    (single,) = run_sweep(dataclasses.replace(spec, trials=1))
+    assert single.capacity_stderr_bits == 0.0
 
 
 def test_workers_do_not_change_results():
-    cfg = NetworkConfig.from_db(m=2, n=3, k=2, pnr_db=10.0, qnr_db=10.0)
-    # trials > TRIAL_CHUNK would be slow here; rely on multiple chunks via
-    # a small budget and the chunk constant being respected by both paths
-    serial = estimate_ergodic_capacity(cfg, Scheme.MF_RZF, trials=2100, seed=5, workers=1)
-    parallel = estimate_ergodic_capacity(cfg, Scheme.MF_RZF, trials=2100, seed=5, workers=3)
-    assert serial == parallel
+    # three chunks, so workers 3 runs a pool
+    spec = one_point(2, Scheme.MF_RZF, n=3, trials=2100, seed=5)
+    assert run_sweep(spec, workers=1) == run_sweep(spec, workers=3)
 
 
 def test_scalar_network_against_independent_oracle():
@@ -182,18 +183,17 @@ def test_scalar_network_against_independent_oracle():
     oracle_mean = float(np.mean(oracle_caps))
     oracle_se = float(np.std(oracle_caps, ddof=1) / np.sqrt(trials))
 
-    cfg = NetworkConfig(m=1, n=1, k=1, p=p, q=q)
-    est = estimate_ergodic_capacity(cfg, Scheme.MF, trials=trials, seed=99)
-    gap = abs(est.mean_bits - oracle_mean)
-    assert gap < 3.0 * np.hypot(est.stderr_bits, oracle_se)
+    spec = one_point(1, Scheme.MF, m=1, n=1, trials=trials, seed=99)  # p = q = 10 dB
+    (est,) = run_sweep(spec)
+    gap = abs(est.capacity_mean_bits - oracle_mean)
+    assert gap < 3.0 * np.hypot(est.capacity_stderr_bits, oracle_se)
 
 
 def test_upper_bound_ignores_qnr_bitwise():
-    lo = NetworkConfig.from_db(m=2, n=2, k=2, pnr_db=10.0, qnr_db=0.0)
-    hi = NetworkConfig.from_db(m=2, n=2, k=2, pnr_db=10.0, qnr_db=30.0)
-    a = estimate_upper_bound(lo, trials=500, seed=8)
-    b = estimate_upper_bound(hi, trials=500, seed=8)
-    assert a.mean_bits == b.mean_bits
+    lo = base_spec(values=(2,), qnr_db=0.0, schemes=(Scheme.MF,), trials=500, seed=8)
+    a = run_sweep(lo)[-1]
+    b = run_sweep(dataclasses.replace(lo, qnr_db=30.0))[-1]
+    assert a.capacity_mean_bits == b.capacity_mean_bits
     assert a.scheme == "upper-bound"
 
 
@@ -223,14 +223,15 @@ def test_sweep_row_layout():
 
 
 def test_single_point_sweep_matches_direct_estimate():
-    cfg = NetworkConfig.from_db(m=2, n=2, k=2, pnr_db=10.0, qnr_db=10.0)
-    spec = base_spec(values=(2,), schemes=(Scheme.MF,), trials=400, seed=21)
-    rows = run_sweep(spec)
-    direct = estimate_ergodic_capacity(cfg, Scheme.MF, trials=400, seed=21)
-    bound = estimate_upper_bound(cfg, trials=400, seed=21)
-    assert rows[0].capacity_mean_bits == direct.mean_bits
-    assert rows[0].capacity_stderr_bits == direct.stderr_bits
-    assert rows[1].capacity_mean_bits == bound.mean_bits
+    # each series of an all-scheme sweep, and the bound, is bitwise what
+    # that scheme swept alone gives, on either kind of axis: the gates
+    # read every scheme out of one shared sweep
+    for axis, values in (("relay_count", (2,)), ("relay_count", (2, 8)), ("pnr_db", (0.0, 30.0))):
+        spec = base_spec(axis=axis, values=values, trials=400, seed=21)
+        rows = run_sweep(spec)
+        for scheme in spec.schemes:
+            alone = run_sweep(dataclasses.replace(spec, schemes=(scheme,)))
+            assert alone == [r for r in rows if r.scheme in (scheme.value, "upper-bound")]
 
 
 def test_sweep_without_upper_bound():
@@ -336,6 +337,13 @@ def test_numeric_error_in_power_control_names_its_point(monkeypatch):
     monkeypatch.setattr(montecarlo, "stacked_power_factors", failing_at_10db)
     spec = base_spec(axis="pnr_equals_qnr_db", values=(0.0, 10.0, 20.0), trials=64)
     with pytest.raises(NumericError, match=r"^pnr_equals_qnr_db = 10.0: af at trials \[0, 64\): "):
+        run_sweep(spec)
+
+
+def test_floating_point_overflow_names_point_scheme_and_trials():
+    # (p/m) ||FH||^2 overflows between 3060 and 3070 dB, which would set rho to 0
+    spec = base_spec(axis="pnr_db", values=(3060.0, 3070.0), schemes=(Scheme.MF,), trials=64)
+    with pytest.raises(NumericError, match=r"^pnr_db = 3070.0: mf at trials \[0, 64\): overflow"):
         run_sweep(spec)
 
 
