@@ -16,15 +16,19 @@ import numpy as np
 _SEED_LIMIT = 1 << 64
 
 
+class ConfigError(ValueError):
+    """An input value is invalid; the message names its field."""
+
+
 def _from_db(value: float, field: str) -> float:
-    """10^(value/10), with a ValueError naming `field` unless that is a
+    """10^(value/10), with a ConfigError naming `field` unless that is a
     finite positive float (it overflows, underflows to 0, or is nan)."""
     try:
         power = 10.0 ** (value / 10.0)
     except OverflowError:
         power = math.inf
     if not 0.0 < power < math.inf:
-        raise ValueError(f"{field} = {value} dB is not a finite positive power")
+        raise ConfigError(f"{field} = {value} dB is not a finite positive power")
     return power
 
 
@@ -48,19 +52,17 @@ class NetworkConfig:
 
     def __post_init__(self):
         if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
+            raise ConfigError(f"m must be >= 1, got {self.m}")
         if self.n < self.m:
-            raise ValueError(
-                f"relay antennas must satisfy n >= m, got n={self.n}, m={self.m}"
-            )
+            raise ConfigError(f"relay antennas must satisfy n >= m, got n={self.n}, m={self.m}")
         if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+            raise ConfigError(f"k must be >= 1, got {self.k}")
         for field in ("p", "q"):
             value = getattr(self, field)
             if not (value > 0) or not math.isfinite(value):
-                raise ValueError(f"{field} must be strictly positive, got {value}")
+                raise ConfigError(f"{field} must be strictly positive, got {value}")
         if self.alpha < 0 or not math.isfinite(self.alpha):
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+            raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
 
     @classmethod
     def from_db(
@@ -79,12 +81,12 @@ class NetworkConfig:
 
 def check_seed(seed: int, field: str = "seed") -> int:
     """Return seed if it is an integer in [0, 2**64), else raise
-    ValueError naming `field`. Seeds key the Philox streams, which take
+    ConfigError naming `field`. Seeds key the Philox streams, which take
     64-bit words, so any other value would alias a valid one."""
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise ValueError(f"{field} must be an integer, got {seed!r}")
+        raise ConfigError(f"{field} must be an integer, got {seed!r}")
     if not 0 <= seed < _SEED_LIMIT:
-        raise ValueError(f"{field} must be in [0, 2**64), got {seed}")
+        raise ConfigError(f"{field} must be in [0, 2**64), got {seed}")
     return int(seed)
 
 
@@ -107,7 +109,7 @@ def channels_for_trials(
     """
     check_seed(seed)
     if not 0 <= start <= stop:
-        raise ValueError(f"trial range must satisfy 0 <= start <= stop, got [{start}, {stop})")
+        raise ConfigError(f"trial range must satisfy 0 <= start <= stop, got [{start}, {stop})")
     k, n, m = config.k, config.n, config.m
     per = k * n * m
     raw = np.empty((stop - start, 4 * per))

@@ -22,17 +22,11 @@ import os
 import sys
 from pathlib import Path
 
-from .channel import check_seed
+from .channel import ConfigError, check_seed
 from .linalg import NumericError
-from .montecarlo import ConfigError, SweepRow, run_sweep
+from .montecarlo import SweepRow, run_sweep
 from .plotting import emit_plot
-from .scenario import (
-    ScenarioError,
-    bundled_description,
-    list_bundled,
-    load_bundled,
-    parse_scenario,
-)
+from .scenario import bundled_description, list_bundled, load_bundled, parse_scenario
 
 CSV_COLUMNS = tuple(field.name for field in dataclasses.fields(SweepRow))
 
@@ -69,41 +63,29 @@ def _resolve_scenario(name: str):
     path = Path(name)
     if path.exists():
         return parse_scenario(path), path.stem
-    if path.suffix == "" and name in list_bundled():
-        return load_bundled(name), name
-    known = ", ".join(list_bundled())
-    raise ScenarioError(
-        f"scenario '{name}' is neither a file nor a bundled name (bundled: {known})"
-    )
+    return load_bundled(name), name
 
 
-def _resolve_seed(args_seed, env: dict):
+def _resolve_seed(args_seed, env: dict, scenario_seed: int) -> int:
     if args_seed is not None:
-        seed, field = args_seed, "--seed"
-    else:
-        raw = env.get("RELAYSIM_SEED")
-        if raw is None:
-            return None
-        try:
-            seed, field = int(raw), "RELAYSIM_SEED"
-        except ValueError:
-            raise ScenarioError(f"RELAYSIM_SEED must be an integer, got '{raw}'") from None
+        return check_seed(args_seed, "--seed")
+    raw = env.get("RELAYSIM_SEED")
+    if raw is None:
+        return scenario_seed
     try:
-        return check_seed(seed, field)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        seed = int(raw)
+    except ValueError:
+        raise ConfigError(f"RELAYSIM_SEED must be an integer, got '{raw}'") from None
+    return check_seed(seed, "RELAYSIM_SEED")
 
 
 def cmd_run(args) -> int:
     spec, stem = _resolve_scenario(args.scenario)
-    seed = _resolve_seed(args.seed, os.environ)
-    replacements = {}
-    if seed is not None:
-        replacements["seed"] = seed
-    if args.trials is not None:
-        replacements["trials"] = args.trials
-    if replacements:
-        spec = dataclasses.replace(spec, **replacements)
+    spec = dataclasses.replace(
+        spec,
+        seed=_resolve_seed(args.seed, os.environ, spec.seed),
+        trials=spec.trials if args.trials is None else args.trials,
+    )
 
     rows = run_sweep(spec, workers=args.workers)
 
@@ -153,7 +135,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, ConfigError, OSError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NumericError, MemoryError) as exc:

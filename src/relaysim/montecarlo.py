@@ -3,9 +3,12 @@
 run_sweep(spec) is the one estimator. For each axis value of a SweepSpec
 and each series (the schemes, then the cut-set bound) it gives a SweepRow
 with the mean capacity and its standard error; a one-point estimate is a
-sweep of one value. A floating-point overflow, division by zero or
-invalid operation in a job is a NumericError naming the point,
-series and trial range, not a silently wrong mean.
+sweep of one value. SweepSpec is the one gate for a sweep's input,
+from Python or from a scenario file: a value of the wrong type or out of
+range is a ConfigError naming its field when the spec is built. A
+floating-point overflow, division by zero or invalid operation in a job
+is a NumericError naming the point, series and trial range, not a
+silently wrong mean.
 
 Every trial is a pure function of (network dimensions, seed, trial
 index): workers never share state, and the per-trial capacities are
@@ -31,13 +34,15 @@ group has one point.
 from __future__ import annotations
 
 import contextlib
+import numbers
+from collections.abc import Iterable, Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .beamformers import Scheme, relay_grams, stacked_beamformers, stacked_power_factors
-from .channel import NetworkConfig, channels_for_trials, check_seed
+from .channel import ConfigError, NetworkConfig, channels_for_trials, check_seed
 from .linalg import NumericError
 from .link import stacked_scheme_capacity, stacked_upper_bound
 
@@ -47,19 +52,43 @@ UPPER_BOUND_LABEL = "upper-bound"
 # therefore every intermediate float) are independent of the worker count.
 TRIAL_CHUNK = 1024
 
-AXES = ("relay_count", "pnr_db", "qnr_db", "pnr_equals_qnr_db")
+# axis -> the base network fields that each of its values replaces
+AXES = {
+    "relay_count": ("k",),
+    "pnr_db": ("pnr_db",),
+    "qnr_db": ("qnr_db",),
+    "pnr_equals_qnr_db": ("pnr_db", "qnr_db"),
+}
+
+# SweepSpec field -> type; a list is any non-string iterable, kept as a tuple
+_TYPES = dict(axis=str, values=list, m=int, n=int, k=int, pnr_db=float, qnr_db=float,
+              alpha=float, schemes=list, include_upper_bound=bool, trials=int, seed=int)
+_NETWORK = ("m", "n", "k", "pnr_db", "qnr_db", "alpha")
 
 
-class ConfigError(ValueError):
-    """A sweep point or scenario value is invalid."""
+def _typed(name: str, value):
+    """`value` as field `name`'s type, or a ConfigError naming the field.
+    Integral numbers are ints and real numbers floats; only a bool is a bool."""
+    kind = _TYPES[name]
+    accepted = {int: numbers.Integral, float: numbers.Real, list: Iterable}.get(kind, kind)
+    if (
+        isinstance(value, accepted)
+        and isinstance(value, bool) == (kind is bool)
+        and not (kind is list and isinstance(value, (str, bytes, Mapping)))
+    ):
+        # TypeError: a 0-d array is not iterable; OverflowError: an int too large for a float
+        with contextlib.suppress(TypeError, OverflowError):
+            return tuple(value) if kind is list else kind(value)
+    raise ConfigError(f"key '{name}' must be {kind.__name__}, got {type(value).__name__}")
 
 
 @dataclass(frozen=True)
 class SweepSpec:
     """One sweep, field for field the keys of a scenario file: an axis,
     its values, the base network the axis perturbs (powers in dB) and the
-    run settings. The base network and every point are materialized
-    here, so a bad value fails when the spec is built, not mid-run."""
+    run settings. It is the one check of a sweep's input: every field is
+    typed, and the base network and every point are materialized, so a
+    bad value is a ConfigError naming its field when the spec is built."""
 
     axis: str
     values: tuple
@@ -75,12 +104,15 @@ class SweepSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in _TYPES:
+            object.__setattr__(self, name, _typed(name, getattr(self, name)))
         if self.axis not in AXES:
-            raise ConfigError(
-                f"sweep axis must be one of {', '.join(AXES)}, got {self.axis!r}"
-            )
+            raise ConfigError(f"sweep axis must be one of {', '.join(AXES)}, got {self.axis!r}")
         if len(self.values) == 0:
             raise ConfigError("sweep values must be non-empty")
+        for value in self.values:
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"sweep value {value!r} is not a number")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ConfigError(f"sweep values must be strictly increasing: {self.values}")
         schemes = []
@@ -97,32 +129,23 @@ class SweepSpec:
             raise ConfigError(f"duplicate schemes: {self.schemes}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        try:
-            check_seed(self.seed)
-            NetworkConfig.from_db(self.m, self.n, self.k, self.pnr_db, self.qnr_db, self.alpha)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        check_seed(self.seed)
+        NetworkConfig.from_db(**{name: getattr(self, name) for name in _NETWORK})
         for value in self.values:
             self.point(value)
+        field = AXES[self.axis][0]
+        object.__setattr__(self, "values", tuple(_typed(field, v) for v in self.values))
 
     def point(self, value) -> tuple[NetworkConfig, float, float]:
-        """Materialize (config, pnr_db, qnr_db) for one axis value."""
-        pnr_db, qnr_db, k = float(self.pnr_db), float(self.qnr_db), self.k
-        if self.axis == "relay_count":
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ConfigError(f"axis point {value!r}: relay count must be an integer")
-            k = int(value)
-        elif self.axis == "pnr_db":
-            pnr_db = float(value)
-        elif self.axis == "qnr_db":
-            qnr_db = float(value)
-        else:  # pnr_equals_qnr_db
-            pnr_db = qnr_db = float(value)
+        """Materialize (config, pnr_db, qnr_db) for one axis value: the
+        base network with the axis's fields set to `value`."""
+        fields = {name: getattr(self, name) for name in _NETWORK}
         try:
-            cfg = NetworkConfig.from_db(self.m, self.n, k, pnr_db, qnr_db, self.alpha)
-        except ValueError as exc:
-            raise ConfigError(f"axis point {value!r}: {exc}") from exc
-        return cfg, pnr_db, qnr_db
+            fields.update((name, _typed(name, value)) for name in AXES[self.axis])
+            config = NetworkConfig.from_db(**fields)
+        except ConfigError as exc:
+            raise ConfigError(f"axis point {value}: {exc}") from None
+        return config, fields["pnr_db"], fields["qnr_db"]
 
 
 @dataclass(frozen=True)

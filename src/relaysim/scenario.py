@@ -9,11 +9,11 @@ A scenario has three sections plus an optional top-level description:
               include_upper_bound (optional)
 
 The keys are the fields of SweepSpec, one for one, and a missing optional
-key takes SweepSpec's default. This module checks only the file format:
-UTF-8 YAML, sections, unknown or duplicated keys, types, the seed and
-that sweep values are numbers. SweepSpec checks the values, parses the
-scheme names and materializes every point, so a bad point fails here,
-not mid-run.
+key takes SweepSpec's default. This module only finds and reads files:
+it checks the file format (UTF-8, YAML, duplicated keys, sections,
+unknown or missing keys, and that the description is a string) and
+hands the keys to SweepSpec, which types and checks every value. A
+ConfigError from SweepSpec comes back as a ScenarioError naming the file.
 Numbers follow YAML 1.2, so 1e-3 is a float.
 """
 
@@ -26,19 +26,19 @@ from pathlib import Path
 
 import yaml
 
-from .channel import check_seed
+from .channel import ConfigError
 from .montecarlo import SweepSpec
 
 
-class ScenarioError(ValueError):
-    """A scenario file is malformed; the message names file and field."""
+class ScenarioError(ConfigError):
+    """A scenario is malformed or unknown; the message names file and field."""
 
 
-# section -> {key: type}; every key is a SweepSpec field
+# section -> its keys; every key is a SweepSpec field
 _SECTIONS = {
-    "network": {"m": int, "n": int, "k": int, "pnr_db": float, "qnr_db": float, "alpha": float},
-    "sweep": {"axis": str, "values": list},
-    "run": {"schemes": list, "trials": int, "seed": int, "include_upper_bound": bool},
+    "network": ("m", "n", "k", "pnr_db", "qnr_db", "alpha"),
+    "sweep": ("axis", "values"),
+    "run": ("schemes", "trials", "seed", "include_upper_bound"),
 }
 _OPTIONAL = ("alpha", "trials", "include_upper_bound")
 
@@ -81,16 +81,6 @@ def _require_section(data: dict, name: str, source: str) -> dict:
     return section
 
 
-def _typed(value, kind, field: str, source: str):
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
-        raise ScenarioError(
-            f"{source}: {field} must be {kind.__name__}, got {type(value).__name__}"
-        )
-    return value
-
-
 def parse_scenario_text(text: str, source: str = "<scenario>") -> SweepSpec:
     """Parse and fully validate one scenario document."""
     try:
@@ -103,29 +93,20 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> SweepSpec:
     if not isinstance(data, dict):
         raise ScenarioError(f"{source}: top level must be a mapping of sections")
     for key in data:
-        if key == "description":
-            _typed(data[key], str, "top-level key 'description'", source)
-        elif key not in _SECTIONS:
+        if key not in _SECTIONS and key != "description":
             raise ScenarioError(f"{source}: unknown top-level key '{key}'")
+    if not isinstance(data.get("description", ""), str):
+        kind = type(data["description"]).__name__
+        raise ScenarioError(f"{source}: top-level key 'description' must be str, got {kind}")
 
     sections = {name: _require_section(data, name, source) for name in _SECTIONS}
-    fields = {}
-    for name, kinds in _SECTIONS.items():
-        for key, kind in kinds.items():
-            if key in sections[name]:
-                field = f"key '{key}' in section '{name}'"
-                fields[key] = _typed(sections[name][key], kind, field, source)
-            elif key not in _OPTIONAL:
+    for name, keys in _SECTIONS.items():
+        for key in keys:
+            if key not in sections[name] and key not in _OPTIONAL:
                 raise ScenarioError(f"{source}: missing key '{key}' in section '{name}'")
-
-    for v in fields["values"]:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ScenarioError(f"{source}: sweep value {v!r} is not a number")
-    fields["values"] = tuple(fields["values"])
     try:
-        check_seed(fields["seed"], "key 'seed' in section 'run'")
-        return SweepSpec(**fields)
-    except ValueError as exc:
+        return SweepSpec(**sections["network"], **sections["sweep"], **sections["run"])
+    except ConfigError as exc:
         raise ScenarioError(f"{source}: {exc}") from exc
 
 
@@ -160,11 +141,12 @@ def bundled_description(name: str) -> str:
 
 
 def _load_bundled_text(name: str) -> str:
-    resource = _bundled_dir().joinpath(f"{name}.yaml")
-    if not resource.is_file():
-        known = ", ".join(list_bundled())
-        raise ScenarioError(f"unknown scenario '{name}' (bundled: {known})")
-    return resource.read_text()
+    """The text of a bundled scenario; only a name that list_bundled()
+    gives is looked up, so no name reaches a file outside the package."""
+    known = list_bundled()
+    if name not in known:
+        raise ScenarioError(f"unknown scenario '{name}' (bundled: {', '.join(known)})")
+    return _bundled_dir().joinpath(f"{name}.yaml").read_text()
 
 
 def load_bundled(name: str) -> SweepSpec:

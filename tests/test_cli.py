@@ -149,8 +149,8 @@ def test_list_scenarios_names_all_bundled(capsys):
         (2**64, None, 5, "--seed"),
         (None, "-1", 5, "RELAYSIM_SEED"),
         (None, str(2**64), 5, "RELAYSIM_SEED"),
-        (None, None, -1, "'seed' in section 'run'"),
-        (None, None, 2**64, "'seed' in section 'run'"),
+        (None, None, -1, "tiny.yaml: seed"),
+        (None, None, 2**64, "tiny.yaml: seed"),
     ],
 )
 def test_seed_outside_64_bits_exits_2(

@@ -3,9 +3,12 @@ scalar oracle, common random numbers, axis semantics, and bitwise
 determinism across seeds and worker counts."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.laguerre import laggauss
+from scipy.special import eval_genlaguerre, gammaln
 
 from relaysim import montecarlo
 from relaysim.beamformers import Scheme
@@ -68,6 +71,40 @@ def test_sweep_spec_validation():
     with pytest.raises(ConfigError, match="seed"):
         base_spec(seed=2**64)
     assert set(AXES) == {"relay_count", "pnr_db", "qnr_db", "pnr_equals_qnr_db"}
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (dict(m=2.0), "key 'm' must be int, got float"),
+        (dict(m="2"), "key 'm' must be int, got str"),
+        (dict(trials=16.0), "key 'trials' must be int, got float"),
+        (dict(alpha="1"), "key 'alpha' must be float, got str"),
+        (dict(pnr_db="10"), "key 'pnr_db' must be float, got str"),
+        (dict(include_upper_bound="no"), "key 'include_upper_bound' must be bool, got str"),
+        (dict(axis="pnr_db", values=(0.0, 10.0), k=1.5), "key 'k' must be int, got float"),
+        (dict(axis="pnr_db", values=("1", "2")), "sweep value '1' is not a number"),
+        (dict(axis="pnr_db", values=(True,)), "sweep value True is not a number"),
+        (dict(axis="pnr_db", values=5), "key 'values' must be list, got int"),
+        (dict(axis="pnr_db", values=np.array(5.0)), "key 'values' must be list, got ndarray"),
+        (dict(pnr_db=10**400), "key 'pnr_db' must be float, got int"),
+    ],
+    ids=["m-float", "m-str", "trials-float", "alpha-str", "pnr_db-str", "bound-str", "k-float",
+         "values-str", "values-bool", "values-int", "values-0d-array", "pnr_db-huge-int"],
+)
+def test_wrong_type_is_a_config_error_naming_the_field(overrides, message):
+    # each of these used to fail mid-run with a raw TypeError, or to run
+    # and write the string or bool cells to the CSV
+    with pytest.raises(ConfigError) as info:
+        base_spec(**overrides)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("values", [range(1, 3), np.arange(1, 3), [1, 2]])
+def test_values_take_any_iterable_and_are_stored_as_a_tuple_of_ints(values):
+    spec = base_spec(values=values)
+    assert spec.values == (1, 2) and all(type(v) is int for v in spec.values)
+    assert spec == base_spec() and hash(spec) == hash(base_spec())
 
 
 def test_scheme_names_are_parsed_by_the_spec():
@@ -187,6 +224,33 @@ def test_scalar_network_against_independent_oracle():
     (est,) = run_sweep(spec)
     gap = abs(est.capacity_mean_bits - oracle_mean)
     assert gap < 3.0 * np.hypot(est.capacity_stderr_bits, oracle_se)
+
+
+def telatar_bound_bits(m, dof, snr):
+    """0.5 E log2 det(I + snr W) for W an m x m complex Wishart matrix of
+    `dof` degrees of freedom: Telatar's integral over the density of one
+    unordered eigenvalue, sum_i i!/(i+d)! L_i^d(x)^2 x^d e^-x (Eur. Trans.
+    Telecommun. 1999), by Gauss-Laguerre quadrature."""
+    lo, d = min(m, dof), abs(m - dof)
+    x, w = laggauss(100)
+    density = sum(
+        np.exp(d * np.log(x) + gammaln(i + 1) - gammaln(i + d + 1)) * eval_genlaguerre(i, d, x) ** 2
+        for i in range(lo)
+    )
+    return 0.5 * np.sum(w * np.log1p(snr * x) * density) / math.log(2)
+
+
+@pytest.mark.parametrize("m, n, relays", [(4, 4, (1, 2, 4, 8)), (8, 8, (10,)), (2, 3, (1, 3))])
+def test_upper_bound_matches_telatar_closed_form(m, n, relays):
+    # the bound is 0.5 log2 det(I + p/m sum_k h_k^H h_k), whose Gram is a
+    # complex Wishart matrix of k n degrees of freedom
+    spec = base_spec(values=relays, m=m, n=n, schemes=(Scheme.AF,), trials=4096, seed=1)
+    bounds = [r for r in run_sweep(spec) if r.scheme == "upper-bound"]
+    assert [r.k for r in bounds] == list(relays)
+    p = 10.0  # 10 dB
+    for r in bounds:
+        expected = telatar_bound_bits(m, r.k * n, p / m)
+        assert abs(r.capacity_mean_bits - expected) < 4 * r.capacity_stderr_bits
 
 
 def test_upper_bound_ignores_qnr_bitwise():

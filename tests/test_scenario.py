@@ -2,11 +2,13 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 import yaml
 
 from relaysim.beamformers import Scheme
-from relaysim.montecarlo import SweepSpec
+from relaysim.cli import write_results_csv
+from relaysim.montecarlo import SweepSpec, run_sweep
 from relaysim.scenario import (
     ScenarioError,
     bundled_description,
@@ -170,6 +172,39 @@ def test_round_trip_preserves_description():
     assert parse_scenario_text(text) == parse_scenario_text(MINIMAL)
 
 
+INTEGER_DB = """\
+network: {m: 2, n: 2, k: 2, pnr_db: 10, qnr_db: 10, alpha: 1}
+sweep: {axis: pnr_db, values: [0, 10]}
+run: {schemes: [mf], seed: 3, trials: 16}
+"""
+
+
+@pytest.mark.parametrize(
+    "values, network",
+    [
+        ((0, 10), dict(pnr_db=10, qnr_db=10, alpha=1)),
+        ([0, 10], dict(pnr_db=10, qnr_db=10, alpha=1)),
+        (np.array([0, 10]), dict(pnr_db=np.int64(10), qnr_db=10.0, alpha=np.float32(1))),
+        ((0.0, 10.0), dict(pnr_db=10.0, qnr_db=10.0, alpha=1.0)),
+    ],
+    ids=["ints", "list", "ndarray", "floats"],
+)
+def test_python_spec_equals_file_spec_and_writes_equal_rows(tmp_path, values, network):
+    # an int dB value or alpha is stored as a float, so the rows and the
+    # CSV bytes do not depend on how the spec was built
+    from_file = parse_scenario_text(INTEGER_DB)
+    spec = SweepSpec(
+        axis="pnr_db", values=values, m=2, n=2, k=2, schemes=["mf"], seed=3, trials=16, **network
+    )
+    assert spec == from_file and hash(spec) == hash(from_file)
+    assert repr(spec) == repr(from_file)
+    assert spec.values == (0.0, 10.0) and spec.alpha == 1.0
+    write_results_csv(run_sweep(spec), tmp_path / "a.csv")
+    write_results_csv(run_sweep(from_file), tmp_path / "b.csv")
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    assert "pnr_db,0.0,2,2,2,0.0,10.0,1.0,16,3," in (tmp_path / "a.csv").read_text()
+
+
 def test_parse_scenario_reads_file_and_names_it_in_errors(tmp_path):
     good = tmp_path / "ok.yaml"
     good.write_text(MINIMAL)
@@ -223,3 +258,10 @@ def test_bundled_scenarios_round_trip(name):
 def test_unknown_bundled_name():
     with pytest.raises(ScenarioError, match="unknown scenario 'fig9'"):
         load_bundled("fig9")
+
+
+def test_bundled_lookup_cannot_reach_a_file_outside_the_package(tmp_path):
+    (tmp_path / "outside.yaml").write_text(MINIMAL)
+    for name in (str(tmp_path / "outside"), "../scenarios/fig2", "fig2.yaml"):
+        with pytest.raises(ScenarioError, match="unknown scenario"):
+            load_bundled(name)
