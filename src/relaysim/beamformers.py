@@ -21,12 +21,14 @@ where A = G G^H and B = H^H H (D commutes with A). These are
     mf, mf-rzf: X = D B,  C = A D,  P = A X,  S = P C,
                 ||FH||^2 = Re sum P o conj(X),  ||F||^2 = tr(C X)
 
-so for mf and mf-rzf all four are m x m functions of A and B, formed
-once per chunk of trials by relay_grams and stacked_beamformers. The
-powers p and q enter only through rho (stacked_power_factors). C is the
-product A D and not I - alpha D, which is the same matrix in exact
-arithmetic but cancels at large alpha. The test suite pins the Gram
-route to per-relay builders that do form F.
+so for mf and mf-rzf all four are m x m functions of A and B. A sweep
+forms A, B (relay_grams) and D (regularized_inverse) once per chunk of
+trials, for all its relay counts, and the products once per relay count
+(stacked_beamformers). The powers p and q enter only through rho
+(stacked_power_factors). C is the product A D and not I - alpha D,
+which is the same matrix in exact arithmetic but cancels at large
+alpha. The test suite pins the Gram route to per-relay builders that do
+form F.
 """
 
 from __future__ import annotations
@@ -54,12 +56,15 @@ class RelayGrams(NamedTuple):
     """The m x m channel products of stacks h (..., k, n, m) and
     g (..., k, m, n) that stacked_beamformers works from: a = g g^H,
     b = h^H h and, when af needs it, the cascade g h (else None); n is
-    the relay antenna count."""
+    the relay antenna count. d, when given, is mf-rzf's
+    regularized_inverse(a, alpha), formed once for the a it was taken
+    from and shared; else mf-rzf forms it."""
 
     a: np.ndarray
     b: np.ndarray
     cascade: np.ndarray | None
     n: int
+    d: np.ndarray | None = None
 
 
 def relay_grams(h: np.ndarray, g: np.ndarray, cascade: bool = True) -> RelayGrams:
@@ -70,6 +75,16 @@ def relay_grams(h: np.ndarray, g: np.ndarray, cascade: bool = True) -> RelayGram
     return RelayGrams(a, b, g @ h if cascade else None, h.shape[-2])
 
 
+def regularized_inverse(a: np.ndarray, alpha: float) -> np.ndarray:
+    """D = (A + alpha I)^-1 of a stack of Grams a (..., m, m). Raises
+    NumericError unless every A + alpha I is positive definite."""
+    m = a.shape[-1]
+    gram = a.copy()
+    gram[..., range(m), range(m)] += alpha
+    cholesky_stack(gram)  # raises NumericError unless positive definite
+    return np.linalg.inv(gram)
+
+
 def stacked_beamformers(scheme: Scheme, grams: RelayGrams, alpha: float) -> tuple:
     """What the link needs from each relay's beamformer F under `scheme`,
     from the channel products `grams` (..., k, m, m): (P, S, fh_sq, f_sq)
@@ -78,8 +93,8 @@ def stacked_beamformers(scheme: Scheme, grams: RelayGrams, alpha: float) -> tupl
     (..., k). See the module docstring for the identities.
 
     Leading axes are broadcast batch dimensions (Monte Carlo trials),
-    axis -3 indexes relays. mf-rzf raises NumericError unless every
-    A + alpha I is positive definite.
+    axis -3 indexes relays. mf-rzf reads D from grams.d, or forms it and
+    raises NumericError unless every A + alpha I is positive definite.
     """
     a, b = grams.a, grams.b
     if scheme is Scheme.AF:
@@ -89,19 +104,15 @@ def stacked_beamformers(scheme: Scheme, grams: RelayGrams, alpha: float) -> tupl
         raise ValueError(f"unknown scheme {scheme!r}")
     x, c = b, a  # D = I
     if scheme is Scheme.MF_RZF:
-        m = a.shape[-1]
-        gram = a.copy()
-        gram[..., range(m), range(m)] += alpha
-        cholesky_stack(gram)  # raises NumericError unless positive definite
-        d = np.linalg.inv(gram)
-        del gram
+        d = regularized_inverse(a, alpha) if grams.d is None else grams.d
         x, c = d @ b, a @ d
         del d
     p = a @ x
     # tr(C X) as Re sum X o conj(C): C = A D is Hermitian
     fh_sq, f_sq = re_inner(p, x), re_inner(x, c)
-    del x
-    return p, p @ c, fh_sq, f_sq
+    # mf-rzf's X is its own and dead now: S = P C reuses its buffer
+    s = p @ c if x is b else np.matmul(p, c, out=x)
+    return p, s, fh_sq, f_sq
 
 
 def stacked_power_factors(

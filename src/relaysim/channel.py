@@ -3,7 +3,10 @@
 Randomness is counter-based: every Monte Carlo trial gets its own Philox
 stream keyed by (seed, trial), so trial t yields the same channels no
 matter which worker draws it or in what order. That is what makes sweep
-output byte-identical across --workers settings.
+output byte-identical across --workers settings. The stream is a
+sequence of blocks of n*m complex entries, and k relays read h from
+blocks [0, k) and g from blocks [k, 2k), so a draw at K relays holds the
+channels of every k <= K (channels_for_trials).
 """
 
 from __future__ import annotations
@@ -91,28 +94,42 @@ def check_seed(seed: int, field: str = "seed") -> int:
 
 
 def channels_for_trials(
-    config: NetworkConfig, seed: int, start: int, stop: int
+    config: NetworkConfig,
+    seed: int,
+    start: int,
+    stop: int,
+    g_start: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stacked channels of Monte Carlo trials [start, stop) under `seed`:
-    h (T, k, n, m) and g (T, k, m, n) with T = stop - start.
+    h (T, k, n, m) and g (T, 2k - g_start, m, n) with T = stop - start
+    (g_start = k by default, so g holds k matrices).
 
     Trial t draws from its own Philox stream keyed by (seed, t) with the
     counter at 0, so a trial's channels do not depend on which chunk or
     worker draws it. One bit generator is re-keyed per trial through its
     state, instead of building one per trial. Each trial consumes
-    4*k*n*m standard normals in a fixed documented order: first-hop
-    matrices for relays 1..k, then second-hop matrices 1..k; within a
-    matrix, entries column by column, real and imaginary parts
+    4*k*n*m standard normals, read as 2k blocks of n*m complex entries:
+    within a block, entries column by column, real and imaginary parts
     interleaved per entry, scaled by 1/sqrt(2) for CN(0, 1) entries.
+    Blocks [0, k) are the first-hop matrices h (n x m) of relays 1..k and
+    blocks [k, 2k) the second-hop matrices g (m x n) of relays 1..k.
     Powers and alpha do not touch the stream, so all beamforming schemes
     and the capacity upper bound see a common set of random channels.
+
+    Neither does k: the stream of k relays is a prefix of that of K > k
+    relays, so this draw holds every k' <= k as h[:, :k'] and blocks
+    [k', 2k'). g is blocks [g_start, 2k), so with g_start the smallest k'
+    of a sweep, k' reads its g as g[:, k' - g_start : 2k' - g_start] and
+    one draw at the sweep's largest k serves every k'.
     """
     check_seed(seed)
     if not 0 <= start <= stop:
         raise ConfigError(f"trial range must satisfy 0 <= start <= stop, got [{start}, {stop})")
     k, n, m = config.k, config.n, config.m
-    per = k * n * m
-    raw = np.empty((stop - start, 4 * per))
+    g_start = k if g_start is None else g_start
+    if not 1 <= g_start <= k:
+        raise ConfigError(f"g_start must be in [1, {k}], got {g_start}")
+    raw = np.empty((stop - start, 4 * k * n * m))
     bitgen = np.random.Philox(0)
     normal = np.random.Generator(bitgen).standard_normal
     state = bitgen.state  # counter 0, empty buffer: a fresh stream once re-keyed
@@ -126,8 +143,8 @@ def channels_for_trials(
         raise ValueError("channel draw produced non-finite entries")
     entries = raw.view(np.complex128)
     entries /= np.sqrt(2.0)  # complex division: its rounding differs from raw /= sqrt(2)
+    blocks = entries.reshape(len(raw), 2 * k, n * m)
     # column-major fill per matrix == reshape to the transposed shape, then swap
-    h = entries[:, :per].reshape(-1, k, m, n).swapaxes(-1, -2).copy()
-    g = entries[:, per:].reshape(-1, k, n, m).swapaxes(-1, -2).copy()
+    h = blocks[:, :k].reshape(len(raw), k, m, n).swapaxes(-1, -2).copy()
+    g = blocks[:, g_start:].reshape(len(raw), 2 * k - g_start, n, m).swapaxes(-1, -2).copy()
     return h, g
-

@@ -16,19 +16,24 @@ assembled into one array in trial order before any reduction. Output is
 therefore byte-identical for any --workers setting, and all schemes of a
 sweep point see common random channels.
 
-Work is shared between the points of a sweep. The channel draw depends
-only on (m, n, k, seed, trial), and the beamformers only on the channels
-and alpha; the powers p and q enter at power control. Points whose
-configs agree on m, n, k and alpha form a group, and a job is one
-(group, trial chunk) pair: it draws the chunk's channels once, reduces
-them to the relays' m x m Grams g g^H and h^H h (and the cascade g h
-for af), and forms each scheme's per-relay link products from those
-once. What is left per point of the group is power control, two
-rho-weighted sums over relays, the QR and SNR, and the bound. Chunk
-bounds, array shapes and each point's sequence of operations are those
-of a one-point sweep, so every float, and every byte of results.csv,
-equals what the point gives on its own. On a relay count sweep every
-group has one point.
+Work is shared between the points of a sweep. A trial's stream does
+not depend on the relay count: k relays read h from blocks [0, k) and g
+from blocks [k, 2k) of it (see channels_for_trials), so one draw at the
+largest k holds every smaller k as slices. The beamformers depend only
+on the channels and alpha; the powers p and q enter at power control. A
+job is one trial chunk of the whole sweep: it draws the chunk's channels
+once, at the largest k, and reduces them once to the relays' m x m
+Grams g g^H and h^H h (and, for mf-rzf at more than one k, to
+(g g^H + alpha I)^-1). Each k reads its slices of these; only the af
+cascade g h and each scheme's per-relay link products are formed per k.
+What is left per point is power control, two rho-weighted sums over
+relays, the QR and SNR, and the bound. A slice holds exactly the floats
+that k's own draw and Grams would, and chunk bounds, array shapes and
+each point's sequence of operations are those of a one-point sweep, so
+every float, and every byte of results.csv, equals what the point gives
+on its own. A sweep with fewer chunks than workers cuts each chunk into
+runs of points of similar total k, each drawn at its own largest k, so
+that a small relay count sweep still keeps its workers busy.
 """
 
 from __future__ import annotations
@@ -41,7 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamformers import Scheme, relay_grams, stacked_beamformers, stacked_power_factors
+from .beamformers import RelayGrams, Scheme, regularized_inverse, relay_grams
+from .beamformers import stacked_beamformers, stacked_power_factors
 from .channel import ConfigError, NetworkConfig, channels_for_trials, check_seed
 from .linalg import NumericError
 from .link import stacked_scheme_capacity, stacked_upper_bound
@@ -170,37 +176,63 @@ class SweepRow:
 @np.errstate(over="raise", divide="raise", invalid="raise")
 def _capacity_chunk(job) -> np.ndarray:
     """Per-trial capacities (points, T, series) for trials [start, stop)
-    of one point group: sweep points, given as (label, config) pairs,
-    whose configs share m, n, k and alpha.
+    of sweep points, given as (label, config) pairs whose configs share
+    m, n and alpha.
 
-    The chunk's channels are drawn once and reduced to their Grams, and
-    each scheme's link products are formed once; power control, the link
-    and the bound then run per point. A scheme's products are released
-    before the next scheme starts. A NumericError, or a floating-point
-    overflow, division by zero or invalid operation, is raised as a
-    NumericError naming the point(s), the series and the trial range, and
-    a MemoryError naming the point(s) and the trial range.
+    The channels are drawn once, at the largest relay count K, and
+    reduced once to B = h^H h of blocks [0, K) and A = g g^H of blocks
+    [min k, 2K), which hold every k's g; for mf-rzf at more than one k, to
+    D = (A + alpha I)^-1 too. Each k takes its slices of A, B and D; the
+    af cascade g h and each scheme's link products are formed per k, and
+    power control, the link and the bound per point. af runs first, so
+    that h and g can be released after it. A NumericError, or a
+    floating-point overflow, division by zero or invalid operation, is
+    raised as a NumericError naming the point(s) whose work failed (all
+    of them for the shared D, those of one k for its link products), the
+    series and the trial range, and a MemoryError naming the point(s) and
+    the trial range.
     """
     points, schemes, include_upper, seed, start, stop = job
     labels, configs = zip(*points)
+    relays = {}  # k -> the indices of its points
+    for i, config in enumerate(configs):
+        relays.setdefault(config.k, []).append(i)
+    alpha, low, top = configs[0].alpha, min(relays), max(relays)
+    where = [labels[i] for i in relays[top]], "channels"  # the draw is sized by the top k
     try:
-        h, g = channels_for_trials(configs[0], seed, start, stop)
-        grams = relay_grams(h, g, cascade=Scheme.AF in schemes)
-        del h, g
+        # g is blocks [low, 2 top): k reads its g blocks [k, 2k) at k - low
+        h, g = channels_for_trials(configs[relays[top][0]], seed, start, stop, low)
+        a, b, _, n, _ = relay_grams(h, g, cascade=False)
+        if Scheme.AF not in schemes:
+            del h, g
         table = np.empty((len(points), stop - start, len(schemes) + int(include_upper)))
-        for j, scheme in enumerate(schemes):
-            where = labels, scheme.value
-            p, s, fh_sq, f_sq = stacked_beamformers(scheme, grams, configs[0].alpha)
-            for i, config in enumerate(configs):
-                where = labels[i : i + 1], scheme.value
-                rho = stacked_power_factors(fh_sq, f_sq, config.p, config.m, config.q)
-                table[i, :, j] = stacked_scheme_capacity(p, s, rho, config)
-            del p, s
+        for j, scheme in sorted(enumerate(schemes), key=lambda item: item[1] is not Scheme.AF):
+            d = None  # at one k, stacked_beamformers forms D and frees it early
+            if scheme is Scheme.MF_RZF and len(relays) > 1:
+                where = labels, scheme.value
+                d = regularized_inverse(a, alpha)
+            for k in sorted(relays):
+                g_k = slice(k - low, 2 * k - low)
+                cascade = g[:, g_k] @ h[:, :k] if scheme is Scheme.AF else None
+                grams = RelayGrams(a[:, g_k], b[:, :k], cascade, n, d if d is None else d[:, g_k])
+                where = [labels[i] for i in relays[k]], scheme.value
+                p, s, fh_sq, f_sq = stacked_beamformers(scheme, grams, alpha)
+                del grams, cascade
+                for i in relays[k]:
+                    where = labels[i : i + 1], scheme.value
+                    config = configs[i]
+                    rho = stacked_power_factors(fh_sq, f_sq, config.p, config.m, config.q)
+                    table[i, :, j] = stacked_scheme_capacity(p, s, rho, config)
+                del p, s
+            if scheme is Scheme.AF:
+                del h, g
+            del d
         if include_upper:
-            b_sum = np.sum(grams.b, axis=-3)
-            for i, config in enumerate(configs):
-                where = labels[i : i + 1], UPPER_BOUND_LABEL
-                table[i, :, -1] = stacked_upper_bound(b_sum, config)
+            for k in sorted(relays):
+                b_sum = np.sum(b[:, :k], axis=-3)
+                for i in relays[k]:
+                    where = labels[i : i + 1], UPPER_BOUND_LABEL
+                    table[i, :, -1] = stacked_upper_bound(b_sum, configs[i])
     except (NumericError, FloatingPointError) as exc:
         failed, series = where
         raise NumericError(
@@ -208,38 +240,48 @@ def _capacity_chunk(job) -> np.ndarray:
         ) from exc
     except MemoryError as exc:
         # numpy's _ArrayMemoryError cannot be built from a message
-        raise MemoryError(f"{'; '.join(labels)} at trials [{start}, {stop}): {exc}") from exc
+        raise MemoryError(f"{'; '.join(where[0])} at trials [{start}, {stop}): {exc}") from exc
     return table
+
+
+def _runs(relays: list, parts: int) -> list:
+    """Slices that cut points with relay counts `relays`, in sweep order,
+    into at most `parts` contiguous runs of similar total relay count:
+    a run ends before the point whose middle reaches the run's share.
+    Cuts fall only where k changes: points of one k share all their work."""
+    total, cuts, seen = sum(relays), [0], 0
+    for i, k in enumerate(relays):
+        if i and k != relays[i - 1] and seen + k / 2 >= total * len(cuts) / parts:
+            cuts.append(i)
+        seen += k
+    return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:] + [len(relays)])]
 
 
 def _capacity_tables(spec: SweepSpec, workers: int) -> np.ndarray:
     """(points, trials, series) per-trial capacities of every point of
-    the sweep, in trial order, from one map over (point group, trial
-    chunk) jobs, run in at most one process per job."""
+    the sweep, in trial order, from one map over jobs, run in at most one
+    process per job. A job is one trial chunk of the whole sweep; when
+    there are fewer chunks than workers, each chunk is cut further into
+    runs of points (see _runs), each of which draws at its own largest k."""
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     schemes, include_upper, trials = spec.schemes, spec.include_upper_bound, spec.trials
-    try:  # before the job list, which holds trials / TRIAL_CHUNK tuples per group
+    try:  # before the job list, which holds trials / TRIAL_CHUNK tuples
         tables = np.empty((len(spec.values), trials, len(schemes) + int(include_upper)))
     except MemoryError as exc:
         raise MemoryError(f"trials = {trials}: {exc}") from exc
     points = [(f"{spec.axis} = {value}", spec.point(value)[0]) for value in spec.values]
-    groups = {}
-    for index, (_, config) in enumerate(points):
-        groups.setdefault((config.m, config.n, config.k, config.alpha), []).append(index)
-    jobs, owners = [], []
-    for indices in groups.values():
-        group = tuple(points[i] for i in indices)
-        for start in range(0, trials, TRIAL_CHUNK):
-            stop = min(start + TRIAL_CHUNK, trials)
-            jobs.append((group, schemes, include_upper, spec.seed, start, stop))
-            owners.append(indices)
+    chunks = [(start, min(start + TRIAL_CHUNK, trials)) for start in range(0, trials, TRIAL_CHUNK)]
+    runs = _runs([config.k for _, config in points], -(-workers // len(chunks)))
+    slots = [(run, start, stop) for start, stop in chunks for run in runs]
+    jobs = [
+        (tuple(points[run]), schemes, include_upper, spec.seed, *bounds) for run, *bounds in slots
+    ]
     workers = min(workers, len(jobs))
     with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
         blocks = (pool.map if pool else map)(_capacity_chunk, jobs)
-        for job, indices, block in zip(jobs, owners, blocks):
-            start, stop = job[-2:]
-            tables[indices, start:stop] = block
+        for (run, start, stop), block in zip(slots, blocks):
+            tables[run, start:stop] = block
     return tables
 
 

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from relaysim.channel import NetworkConfig, channels_for_trials
+from relaysim.channel import ConfigError, NetworkConfig, channels_for_trials
 
 from oracle import ChannelRealization, realization_for_trial, trial_rng
 
@@ -128,6 +128,34 @@ def test_chunk_draw_is_stack_of_per_trial_draws(m, n, k):
         gs = [sample_gaussian_matrix(m, n, rng) for _ in range(k)]
         assert h[i].tobytes() == np.stack(hs).tobytes()
         assert g[i].tobytes() == np.stack(gs).tobytes()
+
+
+@pytest.mark.parametrize("relays", [(1, 2, 3, 4, 5), (1, 2, 5), (3, 4)])
+def test_every_relay_count_is_a_slice_of_one_draw(relays):
+    # one draw at K = max k holds every k <= K: h is blocks [0, k) and g
+    # blocks [k, 2k), byte for byte what k's own keyed stream gives in
+    # the reference layout; g starts at the sweep's smallest k
+    m, n, low, top = 2, 3, min(relays), max(relays)
+    cfg = NetworkConfig(m=m, n=n, k=top, p=1.0, q=1.0)
+    seed, start, stop = 12, 1022, 1027
+    h, g = channels_for_trials(cfg, seed, start, stop, low)
+    assert h.shape == (stop - start, top, n, m)
+    assert g.shape == (stop - start, 2 * top - low, m, n)
+    for i, trial in enumerate(range(start, stop)):
+        for k in range(1, top + 1):
+            rng = trial_rng(seed, trial)
+            hs = [sample_gaussian_matrix(n, m, rng) for _ in range(k)]
+            gs = [sample_gaussian_matrix(m, n, rng) for _ in range(k)]
+            assert h[i, :k].tobytes() == np.stack(hs).tobytes()
+            if k >= low:
+                assert g[i, k - low : 2 * k - low].tobytes() == np.stack(gs).tobytes()
+
+
+@pytest.mark.parametrize("g_start", [0, 4])
+def test_g_start_outside_the_relay_range_rejected(g_start):
+    cfg = NetworkConfig(m=2, n=3, k=3, p=1.0, q=1.0)
+    with pytest.raises(ConfigError):
+        channels_for_trials(cfg, 0, 0, 2, g_start)
 
 
 @given(st.integers(0, 2**63), st.integers(0, 10_000))

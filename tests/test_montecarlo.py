@@ -20,6 +20,7 @@ from relaysim.montecarlo import (
     ConfigError,
     SweepSpec,
     _capacity_chunk,
+    _runs,
     run_sweep,
 )
 
@@ -335,16 +336,62 @@ def test_power_sweep_draws_and_builds_beamformers_once_per_chunk(monkeypatch):
     assert [len(args[1].a) for args in beamformers] == [TRIAL_CHUNK] * 3 + [6] * 3
 
 
-def test_relay_count_sweep_draws_once_per_point_and_chunk(monkeypatch):
+def test_relay_count_sweep_draws_once_per_chunk(monkeypatch):
     draws = _count_calls(monkeypatch, "channels_for_trials")
     beamformers = _count_calls(monkeypatch, "stacked_beamformers")
     run_sweep(base_spec(values=(1, 2), trials=1030))
-    assert len(draws) == 2 * 2
+    assert len(draws) == 2  # two chunks, each drawn once at the largest k
+    assert [args[0].k for args in draws] == [2, 2]
     assert len(beamformers) == 3 * 2 * 2
     # chunk length and relay count of each call's Grams (T, k, m, m)
     assert [args[1].a.shape[:2] for args in beamformers] == (
-        [(TRIAL_CHUNK, 1)] * 3 + [(6, 1)] * 3 + [(TRIAL_CHUNK, 2)] * 3 + [(6, 2)] * 3
+        [(TRIAL_CHUNK, 1), (TRIAL_CHUNK, 2)] * 3 + [(6, 1), (6, 2)] * 3
     )
+
+
+def test_small_relay_sweep_splits_its_chunk_across_workers(monkeypatch):
+    # one chunk and two workers: the points are cut into two runs of
+    # similar total k (2 + 3 and 4 + 5), each drawn at its own largest k;
+    # the second reads its g from blocks [4, 10) of a draw at k = 5
+    started = []
+
+    class SerialPool:
+        """ProcessPoolExecutor's stand-in: runs the jobs here, where the
+        draw counter sees them."""
+
+        def __init__(self, workers):
+            started.append(workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    draws = _count_calls(monkeypatch, "channels_for_trials")
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+    spec = base_spec(values=(2, 3, 4, 5), trials=64)
+    rows = run_sweep(spec, workers=2)
+    assert started == [2]
+    assert [args[0].k for args in draws] == [3, 5]
+    assert rows == run_sweep(spec, workers=1)  # bitwise on the floats
+
+
+@pytest.mark.parametrize(
+    "relays, parts, runs",
+    [
+        ((1, 2, 3, 4, 5, 6, 7, 8), 1, [(0, 8)]),
+        ((1, 2, 3, 4, 5, 6, 7, 8), 2, [(0, 5), (5, 8)]),
+        ((1, 2, 3, 4, 5, 6, 7, 8), 3, [(0, 4), (4, 6), (6, 8)]),
+        ((1, 2), 4, [(0, 1), (1, 2)]),
+        ((10,) * 7, 2, [(0, 7)]),  # one k: nothing to cut, its points share all work
+    ],
+)
+def test_runs_cut_only_between_relay_counts(relays, parts, runs):
+    assert [(run.start, run.stop) for run in _runs(list(relays), parts)] == runs
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -357,6 +404,20 @@ def test_power_sweep_rows_equal_one_point_sweeps(workers):
         alone += run_sweep(one)
     spec = base_spec(axis="pnr_equals_qnr_db", values=values, trials=1030, seed=4)
     assert run_sweep(spec, workers=workers) == alone  # bitwise on the floats
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_relay_count_sweep_rows_equal_one_point_sweeps(workers):
+    # each k reads slices of one draw at the largest k, here with gapped
+    # relay counts, so g blocks [4, 5) are drawn but no k reads them; its
+    # rows are bitwise those of a sweep of that k alone. Two chunks, so
+    # workers 2 runs a pool
+    values = (1, 2, 5)
+    settings = dict(axis="relay_count", m=2, n=3, alpha=0.7, trials=1030, seed=4)
+    alone = []
+    for value in values:
+        alone += run_sweep(base_spec(values=(value,), **settings))
+    assert run_sweep(base_spec(values=values, **settings), workers=workers) == alone
 
 
 def test_numeric_error_names_point_scheme_and_trials(monkeypatch):
@@ -387,6 +448,20 @@ def test_numeric_error_in_shared_beamformers_names_every_point_of_the_group(monk
         run_sweep(spec)
     assert str(info.value).startswith(
         "pnr_equals_qnr_db = 0.0; pnr_equals_qnr_db = 10.0: af at trials [0, 64): "
+    )
+
+
+def test_numeric_error_in_shared_inverse_names_every_point_of_the_chunk(monkeypatch):
+    # mf-rzf's (A + alpha I)^-1 is formed once per chunk for all relay counts
+    def singular(gram):
+        raise NumericError("cholesky_stack: matrix not positive definite")
+
+    monkeypatch.setattr("relaysim.beamformers.cholesky_stack", singular)
+    with pytest.raises(NumericError) as info:
+        run_sweep(base_spec(values=(1, 2, 3), trials=64))
+    assert str(info.value) == (
+        "relay_count = 1; relay_count = 2; relay_count = 3: mf-rzf at trials [0, 64): "
+        "cholesky_stack: matrix not positive definite"
     )
 
 
