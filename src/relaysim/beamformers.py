@@ -67,12 +67,12 @@ class RelayGrams(NamedTuple):
     d: np.ndarray | None = None
 
 
-def relay_grams(h: np.ndarray, g: np.ndarray, cascade: bool = True) -> RelayGrams:
+def relay_grams(h: np.ndarray, g: np.ndarray) -> RelayGrams:
     """RelayGrams of channel stacks h (..., k, n, m) and g (..., k, m, n),
-    with the cascade g h only if `cascade`."""
+    without the cascade: af's caller forms g h for the relays it reads."""
     a = g @ np.swapaxes(g, -1, -2).conj()
     b = np.swapaxes(h, -1, -2).conj() @ h
-    return RelayGrams(a, b, g @ h if cascade else None, h.shape[-2])
+    return RelayGrams(a, b, None, h.shape[-2])
 
 
 def regularized_inverse(a: np.ndarray, alpha: float) -> np.ndarray:

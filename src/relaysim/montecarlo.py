@@ -21,28 +21,31 @@ not depend on the relay count: k relays read h from blocks [0, k) and g
 from blocks [k, 2k) of it (see channels_for_trials), so one draw at the
 largest k holds every smaller k as slices. The beamformers depend only
 on the channels and alpha; the powers p and q enter at power control. A
-job is one trial chunk of the whole sweep: it draws the chunk's channels
-once, at the largest k, and reduces them once to the relays' m x m
-Grams g g^H and h^H h (and, for mf-rzf at more than one k, to
-(g g^H + alpha I)^-1). Each k reads its slices of these; only the af
-cascade g h and each scheme's per-relay link products are formed per k.
-What is left per point is power control, two rho-weighted sums over
-relays, the QR and SNR, and the bound. A slice holds exactly the floats
-that k's own draw and Grams would, and chunk bounds, array shapes and
-each point's sequence of operations are those of a one-point sweep, so
-every float, and every byte of results.csv, equals what the point gives
-on its own. A sweep with fewer chunks than workers cuts each chunk into
-runs of points of similar total k, each drawn at its own largest k, so
-that a small relay count sweep still keeps its workers busy.
+job is one trial range [start, stop) of the whole sweep, at most
+TRIAL_CHUNK long: it draws the range's channels once, at the largest k,
+and reduces them once to the relays' m x m Grams g g^H and h^H h (and,
+for mf-rzf at more than one k, to (g g^H + alpha I)^-1). Each k reads
+its slices of these; only the af cascade g h and each scheme's
+per-relay link products are formed per k. What is left per point is
+power control, two rho-weighted sums over relays, the QR and SNR, and
+the bound. A slice holds exactly the floats that k's own draw and Grams
+would, and every operation works trial by trial, so a trial's
+capacities depend neither on the other points of its sweep nor on the
+range that holds it: every float, and every byte of results.csv, equals
+what the point gives on its own, at any range length. So a sweep with
+fewer chunks than workers shortens its ranges rather than cutting its
+points, and a run uses at most as many processes as there are jobs or
+CPUs.
 """
 
 from __future__ import annotations
 
 import contextlib
 import numbers
+import os
 from collections.abc import Iterable, Mapping
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -54,8 +57,8 @@ from .link import stacked_scheme_capacity, stacked_upper_bound
 
 UPPER_BOUND_LABEL = "upper-bound"
 
-# Trials are evaluated in fixed-size batches so the array shapes (and
-# therefore every intermediate float) are independent of the worker count.
+# The longest trial range of one job: it bounds a job's memory. Per-trial
+# floats do not depend on the range length, so neither do the results.
 TRIAL_CHUNK = 1024
 
 # axis -> the base network fields that each of its values replaces
@@ -66,9 +69,11 @@ AXES = {
     "pnr_equals_qnr_db": ("pnr_db", "qnr_db"),
 }
 
-# SweepSpec field -> type; a list is any non-string iterable, kept as a tuple
+# SweepSpec field (and run_sweep's workers) -> type; a list is any
+# non-string iterable, kept as a tuple
 _TYPES = dict(axis=str, values=list, m=int, n=int, k=int, pnr_db=float, qnr_db=float,
-              alpha=float, schemes=list, include_upper_bound=bool, trials=int, seed=int)
+              alpha=float, schemes=list, include_upper_bound=bool, trials=int, seed=int,
+              workers=int)
 _NETWORK = ("m", "n", "k", "pnr_db", "qnr_db", "alpha")
 
 
@@ -110,8 +115,8 @@ class SweepSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in _TYPES:
-            object.__setattr__(self, name, _typed(name, getattr(self, name)))
+        for field in fields(self):
+            object.__setattr__(self, field.name, _typed(field.name, getattr(self, field.name)))
         if self.axis not in AXES:
             raise ConfigError(f"sweep axis must be one of {', '.join(AXES)}, got {self.axis!r}")
         if len(self.values) == 0:
@@ -202,7 +207,7 @@ def _capacity_chunk(job) -> np.ndarray:
     try:
         # g is blocks [low, 2 top): k reads its g blocks [k, 2k) at k - low
         h, g = channels_for_trials(configs[relays[top][0]], seed, start, stop, low)
-        a, b, _, n, _ = relay_grams(h, g, cascade=False)
+        a, b, _, n, _ = relay_grams(h, g)
         if Scheme.AF not in schemes:
             del h, g
         table = np.empty((len(points), stop - start, len(schemes) + int(include_upper)))
@@ -244,44 +249,30 @@ def _capacity_chunk(job) -> np.ndarray:
     return table
 
 
-def _runs(relays: list, parts: int) -> list:
-    """Slices that cut points with relay counts `relays`, in sweep order,
-    into at most `parts` contiguous runs of similar total relay count:
-    a run ends before the point whose middle reaches the run's share.
-    Cuts fall only where k changes: points of one k share all their work."""
-    total, cuts, seen = sum(relays), [0], 0
-    for i, k in enumerate(relays):
-        if i and k != relays[i - 1] and seen + k / 2 >= total * len(cuts) / parts:
-            cuts.append(i)
-        seen += k
-    return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:] + [len(relays)])]
-
-
 def _capacity_tables(spec: SweepSpec, workers: int) -> np.ndarray:
     """(points, trials, series) per-trial capacities of every point of
-    the sweep, in trial order, from one map over jobs, run in at most one
-    process per job. A job is one trial chunk of the whole sweep; when
-    there are fewer chunks than workers, each chunk is cut further into
-    runs of points (see _runs), each of which draws at its own largest k."""
+    the sweep, in trial order, from one map over jobs. A job is one trial
+    range of the whole sweep, of at most TRIAL_CHUNK trials and short
+    enough that every worker gets one; the map runs in at most one
+    process per job and per CPU."""
+    workers = _typed("workers", workers)
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
+    workers = min(workers, os.cpu_count() or 1)
     schemes, include_upper, trials = spec.schemes, spec.include_upper_bound, spec.trials
     try:  # before the job list, which holds trials / TRIAL_CHUNK tuples
         tables = np.empty((len(spec.values), trials, len(schemes) + int(include_upper)))
     except MemoryError as exc:
         raise MemoryError(f"trials = {trials}: {exc}") from exc
-    points = [(f"{spec.axis} = {value}", spec.point(value)[0]) for value in spec.values]
-    chunks = [(start, min(start + TRIAL_CHUNK, trials)) for start in range(0, trials, TRIAL_CHUNK)]
-    runs = _runs([config.k for _, config in points], -(-workers // len(chunks)))
-    slots = [(run, start, stop) for start, stop in chunks for run in runs]
-    jobs = [
-        (tuple(points[run]), schemes, include_upper, spec.seed, *bounds) for run, *bounds in slots
-    ]
+    points = tuple((f"{spec.axis} = {value}", spec.point(value)[0]) for value in spec.values)
+    step = min(TRIAL_CHUNK, -(-trials // workers))
+    ranges = [(start, min(start + step, trials)) for start in range(0, trials, step)]
+    jobs = [(points, schemes, include_upper, spec.seed, start, stop) for start, stop in ranges]
     workers = min(workers, len(jobs))
     with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
         blocks = (pool.map if pool else map)(_capacity_chunk, jobs)
-        for (run, start, stop), block in zip(slots, blocks):
-            tables[run, start:stop] = block
+        for (start, stop), block in zip(ranges, blocks):
+            tables[:, start:stop] = block
     return tables
 
 
@@ -292,9 +283,10 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
 
     Rows are ordered axis-major, series-minor, with the upper bound (if
     requested) last within each point. All series of one point share the
-    same per-trial channel realizations. One map over (point group, trial
-    chunk) jobs, and for workers above 1 one process pool, serves the
-    whole sweep.
+    same per-trial channel realizations. One map over trial-range jobs,
+    and for workers above 1 one process pool, serves the whole sweep.
+    `workers` must be an integral number >= 1; it is capped at the CPU
+    count.
     """
     rows = []
     labels = [s.value for s in spec.schemes]

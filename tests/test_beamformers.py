@@ -94,7 +94,7 @@ def test_gram_products_equal_per_relay_builder_products(seed, m, extra, k, alpha
     # of the per-relay builders' f; fails for C = I - alpha D at alpha = 1e8
     cfg = NetworkConfig(m=m, n=m + extra, k=k, p=1.0, q=1.0, alpha=alpha)
     h, g = channels_for_trials(cfg, seed=seed, start=0, stop=3)
-    grams = relay_grams(h, g)
+    grams = relay_grams(h, g)._replace(cascade=g @ h)  # af reads the cascade
     if alpha == 0.0:
         # both routes invert g g^H, so their errors grow with its condition
         assume(np.linalg.cond(grams.a).max() < 1e4)

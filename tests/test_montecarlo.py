@@ -4,6 +4,7 @@ determinism across seeds and worker counts."""
 
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from relaysim.montecarlo import (
     ConfigError,
     SweepSpec,
     _capacity_chunk,
-    _runs,
+    _capacity_tables,
     run_sweep,
 )
 
@@ -200,8 +201,30 @@ def test_estimate_fields():
     assert single.capacity_stderr_bits == 0.0
 
 
+@pytest.mark.parametrize(
+    "workers, message",
+    [
+        ("2", "key 'workers' must be int, got str"),
+        (None, "key 'workers' must be int, got NoneType"),
+        (2.5, "key 'workers' must be int, got float"),
+        (True, "key 'workers' must be int, got bool"),
+        (0, "workers must be >= 1, got 0"),
+    ],
+    ids=["str", "none", "float", "bool", "zero"],
+)
+def test_bad_workers_is_a_config_error_naming_it(workers, message):
+    with pytest.raises(ConfigError) as info:
+        run_sweep(base_spec(trials=16), workers=workers)
+    assert str(info.value) == message
+
+
+def test_workers_take_any_integral_number():
+    spec = base_spec(trials=16)
+    assert run_sweep(spec, workers=np.int64(1)) == run_sweep(spec)
+
+
 def test_workers_do_not_change_results():
-    # three chunks, so workers 3 runs a pool
+    # three chunks, so workers 3 runs a pool on a machine of two or more CPUs
     spec = one_point(2, Scheme.MF_RZF, n=3, trials=2100, seed=5)
     assert run_sweep(spec, workers=1) == run_sweep(spec, workers=3)
 
@@ -349,16 +372,14 @@ def test_relay_count_sweep_draws_once_per_chunk(monkeypatch):
     )
 
 
-def test_small_relay_sweep_splits_its_chunk_across_workers(monkeypatch):
-    # one chunk and two workers: the points are cut into two runs of
-    # similar total k (2 + 3 and 4 + 5), each drawn at its own largest k;
-    # the second reads its g from blocks [4, 10) of a draw at k = 5
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Replace ProcessPoolExecutor by a stand-in that runs the jobs here,
+    where the call counters see them and no process starts; returns the
+    list of the pool sizes opened."""
     started = []
 
     class SerialPool:
-        """ProcessPoolExecutor's stand-in: runs the jobs here, where the
-        draw counter sees them."""
-
         def __init__(self, workers):
             started.append(workers)
 
@@ -371,27 +392,60 @@ def test_small_relay_sweep_splits_its_chunk_across_workers(monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    draws = _count_calls(monkeypatch, "channels_for_trials")
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+    return started
+
+
+def test_small_relay_sweep_splits_its_chunk_across_workers(monkeypatch, serial_pool):
+    # one chunk's worth of trials and two workers: each worker gets a range
+    # of 32 trials of every point, drawn once at the sweep's largest k
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    draws = _count_calls(monkeypatch, "channels_for_trials")
     spec = base_spec(values=(2, 3, 4, 5), trials=64)
     rows = run_sweep(spec, workers=2)
-    assert started == [2]
-    assert [args[0].k for args in draws] == [3, 5]
+    assert serial_pool == [2]
+    # (relay count, trial count) of each draw
+    assert [(args[0].k, args[3] - args[2]) for args in draws] == [(5, 32), (5, 32)]
     assert rows == run_sweep(spec, workers=1)  # bitwise on the floats
 
 
 @pytest.mark.parametrize(
-    "relays, parts, runs",
+    "m, n, relays, alpha, trials",
     [
-        ((1, 2, 3, 4, 5, 6, 7, 8), 1, [(0, 8)]),
-        ((1, 2, 3, 4, 5, 6, 7, 8), 2, [(0, 5), (5, 8)]),
-        ((1, 2, 3, 4, 5, 6, 7, 8), 3, [(0, 4), (4, 6), (6, 8)]),
-        ((1, 2), 4, [(0, 1), (1, 2)]),
-        ((10,) * 7, 2, [(0, 7)]),  # one k: nothing to cut, its points share all work
+        (1, 1, (1,), 1.0, 64),
+        (2, 3, (1, 2, 5), 0.0, 64),
+        (4, 4, tuple(range(1, 9)), 1.0, 64),
+        (8, 8, (10,), 1.0, 16),
     ],
 )
-def test_runs_cut_only_between_relay_counts(relays, parts, runs):
-    assert [(run.start, run.stop) for run in _runs(list(relays), parts)] == runs
+def test_per_trial_capacities_do_not_depend_on_the_range_length(
+    monkeypatch, serial_pool, m, n, relays, alpha, trials
+):
+    # with the CPUs pinned high, workers 3, 7 and `trials` cut the trials
+    # into ranges of ceil(trials / workers), down to one trial a job
+    monkeypatch.setattr(os, "cpu_count", lambda: 1000)
+    spec = base_spec(values=relays, m=m, n=n, alpha=alpha, trials=trials, seed=6)
+    whole = _capacity_tables(spec, 1)
+    for workers in (3, 7, trials):
+        assert _capacity_tables(spec, workers).tobytes() == whole.tobytes()
+    assert len(serial_pool) == 3
+
+
+def test_pool_never_exceeds_the_cpus(monkeypatch, serial_pool):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    jobs = _count_calls(monkeypatch, "_capacity_chunk")
+    run_sweep(one_point(1, Scheme.MF, m=1, n=1, trials=10_000), workers=1000)
+    assert serial_pool == [2]
+    assert [job[4:] for (job,) in jobs] == [
+        (start, min(start + TRIAL_CHUNK, 10_000)) for start in range(0, 10_000, TRIAL_CHUNK)
+    ]  # ten jobs of at most TRIAL_CHUNK trials
+    jobs.clear()
+    run_sweep(one_point(1, Scheme.MF, trials=64), workers=8)
+    assert serial_pool == [2, 2]
+    assert [job[4:] for (job,) in jobs] == [(0, 32), (32, 64)]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one process
+    run_sweep(one_point(1, Scheme.MF, trials=64), workers=8)
+    assert serial_pool == [2, 2]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
