@@ -14,8 +14,10 @@ Noise variances are 1, so p and q are PNR and QNR.
 The Monte Carlo loop never forms F. The SIC receiver needs four things
 from each relay: the cascade P = G F H, the forwarded-noise Gram
 S = (G F)(G F)^H, ||F H||^2 and ||F||^2. mf and mf-rzf are one family,
-F = G^H D H^H, with D = I for mf and D = (A + alpha I)^-1 for mf-rzf,
-where A = G G^H and B = H^H H (D commutes with A). These are
+F = G^H D H^H, with D = I for mf and D = (1 + alpha)(A + alpha I)^-1 for
+mf-rzf, where A = G G^H and B = H^H H (D commutes with A). The factor
+1 + alpha scales F, which power control cancels, and keeps D near I at
+any alpha. These are
 
     af:         P = G H,  S = A,  ||FH||^2 = tr B,  ||F||^2 = n
     mf, mf-rzf: X = D B,  C = A D,  P = A X,  S = P C,
@@ -25,10 +27,10 @@ so for mf and mf-rzf all four are m x m functions of A and B. A sweep
 forms A, B (relay_grams) and D (regularized_inverse) once per chunk of
 trials, for all its relay counts, and the products once per relay count
 (stacked_beamformers). The powers p and q enter only through rho
-(stacked_power_factors). C is the product A D and not I - alpha D,
-which is the same matrix in exact arithmetic but cancels at large
-alpha. The test suite pins the Gram route to per-relay builders that do
-form F.
+(stacked_power_factors). C is the product A D and not
+(1 + alpha)I - alpha D, which is the same matrix in exact arithmetic but
+cancels at large alpha. The test suite pins the Gram route to per-relay
+builders that do form F.
 """
 
 from __future__ import annotations
@@ -76,11 +78,14 @@ def relay_grams(h: np.ndarray, g: np.ndarray) -> RelayGrams:
 
 
 def regularized_inverse(a: np.ndarray, alpha: float) -> np.ndarray:
-    """D = (A + alpha I)^-1 of a stack of Grams a (..., m, m). Raises
-    NumericError unless every A + alpha I is positive definite."""
+    """D = (1 + alpha)(A + alpha I)^-1 of a stack of Grams a (..., m, m),
+    as the inverse of A/(1 + alpha) + alpha/(1 + alpha) I: it tends to I
+    as alpha grows, where the products of (A + alpha I)^-1 underflow,
+    and to A^-1 as alpha tends to 0. Raises NumericError unless every
+    A + alpha I is positive definite."""
     m = a.shape[-1]
-    gram = a.copy()
-    gram[..., range(m), range(m)] += alpha
+    gram = a / (1.0 + alpha)
+    gram[..., range(m), range(m)] += alpha / (1.0 + alpha)
     cholesky_stack(gram)  # raises NumericError unless positive definite
     return np.linalg.inv(gram)
 

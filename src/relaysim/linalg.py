@@ -14,14 +14,6 @@ class NumericError(ArithmeticError):
     """A factorization or solve failed (e.g. matrix not positive definite)."""
 
 
-def qr_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """QR of a stack (..., m, m) of square matrices as (q, |diag r|), the
-    (..., m) magnitudes being all of r that successive detection reads.
-    q is LAPACK's Householder factor as it comes, not normalized."""
-    q, r = np.linalg.qr(a)
-    return q, np.abs(np.diagonal(r, axis1=-2, axis2=-1))
-
-
 def re_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Re sum(a o conj(b)) = Re tr(a b^H) over the trailing two axes of
     complex stacks (..., rows, cols). Computed from the float64 views of

@@ -3,16 +3,17 @@ per-stream SNR, and instantaneous capacity.
 
 The destination QR-decomposes the effective source-destination channel
 and detects streams in reverse order, cancelling already-decoded ones.
-With perfect cancellation stream m sees |r_mm| as signal gain, plus
-forwarded relay noise rotated by q^H and local receiver noise, both of
+With perfect cancellation stream j sees |r_jj| as signal gain, plus
+forwarded relay noise rotated by q_j^H and local receiver noise, both of
 unit variance (powers are PNR and QNR): SIC reads only q and |diag r|.
 Capacity carries the 1/2 pre-log of the two-slot half-duplex protocol.
 
-The stacked_* functions evaluate whole batches of Monte Carlo trials at
-once (leading axes broadcast). They never see a beamformer F, only the
-per-relay m x m products that stacked_beamformers forms once per chunk
-and scheme: the cascade P_k = g_k F_k h_k and the forwarded-noise Gram
-S_k = (g_k F_k)(g_k F_k)^H. Per sweep point, what is left is
+The functions here evaluate whole batches of Monte Carlo trials at once
+(leading axes broadcast; sic_capacity takes one trial axis). They never
+see a beamformer F, only the per-relay m x m products that
+stacked_beamformers forms once per chunk and scheme: the cascade
+P_k = g_k F_k h_k and the forwarded-noise Gram S_k = (g_k F_k)(g_k F_k)^H.
+Per sweep point, what is left is
 
     effective channel  H_sd = sum_k rho_k P_k
     relay noise Gram   M    = sum_k rho_k^2 S_k
@@ -20,6 +21,26 @@ S_k = (g_k F_k)(g_k F_k)^H. Per sweep point, what is left is
 
 where q is the unitary factor of H_sd, and the cut-set bound needs only
 sum_k h_k^H h_k.
+
+sic_capacity factors H_sd by modified Gram-Schmidt vectorized across
+the trials rather than by one LAPACK call per m x m matrix, whose
+per-call cost dominates at these sizes. H_sd is transposed once into a
+column-major, trial-minor array (column, row, trial), so column j of
+every trial is one contiguous (m, T) slice. Step j normalizes the
+residual v_j of column j, with |r_jj|^2 = ||v_j||^2, and projects q_j
+out of all the columns after it in one step. A residual that is exactly
+zero, such as that of a zero column, is never divided by: its q_j is 0
+and its stream gets SNR 0, so it removes nothing from the later columns
+(where LAPACK's Householder QR would pick some unit q_j). A column in
+the span of the earlier ones leaves rounding dust and an SNR near 0.
+The noise q_j^H M q_j is then read from the batched product M Q, which
+at 8 x 8 is cheaper than forming it in the trial-minor layout.
+
+A trial's capacity must not depend on how many trials share its batch.
+Elementwise operations and einsum over the row axis keep that;
+ndarray.sum over the row axis does not, because numpy sums in another
+order when the trial axis has length 1. So no row-axis reduction here is
+an ndarray.sum.
 """
 
 from __future__ import annotations
@@ -27,7 +48,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import NetworkConfig
-from .linalg import logdet_hpd_stack, qr_stack
+from .linalg import logdet_hpd_stack
 
 _LN2 = float(np.log(2.0))
 
@@ -45,32 +66,33 @@ def stacked_effective_channel(p: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return _relay_sum(rho, p)
 
 
-def stacked_snr(
-    noise_gram: np.ndarray,
-    q: np.ndarray,
-    r_diag: np.ndarray,
-    config: NetworkConfig,
-) -> np.ndarray:
-    """Post-detection SNR of each stream, batched over leading axes, from
-    the QR factor q and |diag r| (..., m) of the effective channel. A unit
-    phase on a column of q leaves the SNR unchanged.
-
-    Signal power of stream m is (p/m) |r_mm|^2. The noise seen by stream m
-    is the relay noise forwarded through rho_k g_k f_k, rotated by q^H,
-    plus the destination noise:
-
-        sum_k rho_k^2 ||row_m(q^H g_k f_k)||^2 + 1
-
-    The sum over relays is the m-th diagonal entry of q^H M q, where
-    noise_gram is M = sum_k rho_k^2 (g_k f_k)(g_k f_k)^H.
-    """
-    row_power = np.real(np.einsum("...ij,...ij->...j", q.conj(), noise_gram @ q))
-    return (config.p / config.m) * r_diag**2 / (row_power + 1.0)
-
-
 def stacked_capacity_bits(snr: np.ndarray) -> np.ndarray:
     """Half-duplex sum rate in bits: 0.5 * sum_m log2(1 + snr_m)."""
     return 0.5 * np.sum(np.log1p(snr), axis=-1) / _LN2
+
+
+def sic_capacity(
+    p: np.ndarray, s: np.ndarray, rho: np.ndarray, p_lin: float, m: int
+) -> np.ndarray:
+    """Capacity (T,) of T trials under SIC detection, from the relays'
+    cascades p and forwarded-noise Grams s (T, k, m, m), their power
+    factors rho (T, k), the source power p_lin and the stream count m.
+
+    Stream j's SNR is (p_lin/m) |r_jj|^2 / (q_j^H M q_j + 1), with q_j and
+    r_jj from the Gram-Schmidt QR of H_sd; see the module docstring."""
+    # (column, row, trial): a[j] is column j of every trial
+    a = np.ascontiguousarray(stacked_effective_channel(p, rho).transpose(2, 1, 0))
+    q = np.empty_like(a)
+    r_sq = np.empty((m, a.shape[-1]))
+    for j in range(m):
+        v = a[j]
+        r_sq[j] = np.einsum("rt,rt->t", v.real, v.real) + np.einsum("rt,rt->t", v.imag, v.imag)
+        scale = np.divide(1.0, np.sqrt(r_sq[j]), out=np.zeros(a.shape[-1]), where=r_sq[j] > 0)
+        np.multiply(v, scale, out=q[j])
+        a[j + 1 :] -= np.einsum("rt,crt->ct", q[j].conj(), a[j + 1 :])[:, np.newaxis] * q[j]
+    q = np.ascontiguousarray(q.transpose(2, 1, 0))  # (trial, row, column)
+    noise = np.real(np.einsum("...ij,...ij->...j", q.conj(), _relay_sum(rho**2, s) @ q))
+    return stacked_capacity_bits((p_lin / m) * r_sq.T / (noise + 1.0))
 
 
 def stacked_scheme_capacity(
@@ -78,8 +100,7 @@ def stacked_scheme_capacity(
 ) -> np.ndarray:
     """Capacity of every trial in a batch under one beamforming scheme,
     from the relays' cascades p and forwarded-noise Grams s."""
-    q, r_diag = qr_stack(stacked_effective_channel(p, rho))
-    return stacked_capacity_bits(stacked_snr(_relay_sum(rho**2, s), q, r_diag, config))
+    return sic_capacity(p, s, rho, config.p, config.m)
 
 
 def stacked_upper_bound(b_sum: np.ndarray, config: NetworkConfig) -> np.ndarray:
@@ -94,4 +115,3 @@ def stacked_upper_bound(b_sum: np.ndarray, config: NetworkConfig) -> np.ndarray:
     m = b_sum.shape[-1]
     arg = np.eye(m) + (config.p / m) * b_sum
     return 0.5 * logdet_hpd_stack(arg) / _LN2
-

@@ -24,12 +24,12 @@ on the channels and alpha; the powers p and q enter at power control. A
 job is one trial range [start, stop) of the whole sweep, at most
 TRIAL_CHUNK long: it draws the range's channels once, at the largest k,
 and reduces them once to the relays' m x m Grams g g^H and h^H h (and,
-for mf-rzf at more than one k, to (g g^H + alpha I)^-1). Each k reads
-its slices of these; only the af cascade g h and each scheme's
-per-relay link products are formed per k. What is left per point is
-power control, two rho-weighted sums over relays, the QR and SNR, and
-the bound. A slice holds exactly the floats that k's own draw and Grams
-would, and every operation works trial by trial, so a trial's
+for mf-rzf at more than one k, to (1 + alpha)(g g^H + alpha I)^-1).
+Each k reads its slices of these; only the af cascade g h and each
+scheme's per-relay link products are formed per k. What is left per
+point is power control, two rho-weighted sums over relays, the QR and
+SNR, and the bound. A slice holds exactly the floats that k's own draw
+and Grams would, and every operation works trial by trial, so a trial's
 capacities depend neither on the other points of its sweep nor on the
 range that holds it: every float, and every byte of results.csv, equals
 what the point gives on its own, at any range length. So a sweep with
@@ -187,10 +187,10 @@ def _capacity_chunk(job) -> np.ndarray:
     The channels are drawn once, at the largest relay count K, and
     reduced once to B = h^H h of blocks [0, K) and A = g g^H of blocks
     [min k, 2K), which hold every k's g; for mf-rzf at more than one k, to
-    D = (A + alpha I)^-1 too. Each k takes its slices of A, B and D; the
-    af cascade g h and each scheme's link products are formed per k, and
-    power control, the link and the bound per point. af runs first, so
-    that h and g can be released after it. A NumericError, or a
+    D = (1 + alpha)(A + alpha I)^-1 too. Each k takes its slices of A, B
+    and D; the af cascade g h and each scheme's link products are formed
+    per k, and power control, the link and the bound per point. af runs
+    first, so that h and g can be released after it. A NumericError, or a
     floating-point overflow, division by zero or invalid operation, is
     raised as a NumericError naming the point(s) whose work failed (all
     of them for the shared D, those of one k for its link products), the

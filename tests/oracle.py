@@ -7,10 +7,13 @@ channel realization at a time, forms every relay's F explicitly (mf-rzf
 through a scipy Cholesky solve), and only then reduces to the cascade
 P = g F h and forwarded-noise Gram S = (g F)(g F)^H that the package's
 link functions take. Agreement between the two routes therefore checks
-the Gram identities in relaysim.beamformers. simulate_transmission
-measures SNR by pushing signal and noise through the chain. The checked
-single-matrix helpers (products, Hermitian transpose, trace, norms,
-log-determinant) are the tests' building blocks.
+the Gram identities in relaysim.beamformers. The chain detects with
+LAPACK's Householder QR (qr_stack, stacked_snr), independent of the
+package's Gram-Schmidt kernel relaysim.link.sic_capacity, and
+lapack_scheme_capacity is that route on the package's batched inputs.
+simulate_transmission measures SNR by pushing signal and noise through
+the chain. The checked single-matrix helpers (products, Hermitian
+transpose, trace, norms, log-determinant) are the tests' building blocks.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from relaysim.link import (
     _relay_sum,
     stacked_capacity_bits,
     stacked_effective_channel,
-    stacked_snr,
     stacked_upper_bound,
 )
 
@@ -90,11 +92,19 @@ def logdet_hpd(a: np.ndarray) -> float:
 @dataclass(frozen=True)
 class QrFactors:
     """Phase-normalized QR factors of a square matrix: q unitary and r
-    upper triangular with a real non-negative diagonal. relaysim's
-    qr_stack returns only q, with LAPACK's column phases, and |diag r|."""
+    upper triangular with a real non-negative diagonal. qr_stack returns
+    only q, with LAPACK's column phases, and |diag r|."""
 
     q: np.ndarray
     r: np.ndarray
+
+
+def qr_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """QR of a stack (..., m, m) of square matrices as (q, |diag r|), the
+    (..., m) magnitudes being all of r that successive detection reads.
+    q is LAPACK's Householder factor as it comes, not normalized."""
+    q, r = np.linalg.qr(a)
+    return q, np.abs(np.diagonal(r, axis1=-2, axis2=-1))
 
 
 def qr_decompose(a: np.ndarray) -> QrFactors:
@@ -297,6 +307,39 @@ class LinkMetrics:
     qr: QrFactors
     snr_per_stream: np.ndarray
     capacity_bits: float
+
+
+def stacked_snr(
+    noise_gram: np.ndarray,
+    q: np.ndarray,
+    r_diag: np.ndarray,
+    config: NetworkConfig,
+) -> np.ndarray:
+    """Post-detection SNR of each stream, batched over leading axes, from
+    the QR factor q and |diag r| (..., m) of the effective channel. A unit
+    phase on a column of q leaves the SNR unchanged.
+
+    Signal power of stream m is (p/m) |r_mm|^2. The noise seen by stream m
+    is the relay noise forwarded through rho_k g_k f_k, rotated by q^H,
+    plus the destination noise:
+
+        sum_k rho_k^2 ||row_m(q^H g_k f_k)||^2 + 1
+
+    The sum over relays is the m-th diagonal entry of q^H M q, where
+    noise_gram is M = sum_k rho_k^2 (g_k f_k)(g_k f_k)^H.
+    """
+    row_power = np.real(np.einsum("...ij,...ij->...j", q.conj(), noise_gram @ q))
+    return (config.p / config.m) * r_diag**2 / (row_power + 1.0)
+
+
+def lapack_scheme_capacity(
+    p: np.ndarray, s: np.ndarray, rho: np.ndarray, config: NetworkConfig
+) -> np.ndarray:
+    """relaysim.link.sic_capacity's inputs and output, through LAPACK's
+    QR and stacked_snr: per-trial capacities of cascades p and noise
+    Grams s (..., k, m, m) under power factors rho (..., k)."""
+    q, r_diag = qr_stack(stacked_effective_channel(p, rho))
+    return stacked_capacity_bits(stacked_snr(_relay_sum(rho**2, s), q, r_diag, config))
 
 
 def effective_channel(realization: ChannelRealization, weights: RelayWeights) -> np.ndarray:

