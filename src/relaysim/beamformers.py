@@ -24,10 +24,10 @@ any alpha. These are
                 ||FH||^2 = Re sum P o conj(X),  ||F||^2 = tr(C X)
 
 so for mf and mf-rzf all four are m x m functions of A and B. A sweep
-forms A, B (relay_grams) and D (regularized_inverse) once per chunk of
-trials, for all its relay counts, and the products once per relay count
-(stacked_beamformers). The powers p and q enter only through rho
-(stacked_power_factors). C is the product A D and not
+forms A, B (relay_grams) and mf-rzf's D (regularized_inverse) once per
+chunk of trials, for all its relay counts, and the products once per
+relay count (stacked_beamformers). The powers p and q enter only
+through rho (stacked_power_factors). C is the product A D and not
 (1 + alpha)I - alpha D, which is the same matrix in exact arithmetic but
 cancels at large alpha. The test suite pins the Gram route to per-relay
 builders that do form F.
@@ -58,9 +58,8 @@ class RelayGrams(NamedTuple):
     """The m x m channel products of stacks h (..., k, n, m) and
     g (..., k, m, n) that stacked_beamformers works from: a = g g^H,
     b = h^H h and, when af needs it, the cascade g h (else None); n is
-    the relay antenna count. d, when given, is mf-rzf's
-    regularized_inverse(a, alpha), formed once for the a it was taken
-    from and shared; else mf-rzf forms it."""
+    the relay antenna count. d, which mf-rzf needs, is
+    regularized_inverse(a, alpha) of the a it was taken from."""
 
     a: np.ndarray
     b: np.ndarray
@@ -90,7 +89,7 @@ def regularized_inverse(a: np.ndarray, alpha: float) -> np.ndarray:
     return np.linalg.inv(gram)
 
 
-def stacked_beamformers(scheme: Scheme, grams: RelayGrams, alpha: float) -> tuple:
+def stacked_beamformers(scheme: Scheme, grams: RelayGrams) -> tuple:
     """What the link needs from each relay's beamformer F under `scheme`,
     from the channel products `grams` (..., k, m, m): (P, S, fh_sq, f_sq)
     with the cascades P = g F h and forwarded-noise Grams
@@ -98,8 +97,7 @@ def stacked_beamformers(scheme: Scheme, grams: RelayGrams, alpha: float) -> tupl
     (..., k). See the module docstring for the identities.
 
     Leading axes are broadcast batch dimensions (Monte Carlo trials),
-    axis -3 indexes relays. mf-rzf reads D from grams.d, or forms it and
-    raises NumericError unless every A + alpha I is positive definite.
+    axis -3 indexes relays. mf-rzf reads D from grams.d.
     """
     a, b = grams.a, grams.b
     if scheme is Scheme.AF:
@@ -109,15 +107,10 @@ def stacked_beamformers(scheme: Scheme, grams: RelayGrams, alpha: float) -> tupl
         raise ValueError(f"unknown scheme {scheme!r}")
     x, c = b, a  # D = I
     if scheme is Scheme.MF_RZF:
-        d = regularized_inverse(a, alpha) if grams.d is None else grams.d
-        x, c = d @ b, a @ d
-        del d
+        x, c = grams.d @ b, a @ grams.d
     p = a @ x
     # tr(C X) as Re sum X o conj(C): C = A D is Hermitian
-    fh_sq, f_sq = re_inner(p, x), re_inner(x, c)
-    # mf-rzf's X is its own and dead now: S = P C reuses its buffer
-    s = p @ c if x is b else np.matmul(p, c, out=x)
-    return p, s, fh_sq, f_sq
+    return p, p @ c, re_inner(p, x), re_inner(x, c)
 
 
 def stacked_power_factors(

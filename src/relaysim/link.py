@@ -71,15 +71,14 @@ def stacked_capacity_bits(snr: np.ndarray) -> np.ndarray:
     return 0.5 * np.sum(np.log1p(snr), axis=-1) / _LN2
 
 
-def sic_capacity(
-    p: np.ndarray, s: np.ndarray, rho: np.ndarray, p_lin: float, m: int
-) -> np.ndarray:
+def sic_capacity(p: np.ndarray, s: np.ndarray, rho: np.ndarray, p_lin: float) -> np.ndarray:
     """Capacity (T,) of T trials under SIC detection, from the relays'
     cascades p and forwarded-noise Grams s (T, k, m, m), their power
-    factors rho (T, k), the source power p_lin and the stream count m.
+    factors rho (T, k) and the source power p_lin; m is the stream count.
 
     Stream j's SNR is (p_lin/m) |r_jj|^2 / (q_j^H M q_j + 1), with q_j and
     r_jj from the Gram-Schmidt QR of H_sd; see the module docstring."""
+    m = p.shape[-1]
     # (column, row, trial): a[j] is column j of every trial
     a = np.ascontiguousarray(stacked_effective_channel(p, rho).transpose(2, 1, 0))
     q = np.empty_like(a)
@@ -100,7 +99,7 @@ def stacked_scheme_capacity(
 ) -> np.ndarray:
     """Capacity of every trial in a batch under one beamforming scheme,
     from the relays' cascades p and forwarded-noise Grams s."""
-    return sic_capacity(p, s, rho, config.p, config.m)
+    return sic_capacity(p, s, rho, config.p)
 
 
 def stacked_upper_bound(b_sum: np.ndarray, config: NetworkConfig) -> np.ndarray:

@@ -24,7 +24,7 @@ on the channels and alpha; the powers p and q enter at power control. A
 job is one trial range [start, stop) of the whole sweep, at most
 TRIAL_CHUNK long: it draws the range's channels once, at the largest k,
 and reduces them once to the relays' m x m Grams g g^H and h^H h (and,
-for mf-rzf at more than one k, to (1 + alpha)(g g^H + alpha I)^-1).
+for mf-rzf, to (1 + alpha)(g g^H + alpha I)^-1).
 Each k reads its slices of these; only the af cascade g h and each
 scheme's per-relay link products are formed per k. What is left per
 point is power control, two rho-weighted sums over relays, the QR and
@@ -35,7 +35,7 @@ range that holds it: every float, and every byte of results.csv, equals
 what the point gives on its own, at any range length. So a sweep with
 fewer chunks than workers shortens its ranges rather than cutting its
 points, and a run uses at most as many processes as there are jobs or
-CPUs.
+CPUs. The range length alone bounds a job's memory.
 """
 
 from __future__ import annotations
@@ -57,9 +57,10 @@ from .link import stacked_scheme_capacity, stacked_upper_bound
 
 UPPER_BOUND_LABEL = "upper-bound"
 
-# The longest trial range of one job: it bounds a job's memory. Per-trial
-# floats do not depend on the range length, so neither do the results.
-TRIAL_CHUNK = 1024
+# The longest trial range of one job: it bounds a job's memory, which is
+# linear in it. Per-trial floats do not depend on the range length, so
+# neither do the results.
+TRIAL_CHUNK = 512
 
 # axis -> the base network fields that each of its values replaces
 AXES = {
@@ -186,16 +187,17 @@ def _capacity_chunk(job) -> np.ndarray:
 
     The channels are drawn once, at the largest relay count K, and
     reduced once to B = h^H h of blocks [0, K) and A = g g^H of blocks
-    [min k, 2K), which hold every k's g; for mf-rzf at more than one k, to
+    [min k, 2K), which hold every k's g; for mf-rzf, to
     D = (1 + alpha)(A + alpha I)^-1 too. Each k takes its slices of A, B
     and D; the af cascade g h and each scheme's link products are formed
-    per k, and power control, the link and the bound per point. af runs
-    first, so that h and g can be released after it. A NumericError, or a
-    floating-point overflow, division by zero or invalid operation, is
-    raised as a NumericError naming the point(s) whose work failed (all
-    of them for the shared D, those of one k for its link products), the
-    series and the trial range, and a MemoryError naming the point(s) and
-    the trial range.
+    per k, and power control, the link and the bound per point. Two
+    releases keep a job's peak memory low: af runs first, so that h and g
+    go after it, and each k's P and S go before the next k's are formed.
+    A NumericError, or a floating-point overflow, division by zero or
+    invalid operation, is raised as a NumericError naming the point(s)
+    whose work failed (all of them for the shared D, those of one k for
+    its link products), the series and the trial range, and a MemoryError
+    naming the point(s) and the trial range.
     """
     points, schemes, include_upper, seed, start, stop = job
     labels, configs = zip(*points)
@@ -212,17 +214,14 @@ def _capacity_chunk(job) -> np.ndarray:
             del h, g
         table = np.empty((len(points), stop - start, len(schemes) + int(include_upper)))
         for j, scheme in sorted(enumerate(schemes), key=lambda item: item[1] is not Scheme.AF):
-            d = None  # at one k, stacked_beamformers forms D and frees it early
-            if scheme is Scheme.MF_RZF and len(relays) > 1:
-                where = labels, scheme.value
-                d = regularized_inverse(a, alpha)
+            where = labels, scheme.value
+            d = regularized_inverse(a, alpha) if scheme is Scheme.MF_RZF else None
             for k in sorted(relays):
                 g_k = slice(k - low, 2 * k - low)
                 cascade = g[:, g_k] @ h[:, :k] if scheme is Scheme.AF else None
                 grams = RelayGrams(a[:, g_k], b[:, :k], cascade, n, d if d is None else d[:, g_k])
                 where = [labels[i] for i in relays[k]], scheme.value
-                p, s, fh_sq, f_sq = stacked_beamformers(scheme, grams, alpha)
-                del grams, cascade
+                p, s, fh_sq, f_sq = stacked_beamformers(scheme, grams)
                 for i in relays[k]:
                     where = labels[i : i + 1], scheme.value
                     config = configs[i]
@@ -231,7 +230,6 @@ def _capacity_chunk(job) -> np.ndarray:
                 del p, s
             if scheme is Scheme.AF:
                 del h, g
-            del d
         if include_upper:
             for k in sorted(relays):
                 b_sum = np.sum(b[:, :k], axis=-3)

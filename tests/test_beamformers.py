@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from relaysim.beamformers import Scheme, relay_grams, stacked_beamformers
+from relaysim.beamformers import Scheme, regularized_inverse, relay_grams, stacked_beamformers
 from relaysim.channel import NetworkConfig, channels_for_trials
 from relaysim.linalg import NumericError
 
@@ -71,10 +71,12 @@ def test_mf_rzf_singular_gram_in_a_chunk_raises():
     # its Gram matrix g g^H is singular and the whole chunk must fail
     cfg = NetworkConfig(m=4, n=4, k=4, p=1.0, q=1.0, alpha=0.0)
     h, g = channels_for_trials(cfg, seed=3, start=100, stop=164)
-    stacked_beamformers(Scheme.MF_RZF, relay_grams(h, g), alpha=0.0)  # full rank: fine
+    grams = relay_grams(h, g)
+    d = regularized_inverse(grams.a, alpha=0.0)  # full rank: fine
+    stacked_beamformers(Scheme.MF_RZF, grams._replace(d=d))
     g[37, 2, 1, :] = 0.0
     with pytest.raises(NumericError):
-        stacked_beamformers(Scheme.MF_RZF, relay_grams(h, g), alpha=0.0)
+        regularized_inverse(relay_grams(h, g).a, alpha=0.0)
 
 
 def _relative_error(actual, expected):
@@ -99,13 +101,14 @@ def test_gram_products_equal_per_relay_builder_products(seed, m, extra, k, alpha
     if alpha == 0.0:
         # both routes invert g g^H, so their errors grow with its condition
         assume(np.linalg.cond(grams.a).max() < 1e4)
+    grams = grams._replace(d=regularized_inverse(grams.a, alpha))  # mf-rzf reads D
     builders = {
         Scheme.AF: lambda h_i, g_i: af_beamformer(cfg.n),
         Scheme.MF: mf_beamformer,
         Scheme.MF_RZF: lambda h_i, g_i: (1 + alpha) * mf_rzf_beamformer(h_i, g_i, alpha),
     }
     for scheme, builder in builders.items():
-        p, s, fh_sq, f_sq = stacked_beamformers(scheme, grams, alpha)
+        p, s, fh_sq, f_sq = stacked_beamformers(scheme, grams)
         for t in range(len(h)):
             for i in range(k):
                 f = builder(h[t, i], g[t, i])

@@ -234,10 +234,10 @@ def test_numeric_error_exits_1_naming_point_scheme_and_trials(
 ):
     original = montecarlo.stacked_beamformers
 
-    def singular_at_two_relays(scheme, grams, alpha):
+    def singular_at_two_relays(scheme, grams):
         if scheme is Scheme.MF and grams.a.shape[-3] == 2:
             raise NumericError("cholesky_stack: matrix not positive definite")
-        return original(scheme, grams, alpha)
+        return original(scheme, grams)
 
     monkeypatch.setattr(montecarlo, "stacked_beamformers", singular_at_two_relays)
     assert _run(["run", tiny_scenario, "--out", tmp_path / "out", "--workers", 1]) == 1

@@ -5,7 +5,8 @@ noise simulation."""
 import numpy as np
 import pytest
 
-from relaysim.beamformers import Scheme, relay_grams, stacked_beamformers, stacked_power_factors
+from relaysim.beamformers import Scheme, regularized_inverse, relay_grams, stacked_beamformers
+from relaysim.beamformers import stacked_power_factors
 from relaysim.channel import NetworkConfig, channels_for_trials
 from relaysim.link import sic_capacity, stacked_capacity_bits, stacked_effective_channel
 
@@ -131,8 +132,9 @@ def product_inputs(m, n, k, db, scheme, trials, seed):
     forms them for one point and scheme."""
     cfg = NetworkConfig.from_db(m=m, n=n, k=k, pnr_db=db, qnr_db=db)
     h, g = channels_for_trials(cfg, seed, 0, trials)
-    grams = relay_grams(h, g)._replace(cascade=g @ h)
-    p, s, fh_sq, f_sq = stacked_beamformers(scheme, grams, cfg.alpha)
+    grams = relay_grams(h, g)
+    grams = grams._replace(cascade=g @ h, d=regularized_inverse(grams.a, cfg.alpha))
+    p, s, fh_sq, f_sq = stacked_beamformers(scheme, grams)
     return p, s, stacked_power_factors(fh_sq, f_sq, cfg.p, cfg.m, cfg.q), cfg
 
 
@@ -146,8 +148,8 @@ def test_snr_ignores_unit_phases_on_the_columns_of_q():
     s = w @ np.swapaxes(w, -1, -2).conj()
     rho = rng.random((32, 3)) + 0.5
     phases = np.exp(2j * np.pi * rng.random((32, 1, 1, 4)))
-    capacity = sic_capacity(p, s, rho, cfg.p, cfg.m)
-    np.testing.assert_allclose(sic_capacity(p * phases, s, rho, cfg.p, cfg.m), capacity, rtol=1e-12)
+    capacity = sic_capacity(p, s, rho, cfg.p)
+    np.testing.assert_allclose(sic_capacity(p * phases, s, rho, cfg.p), capacity, rtol=1e-12)
     q, r_diag = qr_stack(stacked_effective_channel(p, rho))
     noise_gram = np.einsum("tk,tkij->tij", rho**2, s)
     snr = stacked_snr(noise_gram, q, r_diag, cfg)
@@ -166,7 +168,7 @@ def test_rank_deficient_effective_channel_gives_its_last_stream_zero_snr():
     assert np.all(snr[:, :2] > 0)
     assert np.all(snr[:, 2] < 1e-18)
     two_streams = stacked_capacity_bits(snr[:, :2])
-    capacity = sic_capacity(*one_relay(h_sd), cfg.p, cfg.m)
+    capacity = sic_capacity(*one_relay(h_sd), cfg.p)
     np.testing.assert_allclose(capacity, two_streams, rtol=1e-14)
 
 
@@ -186,7 +188,7 @@ def test_exact_rank_deficiency_does_not_raise_and_matches_lapack(h_sd):
     args = one_relay(h_sd, w @ np.swapaxes(w, -1, -2).conj())
     expected = lapack_scheme_capacity(*args, cfg)
     with np.errstate(all="raise"):
-        capacity = sic_capacity(*args, cfg.p, cfg.m)
+        capacity = sic_capacity(*args, cfg.p)
     assert np.all(np.isfinite(capacity))
     np.testing.assert_allclose(capacity, expected, rtol=1e-12, atol=1e-12)
 
@@ -202,7 +204,7 @@ def test_a_zero_column_is_a_stream_with_zero_snr_that_removes_nothing():
         noise_gram = w @ np.swapaxes(w, -1, -2).conj()
         h_sd[..., j] = 0.0
         with np.errstate(all="raise"):
-            capacity = sic_capacity(*one_relay(h_sd, noise_gram), cfg.p, cfg.m)
+            capacity = sic_capacity(*one_relay(h_sd, noise_gram), cfg.p)
         rest = np.delete(h_sd, j, axis=-1)  # (8, 3, 2): the other two streams
         expected = stacked_capacity_bits(stacked_snr(noise_gram, *qr_stack(rest), cfg))
         np.testing.assert_allclose(capacity, expected, rtol=1e-13)
@@ -215,7 +217,7 @@ def test_per_trial_capacity_matches_lapack_on_ill_conditioned_trials(m, worst_co
     p, s, rho, cfg = product_inputs(m, m, 1, 30.0, Scheme.MF, trials=8192, seed=1)
     cond = np.linalg.cond(stacked_effective_channel(p, rho))
     assert cond.max() > worst_cond
-    capacity = sic_capacity(p, s, rho, cfg.p, cfg.m)
+    capacity = sic_capacity(p, s, rho, cfg.p)
     expected = lapack_scheme_capacity(p, s, rho, cfg)
     worst = np.argsort(cond)[-64:]
     np.testing.assert_allclose(capacity[worst], expected[worst], rtol=1e-13, atol=0)
@@ -229,12 +231,12 @@ def test_kernel_capacity_does_not_depend_on_the_batch_length(m, n, k, scheme):
     # every row-axis reduction must sum in the same order whether the
     # trial axis holds 1024 trials, one, or an odd three
     p, s, rho, cfg = product_inputs(m, n, k, 10.0, scheme, trials=1024, seed=2)
-    batch = sic_capacity(p, s, rho, cfg.p, cfg.m)
+    batch = sic_capacity(p, s, rho, cfg.p)
     alone = [
-        sic_capacity(p[t : t + 1], s[t : t + 1], rho[t : t + 1], cfg.p, cfg.m) for t in range(1024)
+        sic_capacity(p[t : t + 1], s[t : t + 1], rho[t : t + 1], cfg.p) for t in range(1024)
     ]
     assert np.concatenate(alone).tobytes() == batch.tobytes()
-    assert sic_capacity(p[-3:], s[-3:], rho[-3:], cfg.p, cfg.m).tobytes() == batch[-3:].tobytes()
+    assert sic_capacity(p[-3:], s[-3:], rho[-3:], cfg.p).tobytes() == batch[-3:].tobytes()
 
 
 def test_upper_bound_against_lu_determinant_oracle():

@@ -5,6 +5,7 @@ determinism across seeds and worker counts."""
 import dataclasses
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from relaysim.montecarlo import (
     _capacity_tables,
     run_sweep,
 )
+from relaysim.scenario import load_bundled
 
 from oracle import build_weights, compute_link_metrics, realization_for_trial, upper_bound_capacity
 
@@ -224,7 +226,8 @@ def test_workers_take_any_integral_number():
 
 
 def test_workers_do_not_change_results():
-    # three chunks, so workers 3 runs a pool on a machine of two or more CPUs
+    # at least three chunks, so workers 3 runs a pool on a machine of two
+    # or more CPUs
     spec = one_point(2, Scheme.MF_RZF, n=3, trials=2100, seed=5)
     assert run_sweep(spec, workers=1) == run_sweep(spec, workers=3)
 
@@ -349,11 +352,13 @@ def _count_calls(monkeypatch, name):
 
 def test_power_sweep_draws_and_builds_beamformers_once_per_chunk(monkeypatch):
     draws = _count_calls(monkeypatch, "channels_for_trials")
+    inverses = _count_calls(monkeypatch, "regularized_inverse")
     beamformers = _count_calls(monkeypatch, "stacked_beamformers")
-    spec = base_spec(axis="pnr_equals_qnr_db", values=(0.0, 10.0, 20.0), trials=1030)
+    spec = base_spec(axis="pnr_equals_qnr_db", values=(0.0, 10.0, 20.0), trials=TRIAL_CHUNK + 6)
     rows = run_sweep(spec)
     assert len(rows) == 3 * 4
     assert len(draws) == 2  # two chunks, shared by the three points
+    assert len(inverses) == 2  # mf-rzf's D, once per chunk at one relay count
     assert len(beamformers) == 3 * 2  # one call per scheme per chunk
     assert [args[0] for args in beamformers] == list(spec.schemes) * 2
     assert [len(args[1].a) for args in beamformers] == [TRIAL_CHUNK] * 3 + [6] * 3
@@ -361,15 +366,35 @@ def test_power_sweep_draws_and_builds_beamformers_once_per_chunk(monkeypatch):
 
 def test_relay_count_sweep_draws_once_per_chunk(monkeypatch):
     draws = _count_calls(monkeypatch, "channels_for_trials")
+    inverses = _count_calls(monkeypatch, "regularized_inverse")
     beamformers = _count_calls(monkeypatch, "stacked_beamformers")
-    run_sweep(base_spec(values=(1, 2), trials=1030))
+    run_sweep(base_spec(values=(1, 2), trials=TRIAL_CHUNK + 6))
     assert len(draws) == 2  # two chunks, each drawn once at the largest k
     assert [args[0].k for args in draws] == [2, 2]
+    assert len(inverses) == 2  # mf-rzf's D, once per chunk for both relay counts
     assert len(beamformers) == 3 * 2 * 2
     # chunk length and relay count of each call's Grams (T, k, m, m)
     assert [args[1].a.shape[:2] for args in beamformers] == (
         [(TRIAL_CHUNK, 1), (TRIAL_CHUNK, 2)] * 3 + [(6, 1), (6, 2)] * 3
     )
+
+
+@pytest.mark.parametrize("name, bound_mib", [("fig5", 40), ("fig2", 12)])
+def test_trial_chunk_bounds_a_jobs_memory(name, bound_mib):
+    # the traced peak of one job of TRIAL_CHUNK trials over every point,
+    # scheme and the bound of a bundled scenario: (8, 8, 10) at 7 points
+    # for fig5, (4, 4, 1..8) for fig2
+    spec = load_bundled(name)
+    points = tuple((str(value), spec.point(value)[0]) for value in spec.values)
+    job = (points, spec.schemes, spec.include_upper_bound, spec.seed, 0, TRIAL_CHUNK)
+    tracemalloc.start()
+    try:
+        _capacity_chunk(job)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    print(f"{name}: {peak / 2**20:.1f} MiB")
+    assert peak < bound_mib * 2**20
 
 
 @pytest.fixture
@@ -438,7 +463,7 @@ def test_pool_never_exceeds_the_cpus(monkeypatch, serial_pool):
     assert serial_pool == [2]
     assert [job[4:] for (job,) in jobs] == [
         (start, min(start + TRIAL_CHUNK, 10_000)) for start in range(0, 10_000, TRIAL_CHUNK)
-    ]  # ten jobs of at most TRIAL_CHUNK trials
+    ]  # jobs of at most TRIAL_CHUNK trials
     jobs.clear()
     run_sweep(one_point(1, Scheme.MF, trials=64), workers=8)
     assert serial_pool == [2, 2]
@@ -452,11 +477,11 @@ def test_pool_never_exceeds_the_cpus(monkeypatch, serial_pool):
 def test_power_sweep_rows_equal_one_point_sweeps(workers):
     # two chunks per point, so workers 2 runs a pool
     values = (0.0, 10.0, 20.0)
+    settings = dict(axis="pnr_equals_qnr_db", trials=TRIAL_CHUNK + 6, seed=4)
     alone = []
     for value in values:
-        one = base_spec(axis="pnr_equals_qnr_db", values=(value,), trials=1030, seed=4)
-        alone += run_sweep(one)
-    spec = base_spec(axis="pnr_equals_qnr_db", values=values, trials=1030, seed=4)
+        alone += run_sweep(base_spec(values=(value,), **settings))
+    spec = base_spec(values=values, **settings)
     assert run_sweep(spec, workers=workers) == alone  # bitwise on the floats
 
 
@@ -467,7 +492,7 @@ def test_relay_count_sweep_rows_equal_one_point_sweeps(workers):
     # rows are bitwise those of a sweep of that k alone. Two chunks, so
     # workers 2 runs a pool
     values = (1, 2, 5)
-    settings = dict(axis="relay_count", m=2, n=3, alpha=0.7, trials=1030, seed=4)
+    settings = dict(axis="relay_count", m=2, n=3, alpha=0.7, trials=TRIAL_CHUNK + 6, seed=4)
     alone = []
     for value in values:
         alone += run_sweep(base_spec(values=(value,), **settings))
@@ -477,23 +502,23 @@ def test_relay_count_sweep_rows_equal_one_point_sweeps(workers):
 def test_numeric_error_names_point_scheme_and_trials(monkeypatch):
     original = montecarlo.stacked_beamformers
 
-    def singular_at_two_relays(scheme, grams, alpha):
+    def singular_at_two_relays(scheme, grams):
         # only at two relays, in the second, short chunk
         if scheme is Scheme.MF_RZF and grams.a.shape[-3] == 2 and len(grams.a) < TRIAL_CHUNK:
             raise NumericError("cholesky_stack: matrix not positive definite")
-        return original(scheme, grams, alpha)
+        return original(scheme, grams)
 
     monkeypatch.setattr(montecarlo, "stacked_beamformers", singular_at_two_relays)
     with pytest.raises(NumericError) as info:
-        run_sweep(base_spec(values=(1, 2), trials=1030))
+        run_sweep(base_spec(values=(1, 2), trials=TRIAL_CHUNK + 6))
     assert str(info.value) == (
-        "relay_count = 2: mf-rzf at trials [1024, 1030): "
+        f"relay_count = 2: mf-rzf at trials [{TRIAL_CHUNK}, {TRIAL_CHUNK + 6}): "
         "cholesky_stack: matrix not positive definite"
     )
 
 
 def test_numeric_error_in_shared_beamformers_names_every_point_of_the_group(monkeypatch):
-    def singular(scheme, grams, alpha):
+    def singular(scheme, grams):
         raise NumericError("cholesky_stack: matrix not positive definite")
 
     monkeypatch.setattr(montecarlo, "stacked_beamformers", singular)
