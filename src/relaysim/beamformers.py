@@ -36,7 +36,6 @@ builders that do form F.
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -54,26 +53,11 @@ class Scheme(enum.Enum):
         return self.value
 
 
-class RelayGrams(NamedTuple):
-    """The m x m channel products of stacks h (..., k, n, m) and
-    g (..., k, m, n) that stacked_beamformers works from: a = g g^H,
-    b = h^H h and, when af needs it, the cascade g h (else None); n is
-    the relay antenna count. d, which mf-rzf needs, is
-    regularized_inverse(a, alpha) of the a it was taken from."""
-
-    a: np.ndarray
-    b: np.ndarray
-    cascade: np.ndarray | None
-    n: int
-    d: np.ndarray | None = None
-
-
-def relay_grams(h: np.ndarray, g: np.ndarray) -> RelayGrams:
-    """RelayGrams of channel stacks h (..., k, n, m) and g (..., k, m, n),
-    without the cascade: af's caller forms g h for the relays it reads."""
-    a = g @ np.swapaxes(g, -1, -2).conj()
-    b = np.swapaxes(h, -1, -2).conj() @ h
-    return RelayGrams(a, b, None, h.shape[-2])
+def relay_grams(h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The m x m channel products (A, B) = (g g^H, h^H h) of stacks
+    h (..., k, n, m) and g (..., k, m, n) that stacked_beamformers works
+    from; af's caller forms the cascade g h for the relays it reads."""
+    return g @ np.swapaxes(g, -1, -2).conj(), np.swapaxes(h, -1, -2).conj() @ h
 
 
 def regularized_inverse(a: np.ndarray, alpha: float) -> np.ndarray:
@@ -89,25 +73,32 @@ def regularized_inverse(a: np.ndarray, alpha: float) -> np.ndarray:
     return np.linalg.inv(gram)
 
 
-def stacked_beamformers(scheme: Scheme, grams: RelayGrams) -> tuple:
+def stacked_beamformers(
+    scheme: Scheme,
+    a: np.ndarray,
+    b: np.ndarray,
+    d: np.ndarray | None = None,
+    cascade: np.ndarray | None = None,
+    n: int | None = None,
+) -> tuple:
     """What the link needs from each relay's beamformer F under `scheme`,
-    from the channel products `grams` (..., k, m, m): (P, S, fh_sq, f_sq)
-    with the cascades P = g F h and forwarded-noise Grams
+    from the Grams a = g g^H and b = h^H h (..., k, m, m): (P, S, fh_sq,
+    f_sq) with the cascades P = g F h and forwarded-noise Grams
     S = (g F)(g F)^H, both (..., k, m, m), and ||F h||^2, ||F||^2, both
     (..., k). See the module docstring for the identities.
 
     Leading axes are broadcast batch dimensions (Monte Carlo trials),
-    axis -3 indexes relays. mf-rzf reads D from grams.d.
+    axis -3 indexes relays. mf-rzf reads D = regularized_inverse(a, alpha)
+    from d; af reads the cascade g h and the relay antenna count n.
     """
-    a, b = grams.a, grams.b
     if scheme is Scheme.AF:
         trace_b = np.real(np.trace(b, axis1=-2, axis2=-1))
-        return grams.cascade, a, trace_b, np.full(trace_b.shape, float(grams.n))
+        return cascade, a, trace_b, np.full(trace_b.shape, float(n))
     if scheme not in (Scheme.MF, Scheme.MF_RZF):
         raise ValueError(f"unknown scheme {scheme!r}")
     x, c = b, a  # D = I
     if scheme is Scheme.MF_RZF:
-        x, c = grams.d @ b, a @ grams.d
+        x, c = d @ b, a @ d
     p = a @ x
     # tr(C X) as Re sum X o conj(C): C = A D is Hermitian
     return p, p @ c, re_inner(p, x), re_inner(x, c)

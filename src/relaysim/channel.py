@@ -98,11 +98,11 @@ def channels_for_trials(
     seed: int,
     start: int,
     stop: int,
-    g_start: int | None = None,
+    g_start: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stacked channels of Monte Carlo trials [start, stop) under `seed`:
     h (T, k, n, m) and g (T, 2k - g_start, m, n) with T = stop - start
-    (g_start = k by default, so g holds k matrices).
+    (at g_start = k, g holds k matrices).
 
     Trial t draws from its own Philox stream keyed by (seed, t) with the
     counter at 0, so a trial's channels do not depend on which chunk or
@@ -126,7 +126,6 @@ def channels_for_trials(
     if not 0 <= start <= stop:
         raise ConfigError(f"trial range must satisfy 0 <= start <= stop, got [{start}, {stop})")
     k, n, m = config.k, config.n, config.m
-    g_start = k if g_start is None else g_start
     if not 1 <= g_start <= k:
         raise ConfigError(f"g_start must be in [1, {k}], got {g_start}")
     raw = np.empty((stop - start, 4 * k * n * m))

@@ -59,9 +59,9 @@ def _replace_atomically(writers: dict) -> None:
 
 
 def _resolve_scenario(name: str):
-    """A path wins over a bundled name; returns (spec, stem)."""
+    """An existing file wins over a bundled name; returns (spec, stem)."""
     path = Path(name)
-    if path.exists():
+    if path.is_file():
         return parse_scenario(path), path.stem
     return load_bundled(name), name
 

@@ -11,7 +11,7 @@ Capacity carries the 1/2 pre-log of the two-slot half-duplex protocol.
 The functions here evaluate whole batches of Monte Carlo trials at once
 (leading axes broadcast; sic_capacity takes one trial axis). They never
 see a beamformer F, only the per-relay m x m products that
-stacked_beamformers forms once per chunk and scheme: the cascade
+stacked_beamformers forms once per chunk, scheme and relay count: the cascade
 P_k = g_k F_k h_k and the forwarded-noise Gram S_k = (g_k F_k)(g_k F_k)^H.
 Per sweep point, what is left is
 
@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import NetworkConfig
 from .linalg import logdet_hpd_stack
 
 _LN2 = float(np.log(2.0))
@@ -58,12 +57,6 @@ def _relay_sum(weights: np.ndarray, a: np.ndarray) -> np.ndarray:
     as one (1, k) @ (k, m*m) product per trial."""
     *lead, k, m, _ = a.shape
     return (weights[..., np.newaxis, :] @ a.reshape(*lead, k, m * m)).reshape(*lead, m, m)
-
-
-def stacked_effective_channel(p: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Source-to-destination cascade summed over relays:
-    sum_k rho_k P_k with P_k = g_k f_k h_k, batched over leading axes."""
-    return _relay_sum(rho, p)
 
 
 def stacked_capacity_bits(snr: np.ndarray) -> np.ndarray:
@@ -80,7 +73,7 @@ def sic_capacity(p: np.ndarray, s: np.ndarray, rho: np.ndarray, p_lin: float) ->
     r_jj from the Gram-Schmidt QR of H_sd; see the module docstring."""
     m = p.shape[-1]
     # (column, row, trial): a[j] is column j of every trial
-    a = np.ascontiguousarray(stacked_effective_channel(p, rho).transpose(2, 1, 0))
+    a = np.ascontiguousarray(_relay_sum(rho, p).transpose(2, 1, 0))
     q = np.empty_like(a)
     r_sq = np.empty((m, a.shape[-1]))
     for j in range(m):
@@ -94,17 +87,9 @@ def sic_capacity(p: np.ndarray, s: np.ndarray, rho: np.ndarray, p_lin: float) ->
     return stacked_capacity_bits((p_lin / m) * r_sq.T / (noise + 1.0))
 
 
-def stacked_scheme_capacity(
-    p: np.ndarray, s: np.ndarray, rho: np.ndarray, config: NetworkConfig
-) -> np.ndarray:
-    """Capacity of every trial in a batch under one beamforming scheme,
-    from the relays' cascades p and forwarded-noise Grams s."""
-    return sic_capacity(p, s, rho, config.p)
-
-
-def stacked_upper_bound(b_sum: np.ndarray, config: NetworkConfig) -> np.ndarray:
+def stacked_upper_bound(b_sum: np.ndarray, p: float) -> np.ndarray:
     """Cut-set bound at the source cut, batched over leading axes, from
-    b_sum = sum_k h_k^H h_k (..., m, m):
+    b_sum = sum_k h_k^H h_k (..., m, m) and the source power p:
 
         0.5 * log2 det(I + p/m * sum_k h_k^H h_k)
 
@@ -112,5 +97,5 @@ def stacked_upper_bound(b_sum: np.ndarray, config: NetworkConfig) -> np.ndarray:
     relay power budget q and by the beamforming scheme.
     """
     m = b_sum.shape[-1]
-    arg = np.eye(m) + (config.p / m) * b_sum
+    arg = np.eye(m) + (p / m) * b_sum
     return 0.5 * logdet_hpd_stack(arg) / _LN2

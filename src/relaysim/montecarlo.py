@@ -49,11 +49,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .beamformers import RelayGrams, Scheme, regularized_inverse, relay_grams
+from .beamformers import Scheme, regularized_inverse, relay_grams
 from .beamformers import stacked_beamformers, stacked_power_factors
 from .channel import ConfigError, NetworkConfig, channels_for_trials, check_seed
 from .linalg import NumericError
-from .link import stacked_scheme_capacity, stacked_upper_bound
+from .link import sic_capacity, stacked_upper_bound
 
 UPPER_BOUND_LABEL = "upper-bound"
 
@@ -193,6 +193,8 @@ def _capacity_chunk(job) -> np.ndarray:
     per k, and power control, the link and the bound per point. Two
     releases keep a job's peak memory low: af runs first, so that h and g
     go after it, and each k's P and S go before the next k's are formed.
+    af's P is its cascade, passed to stacked_beamformers inline, so no
+    local holds a cascade past its k or into the next scheme.
     A NumericError, or a floating-point overflow, division by zero or
     invalid operation, is raised as a NumericError naming the point(s)
     whose work failed (all of them for the shared D, those of one k for
@@ -204,12 +206,12 @@ def _capacity_chunk(job) -> np.ndarray:
     relays = {}  # k -> the indices of its points
     for i, config in enumerate(configs):
         relays.setdefault(config.k, []).append(i)
-    alpha, low, top = configs[0].alpha, min(relays), max(relays)
+    alpha, n, low, top = configs[0].alpha, configs[0].n, min(relays), max(relays)
     where = [labels[i] for i in relays[top]], "channels"  # the draw is sized by the top k
     try:
         # g is blocks [low, 2 top): k reads its g blocks [k, 2k) at k - low
         h, g = channels_for_trials(configs[relays[top][0]], seed, start, stop, low)
-        a, b, _, n, _ = relay_grams(h, g)
+        a, b = relay_grams(h, g)
         if Scheme.AF not in schemes:
             del h, g
         table = np.empty((len(points), stop - start, len(schemes) + int(include_upper)))
@@ -218,15 +220,16 @@ def _capacity_chunk(job) -> np.ndarray:
             d = regularized_inverse(a, alpha) if scheme is Scheme.MF_RZF else None
             for k in sorted(relays):
                 g_k = slice(k - low, 2 * k - low)
-                cascade = g[:, g_k] @ h[:, :k] if scheme is Scheme.AF else None
-                grams = RelayGrams(a[:, g_k], b[:, :k], cascade, n, d if d is None else d[:, g_k])
                 where = [labels[i] for i in relays[k]], scheme.value
-                p, s, fh_sq, f_sq = stacked_beamformers(scheme, grams)
+                p, s, fh_sq, f_sq = stacked_beamformers(
+                    scheme, a[:, g_k], b[:, :k], d=d if d is None else d[:, g_k], n=n,
+                    cascade=g[:, g_k] @ h[:, :k] if scheme is Scheme.AF else None,
+                )
                 for i in relays[k]:
                     where = labels[i : i + 1], scheme.value
                     config = configs[i]
                     rho = stacked_power_factors(fh_sq, f_sq, config.p, config.m, config.q)
-                    table[i, :, j] = stacked_scheme_capacity(p, s, rho, config)
+                    table[i, :, j] = sic_capacity(p, s, rho, config.p)
                 del p, s
             if scheme is Scheme.AF:
                 del h, g
@@ -235,7 +238,7 @@ def _capacity_chunk(job) -> np.ndarray:
                 b_sum = np.sum(b[:, :k], axis=-3)
                 for i in relays[k]:
                     where = labels[i : i + 1], UPPER_BOUND_LABEL
-                    table[i, :, -1] = stacked_upper_bound(b_sum, configs[i])
+                    table[i, :, -1] = stacked_upper_bound(b_sum, configs[i].p)
     except (NumericError, FloatingPointError) as exc:
         failed, series = where
         raise NumericError(

@@ -25,12 +25,7 @@ import numpy as np
 from relaysim.beamformers import Scheme, stacked_power_factors
 from relaysim.channel import NetworkConfig, channels_for_trials, check_seed
 from relaysim.linalg import NumericError, logdet_hpd_stack, re_inner
-from relaysim.link import (
-    _relay_sum,
-    stacked_capacity_bits,
-    stacked_effective_channel,
-    stacked_upper_bound,
-)
+from relaysim.link import _relay_sum, stacked_capacity_bits, stacked_upper_bound
 
 # ------------------------------------------------------------------ linalg
 
@@ -188,7 +183,7 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
 def realization_for_trial(config: NetworkConfig, seed: int, trial: int) -> ChannelRealization:
     """The fading realization of Monte Carlo trial `trial` under `seed`:
     the one-trial view of channels_for_trials."""
-    h, g = channels_for_trials(config, seed, trial, trial + 1)
+    h, g = channels_for_trials(config, seed, trial, trial + 1, config.k)
     return ChannelRealization(h=h[0], g=g[0])
 
 
@@ -338,13 +333,13 @@ def lapack_scheme_capacity(
     """relaysim.link.sic_capacity's inputs and output, through LAPACK's
     QR and stacked_snr: per-trial capacities of cascades p and noise
     Grams s (..., k, m, m) under power factors rho (..., k)."""
-    q, r_diag = qr_stack(stacked_effective_channel(p, rho))
+    q, r_diag = qr_stack(_relay_sum(rho, p))
     return stacked_capacity_bits(stacked_snr(_relay_sum(rho**2, s), q, r_diag, config))
 
 
 def effective_channel(realization: ChannelRealization, weights: RelayWeights) -> np.ndarray:
     """Effective m x m source-destination channel of one realization."""
-    return stacked_effective_channel(realization.g @ weights.f @ realization.h, weights.rho)
+    return _relay_sum(weights.rho, realization.g @ weights.f @ realization.h)
 
 
 def per_stream_snr(
@@ -383,7 +378,7 @@ def upper_bound_capacity(realization: ChannelRealization, config: NetworkConfig)
     """Cut-set bound of one realization, in bits."""
     h = realization.h
     b_sum = np.sum(np.swapaxes(h, -1, -2).conj() @ h, axis=0)
-    return float(stacked_upper_bound(b_sum, config))
+    return float(stacked_upper_bound(b_sum, config.p))
 
 
 def simulate_transmission(

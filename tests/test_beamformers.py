@@ -70,13 +70,13 @@ def test_mf_rzf_singular_gram_in_a_chunk_raises():
     # one trial of a batch has a second hop with a zero row: with alpha = 0
     # its Gram matrix g g^H is singular and the whole chunk must fail
     cfg = NetworkConfig(m=4, n=4, k=4, p=1.0, q=1.0, alpha=0.0)
-    h, g = channels_for_trials(cfg, seed=3, start=100, stop=164)
-    grams = relay_grams(h, g)
-    d = regularized_inverse(grams.a, alpha=0.0)  # full rank: fine
-    stacked_beamformers(Scheme.MF_RZF, grams._replace(d=d))
+    h, g = channels_for_trials(cfg, seed=3, start=100, stop=164, g_start=cfg.k)
+    a, b = relay_grams(h, g)
+    d = regularized_inverse(a, alpha=0.0)  # full rank: fine
+    stacked_beamformers(Scheme.MF_RZF, a, b, d)
     g[37, 2, 1, :] = 0.0
     with pytest.raises(NumericError):
-        regularized_inverse(relay_grams(h, g).a, alpha=0.0)
+        regularized_inverse(relay_grams(h, g)[0], alpha=0.0)
 
 
 def _relative_error(actual, expected):
@@ -96,19 +96,20 @@ def test_gram_products_equal_per_relay_builder_products(seed, m, extra, k, alpha
     # of the per-relay builders' f, which for mf-rzf the Gram route scales
     # by 1 + alpha; fails for C = (1 + alpha)I - alpha D at alpha = 1e8
     cfg = NetworkConfig(m=m, n=m + extra, k=k, p=1.0, q=1.0, alpha=alpha)
-    h, g = channels_for_trials(cfg, seed=seed, start=0, stop=3)
-    grams = relay_grams(h, g)._replace(cascade=g @ h)  # af reads the cascade
+    h, g = channels_for_trials(cfg, seed=seed, start=0, stop=3, g_start=cfg.k)
+    a, b = relay_grams(h, g)
     if alpha == 0.0:
         # both routes invert g g^H, so their errors grow with its condition
-        assume(np.linalg.cond(grams.a).max() < 1e4)
-    grams = grams._replace(d=regularized_inverse(grams.a, alpha))  # mf-rzf reads D
+        assume(np.linalg.cond(a).max() < 1e4)
+    # mf-rzf reads D; af reads the cascade and n
+    products = dict(d=regularized_inverse(a, alpha), cascade=g @ h, n=cfg.n)
     builders = {
         Scheme.AF: lambda h_i, g_i: af_beamformer(cfg.n),
         Scheme.MF: mf_beamformer,
         Scheme.MF_RZF: lambda h_i, g_i: (1 + alpha) * mf_rzf_beamformer(h_i, g_i, alpha),
     }
     for scheme, builder in builders.items():
-        p, s, fh_sq, f_sq = stacked_beamformers(scheme, grams)
+        p, s, fh_sq, f_sq = stacked_beamformers(scheme, a, b, **products)
         for t in range(len(h)):
             for i in range(k):
                 f = builder(h[t, i], g[t, i])

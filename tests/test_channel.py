@@ -99,7 +99,7 @@ def test_negative_trial_rejected():
     with pytest.raises(ValueError):
         realization_for_trial(cfg, seed=1, trial=-1)
     with pytest.raises(ValueError):
-        channels_for_trials(cfg, seed=1, start=-1, stop=3)
+        channels_for_trials(cfg, seed=1, start=-1, stop=3, g_start=cfg.k)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
@@ -108,7 +108,7 @@ def test_seed_outside_64_bits_rejected(seed):
     with pytest.raises(ValueError, match="seed"):
         trial_rng(seed=seed, trial=0)
     with pytest.raises(ValueError, match="seed"):
-        channels_for_trials(cfg, seed=seed, start=0, stop=1)
+        channels_for_trials(cfg, seed=seed, start=0, stop=1, g_start=cfg.k)
 
 
 @pytest.mark.parametrize("m, n, k", [(4, 4, 4), (8, 8, 10)])
@@ -118,7 +118,7 @@ def test_chunk_draw_is_stack_of_per_trial_draws(m, n, k):
     # keyed stream per trial read in the documented order
     cfg = NetworkConfig(m=m, n=n, k=k, p=1.0, q=1.0)
     seed, start, stop = 2**64 - 3, 1021, 1029
-    h, g = channels_for_trials(cfg, seed, start, stop)
+    h, g = channels_for_trials(cfg, seed, start, stop, cfg.k)
     reals = [realization_for_trial(cfg, seed, t) for t in range(start, stop)]
     assert h.tobytes() == np.stack([r.h for r in reals]).tobytes()
     assert g.tobytes() == np.stack([r.g for r in reals]).tobytes()

@@ -135,6 +135,20 @@ def test_bundled_name_resolves(tmp_path, capsys):
     assert len(lines) == 1 + 32
 
 
+def test_a_directory_does_not_hide_a_bundled_scenario(tmp_path, monkeypatch, capsys):
+    # `relaysim run fig2 --out fig2` leaves a fig2/ directory behind; a
+    # second `relaysim run fig2` from there still runs the bundled fig2
+    (tmp_path / "fig2").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "fig2", "--trials", "2", "--out", "fig2"]) == 0
+    assert (tmp_path / "fig2" / "results.csv").is_file()
+    capsys.readouterr()
+    for name in (".", ""):
+        assert main(["run", name, "--out", "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "fig2" in err  # the bundled names, no traceback
+
+
 def test_list_scenarios_names_all_bundled(capsys):
     assert _run(["list-scenarios"]) == 0
     out = capsys.readouterr().out
@@ -234,10 +248,10 @@ def test_numeric_error_exits_1_naming_point_scheme_and_trials(
 ):
     original = montecarlo.stacked_beamformers
 
-    def singular_at_two_relays(scheme, grams):
-        if scheme is Scheme.MF and grams.a.shape[-3] == 2:
+    def singular_at_two_relays(scheme, a, *arrays, **kwargs):
+        if scheme is Scheme.MF and a.shape[-3] == 2:
             raise NumericError("cholesky_stack: matrix not positive definite")
-        return original(scheme, grams)
+        return original(scheme, a, *arrays, **kwargs)
 
     monkeypatch.setattr(montecarlo, "stacked_beamformers", singular_at_two_relays)
     assert _run(["run", tiny_scenario, "--out", tmp_path / "out", "--workers", 1]) == 1

@@ -8,7 +8,7 @@ import pytest
 from relaysim.beamformers import Scheme, regularized_inverse, relay_grams, stacked_beamformers
 from relaysim.beamformers import stacked_power_factors
 from relaysim.channel import NetworkConfig, channels_for_trials
-from relaysim.link import sic_capacity, stacked_capacity_bits, stacked_effective_channel
+from relaysim.link import _relay_sum, sic_capacity, stacked_capacity_bits, stacked_upper_bound
 
 from oracle import (
     ChannelRealization,
@@ -127,15 +127,21 @@ def one_relay(h_sd, noise_gram=None):
     return h_sd[:, np.newaxis], s[:, np.newaxis], np.ones((len(h_sd), 1))
 
 
+def link_inputs(h, g, scheme, cfg):
+    """(p, s, rho) of channel stacks h and g as the Monte Carlo chunk
+    forms them for one point and scheme."""
+    a, b = relay_grams(h, g)
+    d = regularized_inverse(a, cfg.alpha)
+    p, s, fh_sq, f_sq = stacked_beamformers(scheme, a, b, d, cascade=g @ h, n=cfg.n)
+    return p, s, stacked_power_factors(fh_sq, f_sq, cfg.p, cfg.m, cfg.q)
+
+
 def product_inputs(m, n, k, db, scheme, trials, seed):
     """(p, s, rho, config) of trials [0, trials) as the Monte Carlo chunk
     forms them for one point and scheme."""
     cfg = NetworkConfig.from_db(m=m, n=n, k=k, pnr_db=db, qnr_db=db)
-    h, g = channels_for_trials(cfg, seed, 0, trials)
-    grams = relay_grams(h, g)
-    grams = grams._replace(cascade=g @ h, d=regularized_inverse(grams.a, cfg.alpha))
-    p, s, fh_sq, f_sq = stacked_beamformers(scheme, grams)
-    return p, s, stacked_power_factors(fh_sq, f_sq, cfg.p, cfg.m, cfg.q), cfg
+    h, g = channels_for_trials(cfg, seed, 0, trials, cfg.k)
+    return *link_inputs(h, g, scheme, cfg), cfg
 
 
 def test_snr_ignores_unit_phases_on_the_columns_of_q():
@@ -150,7 +156,7 @@ def test_snr_ignores_unit_phases_on_the_columns_of_q():
     phases = np.exp(2j * np.pi * rng.random((32, 1, 1, 4)))
     capacity = sic_capacity(p, s, rho, cfg.p)
     np.testing.assert_allclose(sic_capacity(p * phases, s, rho, cfg.p), capacity, rtol=1e-12)
-    q, r_diag = qr_stack(stacked_effective_channel(p, rho))
+    q, r_diag = qr_stack(_relay_sum(rho, p))
     noise_gram = np.einsum("tk,tkij->tij", rho**2, s)
     snr = stacked_snr(noise_gram, q, r_diag, cfg)
     rotated = stacked_snr(noise_gram, q * phases[:, 0], r_diag, cfg)
@@ -215,7 +221,7 @@ def test_per_trial_capacity_matches_lapack_on_ill_conditioned_trials(m, worst_co
     # mf at 30 dB and one relay draws effective channels with condition
     # numbers up to 6.1e6 (m = 2) and 2.9e7 (m = 4) among these trials
     p, s, rho, cfg = product_inputs(m, m, 1, 30.0, Scheme.MF, trials=8192, seed=1)
-    cond = np.linalg.cond(stacked_effective_channel(p, rho))
+    cond = np.linalg.cond(_relay_sum(rho, p))
     assert cond.max() > worst_cond
     capacity = sic_capacity(p, s, rho, cfg.p)
     expected = lapack_scheme_capacity(p, s, rho, cfg)
@@ -237,6 +243,25 @@ def test_kernel_capacity_does_not_depend_on_the_batch_length(m, n, k, scheme):
     ]
     assert np.concatenate(alone).tobytes() == batch.tobytes()
     assert sic_capacity(p[-3:], s[-3:], rho[-3:], cfg.p).tobytes() == batch[-3:].tobytes()
+
+
+@pytest.mark.parametrize("m, n, k", [(2, 3, 5), (4, 4, 6)])
+def test_permuting_the_relays_leaves_every_capacity_unchanged(m, n, k):
+    # relay i's rho_i must weight its own P_i and S_i, and each relay's
+    # a, b, d and cascade must come from that relay's h and g; only the
+    # order of the relay sums moves, so the capacities agree to rounding
+    cfg = NetworkConfig.from_db(m=m, n=n, k=k, pnr_db=10.0, qnr_db=10.0)
+    h, g = channels_for_trials(cfg, 8, 0, 256, cfg.k)
+    order = np.random.default_rng(k).permutation(k)
+    assert np.any(order != np.arange(k))
+    stacks = (h, g), (h[:, order], g[:, order])
+    for scheme in Scheme:
+        capacity, permuted = (sic_capacity(*link_inputs(*hg, scheme, cfg), cfg.p) for hg in stacks)
+        np.testing.assert_allclose(permuted, capacity, rtol=1e-12, atol=0)
+    bound, permuted = (
+        stacked_upper_bound(np.sum(relay_grams(*hg)[1], axis=-3), cfg.p) for hg in stacks
+    )
+    np.testing.assert_allclose(permuted, bound, rtol=1e-12, atol=0)
 
 
 def test_upper_bound_against_lu_determinant_oracle():

@@ -361,7 +361,7 @@ def test_power_sweep_draws_and_builds_beamformers_once_per_chunk(monkeypatch):
     assert len(inverses) == 2  # mf-rzf's D, once per chunk at one relay count
     assert len(beamformers) == 3 * 2  # one call per scheme per chunk
     assert [args[0] for args in beamformers] == list(spec.schemes) * 2
-    assert [len(args[1].a) for args in beamformers] == [TRIAL_CHUNK] * 3 + [6] * 3
+    assert [len(args[1]) for args in beamformers] == [TRIAL_CHUNK] * 3 + [6] * 3
 
 
 def test_relay_count_sweep_draws_once_per_chunk(monkeypatch):
@@ -374,7 +374,7 @@ def test_relay_count_sweep_draws_once_per_chunk(monkeypatch):
     assert len(inverses) == 2  # mf-rzf's D, once per chunk for both relay counts
     assert len(beamformers) == 3 * 2 * 2
     # chunk length and relay count of each call's Grams (T, k, m, m)
-    assert [args[1].a.shape[:2] for args in beamformers] == (
+    assert [args[1].shape[:2] for args in beamformers] == (
         [(TRIAL_CHUNK, 1), (TRIAL_CHUNK, 2)] * 3 + [(6, 1), (6, 2)] * 3
     )
 
@@ -502,11 +502,11 @@ def test_relay_count_sweep_rows_equal_one_point_sweeps(workers):
 def test_numeric_error_names_point_scheme_and_trials(monkeypatch):
     original = montecarlo.stacked_beamformers
 
-    def singular_at_two_relays(scheme, grams):
+    def singular_at_two_relays(scheme, a, *arrays, **kwargs):
         # only at two relays, in the second, short chunk
-        if scheme is Scheme.MF_RZF and grams.a.shape[-3] == 2 and len(grams.a) < TRIAL_CHUNK:
+        if scheme is Scheme.MF_RZF and a.shape[-3] == 2 and len(a) < TRIAL_CHUNK:
             raise NumericError("cholesky_stack: matrix not positive definite")
-        return original(scheme, grams)
+        return original(scheme, a, *arrays, **kwargs)
 
     monkeypatch.setattr(montecarlo, "stacked_beamformers", singular_at_two_relays)
     with pytest.raises(NumericError) as info:
@@ -518,7 +518,7 @@ def test_numeric_error_names_point_scheme_and_trials(monkeypatch):
 
 
 def test_numeric_error_in_shared_beamformers_names_every_point_of_the_group(monkeypatch):
-    def singular(scheme, grams):
+    def singular(scheme, *arrays, **kwargs):
         raise NumericError("cholesky_stack: matrix not positive definite")
 
     monkeypatch.setattr(montecarlo, "stacked_beamformers", singular)
@@ -571,6 +571,26 @@ def test_mf_capacity_grows_with_relay_count():
     )
     rows = run_sweep(spec)
     assert rows[1].capacity_mean_bits > rows[0].capacity_mean_bits
+
+
+@pytest.mark.parametrize("m, k, antennas", [(2, 2, (2, 4, 8)), (4, 4, (4, 8, 16))])
+def test_mf_and_mf_rzf_gain_from_more_antennas_per_relay(m, k, antennas):
+    # the abstract's intranode array gain: every doubling of the relay
+    # antennas n raises MF and MF-RZF by more than 3 combined standard
+    # errors; AF, for which the abstract claims no such gain, is printed
+    rows = {}
+    for n in antennas:
+        spec = base_spec(axis="pnr_equals_qnr_db", values=(10.0,), m=m, n=n, k=k,
+                         include_upper_bound=False, trials=4096, seed=1)
+        rows.update(((row.scheme, n), row) for row in run_sweep(spec))
+    for scheme in ("af", "mf", "mf-rzf"):
+        means = " -> ".join(f"{rows[scheme, n].capacity_mean_bits:.3f}" for n in antennas)
+        print(f"(m, k) = ({m}, {k}), n = {antennas}: {scheme} {means}")
+    for scheme in ("mf", "mf-rzf"):
+        for small, large in zip(antennas, antennas[1:]):
+            before, after = rows[scheme, small], rows[scheme, large]
+            stderr = math.hypot(before.capacity_stderr_bits, after.capacity_stderr_bits)
+            assert after.capacity_mean_bits - before.capacity_mean_bits > 3 * stderr
 
 
 def mf_rzf_spec(alpha, n=4, schemes=(Scheme.MF, Scheme.MF_RZF)):
