@@ -49,9 +49,6 @@ class Scheme(enum.Enum):
     MF = "mf"
     MF_RZF = "mf-rzf"
 
-    def __str__(self) -> str:
-        return self.value
-
 
 def relay_grams(h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The m x m channel products (A, B) = (g g^H, h^H h) of stacks
@@ -94,8 +91,6 @@ def stacked_beamformers(
     if scheme is Scheme.AF:
         trace_b = np.real(np.trace(b, axis1=-2, axis2=-1))
         return cascade, a, trace_b, np.full(trace_b.shape, float(n))
-    if scheme not in (Scheme.MF, Scheme.MF_RZF):
-        raise ValueError(f"unknown scheme {scheme!r}")
     x, c = b, a  # D = I
     if scheme is Scheme.MF_RZF:
         x, c = d @ b, a @ d

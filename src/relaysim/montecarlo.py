@@ -22,7 +22,8 @@ from blocks [k, 2k) of it (see channels_for_trials), so one draw at the
 largest k holds every smaller k as slices. The beamformers depend only
 on the channels and alpha; the powers p and q enter at power control. A
 job is one trial range [start, stop) of the whole sweep, at most
-TRIAL_CHUNK long: it draws the range's channels once, at the largest k,
+TRIAL_CHUNK long and at most 10 TRIAL_CHUNK relay-trials (trials times
+the largest k): it draws the range's channels once, at the largest k,
 and reduces them once to the relays' m x m Grams g g^H and h^H h (and,
 for mf-rzf, to (1 + alpha)(g g^H + alpha I)^-1).
 Each k reads its slices of these; only the af cascade g h and each
@@ -35,7 +36,8 @@ range that holds it: every float, and every byte of results.csv, equals
 what the point gives on its own, at any range length. So a sweep with
 fewer chunks than workers shortens its ranges rather than cutting its
 points, and a run uses at most as many processes as there are jobs or
-CPUs. The range length alone bounds a job's memory.
+CPUs. A job's memory is linear in its relay-trials, so their budget
+bounds it at any k.
 """
 
 from __future__ import annotations
@@ -57,9 +59,10 @@ from .link import sic_capacity, stacked_upper_bound
 
 UPPER_BOUND_LABEL = "upper-bound"
 
-# The longest trial range of one job: it bounds a job's memory, which is
-# linear in it. Per-trial floats do not depend on the range length, so
-# neither do the results.
+# The longest trial range of one job; a range also holds at most
+# 10 TRIAL_CHUNK relay-trials (trials times the sweep's largest k), which
+# bound a job's memory. Per-trial floats do not depend on the range
+# length, so neither do the results.
 TRIAL_CHUNK = 512
 
 # axis -> the base network fields that each of its values replaces
@@ -73,8 +76,7 @@ AXES = {
 # SweepSpec field (and run_sweep's workers) -> type; a list is any
 # non-string iterable, kept as a tuple
 _TYPES = dict(axis=str, values=list, m=int, n=int, k=int, pnr_db=float, qnr_db=float,
-              alpha=float, schemes=list, include_upper_bound=bool, trials=int, seed=int,
-              workers=int)
+              alpha=float, schemes=list, trials=int, seed=int, workers=int)
 _NETWORK = ("m", "n", "k", "pnr_db", "qnr_db", "alpha")
 
 
@@ -111,7 +113,6 @@ class SweepSpec:
     qnr_db: float
     alpha: float = 1.0
     schemes: tuple = (Scheme.AF, Scheme.MF, Scheme.MF_RZF)
-    include_upper_bound: bool = True
     trials: int = 10_000
     seed: int = 0
 
@@ -183,7 +184,8 @@ class SweepRow:
 def _capacity_chunk(job) -> np.ndarray:
     """Per-trial capacities (points, T, series) for trials [start, stop)
     of sweep points, given as (label, config) pairs whose configs share
-    m, n and alpha.
+    m, n and alpha; the series are the schemes, then the cut-set bound.
+    The job comes from _capacity_tables, so its seed and range are valid.
 
     The channels are drawn once, at the largest relay count K, and
     reduced once to B = h^H h of blocks [0, K) and A = g g^H of blocks
@@ -201,7 +203,7 @@ def _capacity_chunk(job) -> np.ndarray:
     its link products), the series and the trial range, and a MemoryError
     naming the point(s) and the trial range.
     """
-    points, schemes, include_upper, seed, start, stop = job
+    points, schemes, seed, start, stop = job
     labels, configs = zip(*points)
     relays = {}  # k -> the indices of its points
     for i, config in enumerate(configs):
@@ -214,7 +216,7 @@ def _capacity_chunk(job) -> np.ndarray:
         a, b = relay_grams(h, g)
         if Scheme.AF not in schemes:
             del h, g
-        table = np.empty((len(points), stop - start, len(schemes) + int(include_upper)))
+        table = np.empty((len(points), stop - start, len(schemes) + 1))
         for j, scheme in sorted(enumerate(schemes), key=lambda item: item[1] is not Scheme.AF):
             where = labels, scheme.value
             d = regularized_inverse(a, alpha) if scheme is Scheme.MF_RZF else None
@@ -233,12 +235,11 @@ def _capacity_chunk(job) -> np.ndarray:
                 del p, s
             if scheme is Scheme.AF:
                 del h, g
-        if include_upper:
-            for k in sorted(relays):
-                b_sum = np.sum(b[:, :k], axis=-3)
-                for i in relays[k]:
-                    where = labels[i : i + 1], UPPER_BOUND_LABEL
-                    table[i, :, -1] = stacked_upper_bound(b_sum, configs[i].p)
+        for k in sorted(relays):
+            b_sum = np.sum(b[:, :k], axis=-3)
+            for i in relays[k]:
+                where = labels[i : i + 1], UPPER_BOUND_LABEL
+                table[i, :, -1] = stacked_upper_bound(b_sum, configs[i].p)
     except (NumericError, FloatingPointError) as exc:
         failed, series = where
         raise NumericError(
@@ -252,23 +253,26 @@ def _capacity_chunk(job) -> np.ndarray:
 
 def _capacity_tables(spec: SweepSpec, workers: int) -> np.ndarray:
     """(points, trials, series) per-trial capacities of every point of
-    the sweep, in trial order, from one map over jobs. A job is one trial
-    range of the whole sweep, of at most TRIAL_CHUNK trials and short
-    enough that every worker gets one; the map runs in at most one
+    the sweep, in trial order, with the schemes' series and then the
+    bound's, from one map over jobs. A job is one trial range of the
+    whole sweep, of at most TRIAL_CHUNK trials, of at most 10 TRIAL_CHUNK
+    relay-trials at the sweep's largest k (but at least one trial), and
+    short enough that every worker gets one; the map runs in at most one
     process per job and per CPU."""
     workers = _typed("workers", workers)
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     workers = min(workers, os.cpu_count() or 1)
-    schemes, include_upper, trials = spec.schemes, spec.include_upper_bound, spec.trials
-    try:  # before the job list, which holds trials / TRIAL_CHUNK tuples
-        tables = np.empty((len(spec.values), trials, len(schemes) + int(include_upper)))
+    trials = spec.trials
+    try:  # before the job list, which holds one tuple per trial range
+        tables = np.empty((len(spec.values), trials, len(spec.schemes) + 1))
     except MemoryError as exc:
         raise MemoryError(f"trials = {trials}: {exc}") from exc
     points = tuple((f"{spec.axis} = {value}", spec.point(value)[0]) for value in spec.values)
-    step = min(TRIAL_CHUNK, -(-trials // workers))
+    top = max(config.k for _, config in points)
+    step = min(TRIAL_CHUNK, max(1, 10 * TRIAL_CHUNK // top), -(-trials // workers))
     ranges = [(start, min(start + step, trials)) for start in range(0, trials, step)]
-    jobs = [(points, schemes, include_upper, spec.seed, start, stop) for start, stop in ranges]
+    jobs = [(points, spec.schemes, spec.seed, start, stop) for start, stop in ranges]
     workers = min(workers, len(jobs))
     with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
         blocks = (pool.map if pool else map)(_capacity_chunk, jobs)
@@ -282,17 +286,15 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
     spec.trials channels, and the standard error of that mean (the sample
     standard deviation over sqrt(trials), or 0.0 for one trial).
 
-    Rows are ordered axis-major, series-minor, with the upper bound (if
-    requested) last within each point. All series of one point share the
+    Rows are ordered axis-major, series-minor: each point's schemes, in
+    spec order, then the upper bound. All series of one point share the
     same per-trial channel realizations. One map over trial-range jobs,
     and for workers above 1 one process pool, serves the whole sweep.
     `workers` must be an integral number >= 1; it is capped at the CPU
     count.
     """
     rows = []
-    labels = [s.value for s in spec.schemes]
-    if spec.include_upper_bound:
-        labels.append(UPPER_BOUND_LABEL)
+    labels = [s.value for s in spec.schemes] + [UPPER_BOUND_LABEL]
     trials = spec.trials
     for value, table in zip(spec.values, _capacity_tables(spec, workers)):
         config, pnr_db, qnr_db = spec.point(value)

@@ -61,8 +61,6 @@ def emit_plot(rows: list, path: str | Path, title: str = "") -> None:
     order; x is the sweep axis, y the mean capacity with error bars of
     one standard error.
     """
-    if not rows:
-        raise ValueError("cannot plot an empty result table")
     axis = rows[0].axis
     series: dict = {}
     for row in rows:

@@ -5,8 +5,7 @@ A scenario has three sections plus an optional top-level description:
     description: one line shown by list-scenarios   (optional)
     network:  m, n, k, pnr_db, qnr_db, alpha (optional)
     sweep:    axis, values
-    run:      schemes, seed, trials (optional),
-              include_upper_bound (optional)
+    run:      schemes, seed, trials (optional)
 
 The keys are the fields of SweepSpec, one for one, and a missing optional
 key takes SweepSpec's default. This module only finds and reads files:
@@ -38,9 +37,9 @@ class ScenarioError(ConfigError):
 _SECTIONS = {
     "network": ("m", "n", "k", "pnr_db", "qnr_db", "alpha"),
     "sweep": ("axis", "values"),
-    "run": ("schemes", "trials", "seed", "include_upper_bound"),
+    "run": ("schemes", "trials", "seed"),
 }
-_OPTIONAL = ("alpha", "trials", "include_upper_bound")
+_OPTIONAL = ("alpha", "trials")
 
 
 class _Loader(yaml.SafeLoader):

@@ -172,17 +172,23 @@ class ChannelRealization:
         g.flags.writeable = False
 
 
-def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Independent Philox stream for one (seed, trial) pair."""
+def _check_key(seed: int, trial: int) -> None:
     check_seed(seed)
     if trial < 0:
         raise ValueError(f"trial index must be >= 0, got {trial}")
+
+
+def trial_rng(seed: int, trial: int) -> np.random.Generator:
+    """Independent Philox stream for one (seed, trial) pair."""
+    _check_key(seed, trial)
     return np.random.Generator(np.random.Philox(key=np.array([seed, trial], dtype=np.uint64)))
 
 
 def realization_for_trial(config: NetworkConfig, seed: int, trial: int) -> ChannelRealization:
     """The fading realization of Monte Carlo trial `trial` under `seed`:
-    the one-trial view of channels_for_trials."""
+    the one-trial view of channels_for_trials, which leaves checking the
+    seed and trial to its caller."""
+    _check_key(seed, trial)
     h, g = channels_for_trials(config, seed, trial, trial + 1, config.k)
     return ChannelRealization(h=h[0], g=g[0])
 

@@ -167,9 +167,9 @@ def test_05_matches_independent_scalar_oracle():
     trials = 100_000
     spec = SweepSpec(
         "relay_count", (1,), m=1, n=1, k=1, pnr_db=10.0, qnr_db=10.0,
-        schemes=(Scheme.MF,), include_upper_bound=False, trials=trials, seed=50,
+        schemes=(Scheme.MF,), trials=trials, seed=50,
     )
-    (est,) = run_sweep(spec)
+    est, _ = run_sweep(spec)
 
     # Closed-form single-antenna chain, written out from scratch: the
     # beamformer is conj(g) conj(h), the composite channel is real, and
@@ -248,7 +248,7 @@ def test_08_relay_scaling_gains():
     start = time.perf_counter()
     spec = SweepSpec(
         "relay_count", (2, 8), m=4, n=4, k=2, pnr_db=10.0, qnr_db=10.0,
-        include_upper_bound=False, trials=10_000, seed=80,
+        trials=10_000, seed=80,
     )
     est = {(row.k, row.scheme): row for row in run_sweep(spec)}
     mf_gain = est[(8, "mf")].capacity_mean_bits - est[(2, "mf")].capacity_mean_bits
@@ -324,9 +324,9 @@ def test_11_weak_first_hop_keeps_proposed_schemes_ahead():
     start = time.perf_counter()
     spec = SweepSpec(
         "relay_count", (4,), m=4, n=4, k=4, pnr_db=5.0, qnr_db=20.0,
-        include_upper_bound=False, trials=10_000, seed=110,
+        trials=10_000, seed=110,
     )
-    af, mf, rzf = run_sweep(spec)
+    af, mf, rzf, _ = run_sweep(spec)
     mf_margin = mf.capacity_mean_bits - af.capacity_mean_bits
     rzf_margin = rzf.capacity_mean_bits - af.capacity_mean_bits
     mf_limit = 3.0 * _combined_stderr(af, mf)

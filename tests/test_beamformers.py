@@ -30,9 +30,7 @@ def realized_power(f, rho, h, cfg):
 
 
 def test_scheme_wire_names():
-    assert str(Scheme.AF) == "af"
-    assert str(Scheme.MF) == "mf"
-    assert str(Scheme.MF_RZF) == "mf-rzf"
+    assert [scheme.value for scheme in Scheme] == ["af", "mf", "mf-rzf"]
     assert Scheme("mf-rzf") is Scheme.MF_RZF
     with pytest.raises(ValueError):
         Scheme("zf")

@@ -314,7 +314,8 @@ def _cap_address_space():
 @pytest.mark.parametrize(
     "values, extra, message",
     [
-        ("[1, 1000000000000000]", [], "relay_count = 1000000000000000 at trials [0, 4): "),
+        # a job holds at most 10 TRIAL_CHUNK relay-trials, but never less than one trial
+        ("[1, 1000000000000000]", [], "relay_count = 1000000000000000 at trials [0, 1): "),
         ("[1, 2]", ["--trials", "1000000000000000"], "trials = 1000000000000000: "),
         ("[1, 2]", [], None),
     ],
@@ -354,7 +355,7 @@ from relaysim.cli import main
 
 assert main(["run", "fig2", "--trials", "16", "--out", sys.argv[1]]) == 0
 spec = SweepSpec("relay_count", (4,), m=4, n=4, k=4, pnr_db=10.0, qnr_db=10.0,
-                 schemes=(Scheme.MF_RZF,), include_upper_bound=False, trials=64, seed=1)
+                 schemes=(Scheme.MF_RZF,), trials=64, seed=1)
 assert run_sweep(spec)[0].capacity_mean_bits > 0
 assert "scipy" not in sys.modules
 """

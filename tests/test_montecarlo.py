@@ -40,7 +40,6 @@ def base_spec(**overrides):
         pnr_db=10.0,
         qnr_db=10.0,
         schemes=(Scheme.AF, Scheme.MF, Scheme.MF_RZF),
-        include_upper_bound=True,
         trials=200,
         seed=3,
     )
@@ -85,7 +84,6 @@ def test_sweep_spec_validation():
         (dict(trials=16.0), "key 'trials' must be int, got float"),
         (dict(alpha="1"), "key 'alpha' must be float, got str"),
         (dict(pnr_db="10"), "key 'pnr_db' must be float, got str"),
-        (dict(include_upper_bound="no"), "key 'include_upper_bound' must be bool, got str"),
         (dict(axis="pnr_db", values=(0.0, 10.0), k=1.5), "key 'k' must be int, got float"),
         (dict(axis="pnr_db", values=("1", "2")), "sweep value '1' is not a number"),
         (dict(axis="pnr_db", values=(True,)), "sweep value True is not a number"),
@@ -93,7 +91,7 @@ def test_sweep_spec_validation():
         (dict(axis="pnr_db", values=np.array(5.0)), "key 'values' must be list, got ndarray"),
         (dict(pnr_db=10**400), "key 'pnr_db' must be float, got int"),
     ],
-    ids=["m-float", "m-str", "trials-float", "alpha-str", "pnr_db-str", "bound-str", "k-float",
+    ids=["m-float", "m-str", "trials-float", "alpha-str", "pnr_db-str", "k-float",
          "values-str", "values-bool", "values-int", "values-0d-array", "pnr_db-huge-int"],
 )
 def test_wrong_type_is_a_config_error_naming_the_field(overrides, message):
@@ -167,7 +165,7 @@ def test_chunk_matches_per_realization_chain(m, n, k):
     points = tuple((f"point {p}", cfg) for p, cfg in enumerate(configs))
     schemes = (Scheme.AF, Scheme.MF, Scheme.MF_RZF)
     seed, start, stop = 17, 2050, 2066
-    block = _capacity_chunk((points, schemes, True, seed, start, stop))
+    block = _capacity_chunk((points, schemes, seed, start, stop))
     assert block.shape == (2, stop - start, 4)
     for i, trial in enumerate(range(start, stop)):
         real = realization_for_trial(configs[0], seed, trial)
@@ -180,8 +178,9 @@ def test_chunk_matches_per_realization_chain(m, n, k):
 
 
 def one_point(value, scheme, **overrides):
-    """A sweep of one axis value and one scheme, without the bound."""
-    return base_spec(values=(value,), schemes=(scheme,), include_upper_bound=False, **overrides)
+    """A sweep of one axis value and one scheme: its rows are the
+    scheme's, then the bound's."""
+    return base_spec(values=(value,), schemes=(scheme,), **overrides)
 
 
 def test_estimate_is_deterministic():
@@ -194,12 +193,12 @@ def test_estimate_is_deterministic():
 
 def test_estimate_fields():
     spec = one_point(1, Scheme.AF, trials=50, seed=0)
-    (est,) = run_sweep(spec)
+    est, _ = run_sweep(spec)
     assert est.scheme == "af"
     assert est.trials == 50
     assert est.capacity_mean_bits > 0
     assert est.capacity_stderr_bits > 0
-    (single,) = run_sweep(dataclasses.replace(spec, trials=1))
+    single, _ = run_sweep(dataclasses.replace(spec, trials=1))
     assert single.capacity_stderr_bits == 0.0
 
 
@@ -248,7 +247,7 @@ def test_scalar_network_against_independent_oracle():
     oracle_se = float(np.std(oracle_caps, ddof=1) / np.sqrt(trials))
 
     spec = one_point(1, Scheme.MF, m=1, n=1, trials=trials, seed=99)  # p = q = 10 dB
-    (est,) = run_sweep(spec)
+    est, _ = run_sweep(spec)
     gap = abs(est.capacity_mean_bits - oracle_mean)
     assert gap < 3.0 * np.hypot(est.capacity_stderr_bits, oracle_se)
 
@@ -325,12 +324,6 @@ def test_single_point_sweep_matches_direct_estimate():
             assert alone == [r for r in rows if r.scheme in (scheme.value, "upper-bound")]
 
 
-def test_sweep_without_upper_bound():
-    spec = base_spec(include_upper_bound=False, values=(1,), trials=30)
-    rows = run_sweep(spec)
-    assert [r.scheme for r in rows] == ["af", "mf", "mf-rzf"]
-
-
 def test_sweep_is_deterministic_across_workers():
     spec = base_spec(values=(1, 2), trials=500, seed=13)
     a = run_sweep(spec, workers=1)
@@ -379,14 +372,23 @@ def test_relay_count_sweep_draws_once_per_chunk(monkeypatch):
     )
 
 
-@pytest.mark.parametrize("name, bound_mib", [("fig5", 40), ("fig2", 12)])
-def test_trial_chunk_bounds_a_jobs_memory(name, bound_mib):
-    # the traced peak of one job of TRIAL_CHUNK trials over every point,
-    # scheme and the bound of a bundled scenario: (8, 8, 10) at 7 points
-    # for fig5, (4, 4, 1..8) for fig2
-    spec = load_bundled(name)
-    points = tuple((str(value), spec.point(value)[0]) for value in spec.values)
-    job = (points, spec.schemes, spec.include_upper_bound, spec.seed, 0, TRIAL_CHUNK)
+@pytest.mark.parametrize("name, bound_mib", [("fig5", 40), ("fig2", 12), ("k128", 40)])
+def test_trial_chunk_bounds_a_jobs_memory(monkeypatch, name, bound_mib):
+    # the traced peak of the first job that the scheduler makes of a
+    # sweep, over every point, scheme and the bound: (8, 8, 10) at 7
+    # points for fig5 and (4, 4, 1..8) for fig2, each in TRIAL_CHUNK
+    # trials, and (4, 4, 2..128) for k128, whose largest k cuts a job to
+    # 10 TRIAL_CHUNK / 128 = 40 trials
+    if name == "k128":
+        spec = SweepSpec("relay_count", (2, 4, 8, 16, 32, 64, 128), m=4, n=4, k=2,
+                         pnr_db=10.0, qnr_db=10.0, seed=1)
+    else:
+        spec = load_bundled(name)
+    jobs = []
+    monkeypatch.setattr(montecarlo, "_capacity_chunk", lambda job: jobs.append(job) or 0.0)
+    _capacity_tables(spec, 1)
+    job = jobs[0]
+    assert job[3:] == (0, 40 if name == "k128" else TRIAL_CHUNK)
     tracemalloc.start()
     try:
         _capacity_chunk(job)
@@ -461,13 +463,13 @@ def test_pool_never_exceeds_the_cpus(monkeypatch, serial_pool):
     jobs = _count_calls(monkeypatch, "_capacity_chunk")
     run_sweep(one_point(1, Scheme.MF, m=1, n=1, trials=10_000), workers=1000)
     assert serial_pool == [2]
-    assert [job[4:] for (job,) in jobs] == [
+    assert [job[3:] for (job,) in jobs] == [
         (start, min(start + TRIAL_CHUNK, 10_000)) for start in range(0, 10_000, TRIAL_CHUNK)
     ]  # jobs of at most TRIAL_CHUNK trials
     jobs.clear()
     run_sweep(one_point(1, Scheme.MF, trials=64), workers=8)
     assert serial_pool == [2, 2]
-    assert [job[4:] for (job,) in jobs] == [(0, 32), (32, 64)]
+    assert [job[3:] for (job,) in jobs] == [(0, 32), (32, 64)]
     monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one process
     run_sweep(one_point(1, Scheme.MF, trials=64), workers=8)
     assert serial_pool == [2, 2]
@@ -566,11 +568,9 @@ def test_floating_point_overflow_names_point_scheme_and_trials():
 
 
 def test_mf_capacity_grows_with_relay_count():
-    spec = base_spec(
-        values=(1, 6), schemes=(Scheme.MF,), include_upper_bound=False, trials=800
-    )
-    rows = run_sweep(spec)
-    assert rows[1].capacity_mean_bits > rows[0].capacity_mean_bits
+    spec = base_spec(values=(1, 6), schemes=(Scheme.MF,), trials=800)
+    mf_1, _, mf_6, _ = run_sweep(spec)
+    assert mf_6.capacity_mean_bits > mf_1.capacity_mean_bits
 
 
 @pytest.mark.parametrize("m, k, antennas", [(2, 2, (2, 4, 8)), (4, 4, (4, 8, 16))])
@@ -581,7 +581,7 @@ def test_mf_and_mf_rzf_gain_from_more_antennas_per_relay(m, k, antennas):
     rows = {}
     for n in antennas:
         spec = base_spec(axis="pnr_equals_qnr_db", values=(10.0,), m=m, n=n, k=k,
-                         include_upper_bound=False, trials=4096, seed=1)
+                         trials=4096, seed=1)
         rows.update(((row.scheme, n), row) for row in run_sweep(spec))
     for scheme in ("af", "mf", "mf-rzf"):
         means = " -> ".join(f"{rows[scheme, n].capacity_mean_bits:.3f}" for n in antennas)
@@ -595,16 +595,16 @@ def test_mf_and_mf_rzf_gain_from_more_antennas_per_relay(m, k, antennas):
 
 def mf_rzf_spec(alpha, n=4, schemes=(Scheme.MF, Scheme.MF_RZF)):
     return base_spec(axis="pnr_equals_qnr_db", values=(10.0,), m=4, n=n, k=4, alpha=alpha,
-                     schemes=schemes, include_upper_bound=False, trials=64)
+                     schemes=schemes, trials=64)
 
 
 @pytest.mark.parametrize("alpha", [1e12, 1e200, 1e300])
 def test_mf_rzf_at_large_alpha_is_mf_per_trial(alpha):
-    mf, mf_rzf = _capacity_tables(mf_rzf_spec(alpha), 1)[0].T
+    mf, mf_rzf, _ = _capacity_tables(mf_rzf_spec(alpha), 1)[0].T
     np.testing.assert_allclose(mf_rzf, mf, rtol=1e-9, atol=0)
 
 
 @pytest.mark.parametrize("n, alpha", [(5, 0.0), (4, 1e-3), (4, 1.0), (4, 1e8)])
 def test_mf_rzf_runs_at_every_alpha(n, alpha):
-    (row,) = run_sweep(mf_rzf_spec(alpha, n, schemes=(Scheme.MF_RZF,)))
+    row, _ = run_sweep(mf_rzf_spec(alpha, n, schemes=(Scheme.MF_RZF,)))
     assert np.isfinite(row.capacity_mean_bits) and row.capacity_mean_bits > 0

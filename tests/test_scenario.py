@@ -39,7 +39,6 @@ def scenario_text(spec, description=None):
     PyYAML's emitter: parsing it must give back an equal spec."""
     network = {key: getattr(spec, key) for key in ("m", "n", "k", "pnr_db", "qnr_db", "alpha")}
     run = dict(schemes=[s.value for s in spec.schemes], trials=spec.trials, seed=spec.seed)
-    run.update(include_upper_bound=spec.include_upper_bound)
     data = dict(network=network, sweep=dict(axis=spec.axis, values=list(spec.values)), run=run)
     if description:
         data["description"] = description
@@ -57,7 +56,6 @@ def test_minimal_scenario_parses_with_defaults():
     defaults = {field.name: field.default for field in dataclasses.fields(SweepSpec)}
     assert spec.trials == defaults["trials"] == 10_000
     assert spec.alpha == defaults["alpha"] == 1.0
-    assert spec.include_upper_bound is defaults["include_upper_bound"] is True
 
 
 def test_pnr_values_stored_in_db():
@@ -73,6 +71,11 @@ def test_unknown_section_key_names_file_and_section():
     text = MINIMAL.replace("  qnr_db: 10", "  qnr_db: 10\n  bogus: 1")
     with pytest.raises(ScenarioError, match=r"my\.yaml.*'bogus'.*'network'"):
         parse_scenario_text(text, source="my.yaml")
+    # every sweep reports the bound, so no key turns it off
+    text = MINIMAL.replace("  seed: 3", "  seed: 3\n  include_upper_bound: false")
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario_text(text, source="my.yaml")
+    assert str(info.value) == "my.yaml: unknown key 'include_upper_bound' in section 'run'"
 
 
 def test_unknown_top_level_key_rejected():
@@ -226,7 +229,6 @@ def test_bundled_scenarios_parse_and_describe(name):
     assert spec.trials == 10_000
     assert spec.seed == 1
     assert spec.schemes == (Scheme.AF, Scheme.MF, Scheme.MF_RZF)
-    assert spec.include_upper_bound is True
     assert bundled_description(name)
 
 
