@@ -3,14 +3,12 @@ MIMO relay networks with matched-filter and regularized zero-forcing
 relay beamforming."""
 
 from .beamformers import Scheme
-from .channel import NetworkConfig
 from .montecarlo import SweepRow, SweepSpec, run_sweep
 from .scenario import ScenarioError, list_bundled, load_bundled, parse_scenario
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "NetworkConfig",
     "ScenarioError",
     "Scheme",
     "SweepRow",

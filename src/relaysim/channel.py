@@ -1,4 +1,4 @@
-"""Network configuration and Rayleigh block-fading channel sampling.
+"""Input errors, seeds and Rayleigh block-fading channel sampling.
 
 Randomness is counter-based: every Monte Carlo trial gets its own Philox
 stream keyed by (seed, trial), so trial t yields the same channels no
@@ -11,9 +11,6 @@ channels of every k <= K (channels_for_trials).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 _SEED_LIMIT = 1 << 64
@@ -21,65 +18,6 @@ _SEED_LIMIT = 1 << 64
 
 class ConfigError(ValueError):
     """An input value is invalid; the message names its field."""
-
-
-def _from_db(value: float, field: str) -> float:
-    """10^(value/10), with a ConfigError naming `field` unless that is a
-    finite positive float (it overflows, underflows to 0, or is nan)."""
-    try:
-        power = 10.0 ** (value / 10.0)
-    except OverflowError:
-        power = math.inf
-    if not 0.0 < power < math.inf:
-        raise ConfigError(f"{field} = {value} dB is not a finite positive power")
-    return power
-
-
-@dataclass(frozen=True)
-class NetworkConfig:
-    """Dimensions and power budget of one dual-hop relay network.
-
-    m: antennas at source and destination, n: antennas per relay,
-    k: number of relays. p is PNR, the total source transmit power, and q
-    is QNR, the per-relay transmit power, both as linear ratios (not dB)
-    to the noise variance, which is 1 at the relays and the destination.
-    alpha is the regularization weight of the mf-rzf beamformer.
-    """
-
-    m: int
-    n: int
-    k: int
-    p: float
-    q: float
-    alpha: float = 1.0
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ConfigError(f"m must be >= 1, got {self.m}")
-        if self.n < self.m:
-            raise ConfigError(f"relay antennas must satisfy n >= m, got n={self.n}, m={self.m}")
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
-        for field in ("p", "q"):
-            value = getattr(self, field)
-            if not (value > 0) or not math.isfinite(value):
-                raise ConfigError(f"{field} must be strictly positive, got {value}")
-        if self.alpha < 0 or not math.isfinite(self.alpha):
-            raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
-
-    @classmethod
-    def from_db(
-        cls, m: int, n: int, k: int, pnr_db: float, qnr_db: float, alpha: float = 1.0
-    ) -> "NetworkConfig":
-        """Build a config from PNR and QNR in dB."""
-        return cls(
-            m=m,
-            n=n,
-            k=k,
-            p=_from_db(pnr_db, "pnr_db"),
-            q=_from_db(qnr_db, "qnr_db"),
-            alpha=alpha,
-        )
 
 
 def check_seed(seed: int, field: str = "seed") -> int:
@@ -92,15 +30,12 @@ def check_seed(seed: int, field: str = "seed") -> int:
 
 
 def channels_for_trials(
-    config: NetworkConfig,
-    seed: int,
-    start: int,
-    stop: int,
-    g_start: int,
+    m: int, n: int, k: int, seed: int, start: int, stop: int, g_start: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked channels of Monte Carlo trials [start, stop) under `seed`:
-    h (T, k, n, m) and g (T, 2k - g_start, m, n) with T = stop - start
-    (at g_start = k, g holds k matrices).
+    """Stacked channels of k relays of n antennas between an m-antenna
+    source and destination, for Monte Carlo trials [start, stop) under
+    `seed`: h (T, k, n, m) and g (T, 2k - g_start, m, n) with
+    T = stop - start (at g_start = k, g holds k matrices).
 
     Trial t draws from its own Philox stream keyed by (seed, t) with the
     counter at 0, so a trial's channels do not depend on which chunk or
@@ -120,11 +55,10 @@ def channels_for_trials(
     of a sweep, k' reads its g as g[:, k' - g_start : 2k' - g_start] and
     one draw at the sweep's largest k serves every k'.
 
-    The caller passes a checked seed, 0 <= start <= stop and
-    1 <= g_start <= k; a seed or trial outside 64 bits raises
-    OverflowError when it keys the stream.
+    The caller passes positive dimensions, a checked seed,
+    0 <= start <= stop and 1 <= g_start <= k; a seed or trial outside
+    64 bits raises OverflowError when it keys the stream.
     """
-    k, n, m = config.k, config.n, config.m
     raw = np.empty((stop - start, 4 * k * n * m))
     bitgen = np.random.Philox(0)
     normal = np.random.Generator(bitgen).standard_normal

@@ -43,6 +43,7 @@ bounds it at any k.
 from __future__ import annotations
 
 import contextlib
+import math
 import numbers
 import os
 from collections.abc import Iterable, Mapping
@@ -53,7 +54,7 @@ import numpy as np
 
 from .beamformers import Scheme, regularized_inverse, relay_grams
 from .beamformers import stacked_beamformers, stacked_power_factors
-from .channel import ConfigError, NetworkConfig, channels_for_trials, check_seed
+from .channel import ConfigError, channels_for_trials, check_seed
 from .linalg import NumericError
 from .link import sic_capacity, stacked_upper_bound
 
@@ -82,12 +83,13 @@ _NETWORK = ("m", "n", "k", "pnr_db", "qnr_db", "alpha")
 
 def _typed(name: str, value):
     """`value` as field `name`'s type, or a ConfigError naming the field.
-    Integral numbers are ints and real numbers floats; only a bool is a bool."""
+    Integral numbers are ints and real numbers floats; a bool is rejected
+    for every field."""
     kind = _TYPES[name]
     accepted = {int: numbers.Integral, float: numbers.Real, list: Iterable}.get(kind, kind)
     if (
         isinstance(value, accepted)
-        and isinstance(value, bool) == (kind is bool)
+        and not isinstance(value, bool)
         and not (kind is list and isinstance(value, (str, bytes, Mapping)))
     ):
         # TypeError: a 0-d array is not iterable; OverflowError: an int too large for a float
@@ -96,13 +98,43 @@ def _typed(name: str, value):
     raise ConfigError(f"key '{name}' must be {kind.__name__}, got {type(value).__name__}")
 
 
+def _from_db(value: float, field: str) -> float:
+    """10^(value/10), with a ConfigError naming `field` unless that is a
+    finite positive float (it overflows, underflows to 0, or is nan)."""
+    try:
+        power = 10.0 ** (value / 10.0)
+    except OverflowError:
+        power = math.inf
+    if not 0.0 < power < math.inf:
+        raise ConfigError(f"{field} = {value} dB is not a finite positive power")
+    return power
+
+
+def _check_network(m: int, n: int, k: int, pnr_db: float, qnr_db: float, alpha: float):
+    """A ConfigError naming the field unless the network is one: m >= 1
+    antennas at source and destination, n >= m per relay, k >= 1 relays,
+    powers in dB that give finite positive linear powers, and a finite
+    alpha >= 0."""
+    _from_db(pnr_db, "pnr_db")
+    _from_db(qnr_db, "qnr_db")
+    if m < 1:
+        raise ConfigError(f"m must be >= 1, got {m}")
+    if n < m:
+        raise ConfigError(f"relay antennas must satisfy n >= m, got n={n}, m={m}")
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
+    if not 0 <= alpha < math.inf:
+        raise ConfigError(f"alpha must be >= 0, got {alpha}")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One sweep, field for field the keys of a scenario file: an axis,
     its values, the base network the axis perturbs (powers in dB) and the
-    run settings. It is the one check of a sweep's input: every field is
-    typed, and the base network and every point are materialized, so a
-    bad value is a ConfigError naming its field when the spec is built."""
+    run settings. It is the package's one network description and the
+    one check of a sweep's input: every field is typed, and the base
+    network and every point are checked (_check_network), so a bad value
+    is a ConfigError naming its field when the spec is built."""
 
     axis: str
     values: tuple
@@ -143,22 +175,23 @@ class SweepSpec:
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         check_seed(self.seed)
-        NetworkConfig.from_db(**{name: getattr(self, name) for name in _NETWORK})
+        _check_network(*(getattr(self, name) for name in _NETWORK))
         for value in self.values:
             self.point(value)
         field = AXES[self.axis][0]
         object.__setattr__(self, "values", tuple(_typed(field, v) for v in self.values))
 
-    def point(self, value) -> tuple[NetworkConfig, float, float]:
-        """Materialize (config, pnr_db, qnr_db) for one axis value: the
-        base network with the axis's fields set to `value`."""
-        fields = {name: getattr(self, name) for name in _NETWORK}
+    def point(self, value) -> dict:
+        """The network fields m, n, k, pnr_db, qnr_db and alpha of one
+        axis value, powers in dB: the base network with the axis's fields
+        set to `value`."""
+        network = {name: getattr(self, name) for name in _NETWORK}
         try:
-            fields.update((name, _typed(name, value)) for name in AXES[self.axis])
-            config = NetworkConfig.from_db(**fields)
+            network.update((name, _typed(name, value)) for name in AXES[self.axis])
+            _check_network(**network)
         except ConfigError as exc:
             raise ConfigError(f"axis point {value}: {exc}") from None
-        return config, fields["pnr_db"], fields["qnr_db"]
+        return network
 
 
 @dataclass(frozen=True)
@@ -183,9 +216,10 @@ class SweepRow:
 @np.errstate(over="raise", divide="raise", invalid="raise")
 def _capacity_chunk(job) -> np.ndarray:
     """Per-trial capacities (points, T, series) for trials [start, stop)
-    of sweep points, given as (label, config) pairs whose configs share
-    m, n and alpha; the series are the schemes, then the cut-set bound.
-    The job comes from _capacity_tables, so its seed and range are valid.
+    of every point of a sweep; the series are the spec's schemes, then
+    the cut-set bound. The job (spec, start, stop) comes from
+    _capacity_tables, so its range is valid. Each point's powers are
+    converted from dB once, here.
 
     The channels are drawn once, at the largest relay count K, and
     reduced once to B = h^H h of blocks [0, K) and A = g g^H of blocks
@@ -203,20 +237,22 @@ def _capacity_chunk(job) -> np.ndarray:
     its link products), the series and the trial range, and a MemoryError
     naming the point(s) and the trial range.
     """
-    points, schemes, seed, start, stop = job
-    labels, configs = zip(*points)
-    relays = {}  # k -> the indices of its points
-    for i, config in enumerate(configs):
-        relays.setdefault(config.k, []).append(i)
-    alpha, n, low, top = configs[0].alpha, configs[0].n, min(relays), max(relays)
+    spec, start, stop = job
+    schemes, m, n, alpha = spec.schemes, spec.m, spec.n, spec.alpha
+    labels = [f"{spec.axis} = {value}" for value in spec.values]
+    relays, powers = {}, []  # k -> the indices of its points; linear (PNR, QNR) per point
+    for i, point in enumerate(map(spec.point, spec.values)):
+        relays.setdefault(point["k"], []).append(i)
+        powers.append((_from_db(point["pnr_db"], "pnr_db"), _from_db(point["qnr_db"], "qnr_db")))
+    low, top = min(relays), max(relays)
     where = [labels[i] for i in relays[top]], "channels"  # the draw is sized by the top k
     try:
         # g is blocks [low, 2 top): k reads its g blocks [k, 2k) at k - low
-        h, g = channels_for_trials(configs[relays[top][0]], seed, start, stop, low)
+        h, g = channels_for_trials(m, n, top, spec.seed, start, stop, low)
         a, b = relay_grams(h, g)
         if Scheme.AF not in schemes:
             del h, g
-        table = np.empty((len(points), stop - start, len(schemes) + 1))
+        table = np.empty((len(labels), stop - start, len(schemes) + 1))
         for j, scheme in sorted(enumerate(schemes), key=lambda item: item[1] is not Scheme.AF):
             where = labels, scheme.value
             d = regularized_inverse(a, alpha) if scheme is Scheme.MF_RZF else None
@@ -229,9 +265,9 @@ def _capacity_chunk(job) -> np.ndarray:
                 )
                 for i in relays[k]:
                     where = labels[i : i + 1], scheme.value
-                    config = configs[i]
-                    rho = stacked_power_factors(fh_sq, f_sq, config.p, config.m, config.q)
-                    table[i, :, j] = sic_capacity(p, s, rho, config.p)
+                    pnr, qnr = powers[i]
+                    rho = stacked_power_factors(fh_sq, f_sq, pnr, m, qnr)
+                    table[i, :, j] = sic_capacity(p, s, rho, pnr)
                 del p, s
             if scheme is Scheme.AF:
                 del h, g
@@ -239,7 +275,7 @@ def _capacity_chunk(job) -> np.ndarray:
             b_sum = np.sum(b[:, :k], axis=-3)
             for i in relays[k]:
                 where = labels[i : i + 1], UPPER_BOUND_LABEL
-                table[i, :, -1] = stacked_upper_bound(b_sum, configs[i].p)
+                table[i, :, -1] = stacked_upper_bound(b_sum, powers[i][0])
     except (NumericError, FloatingPointError) as exc:
         failed, series = where
         raise NumericError(
@@ -268,11 +304,10 @@ def _capacity_tables(spec: SweepSpec, workers: int) -> np.ndarray:
         tables = np.empty((len(spec.values), trials, len(spec.schemes) + 1))
     except MemoryError as exc:
         raise MemoryError(f"trials = {trials}: {exc}") from exc
-    points = tuple((f"{spec.axis} = {value}", spec.point(value)[0]) for value in spec.values)
-    top = max(config.k for _, config in points)
+    top = max(spec.point(value)["k"] for value in spec.values)
     step = min(TRIAL_CHUNK, max(1, 10 * TRIAL_CHUNK // top), -(-trials // workers))
     ranges = [(start, min(start + step, trials)) for start in range(0, trials, step)]
-    jobs = [(points, spec.schemes, spec.seed, start, stop) for start, stop in ranges]
+    jobs = [(spec, start, stop) for start, stop in ranges]
     workers = min(workers, len(jobs))
     with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
         blocks = (pool.map if pool else map)(_capacity_chunk, jobs)
@@ -297,7 +332,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
     labels = [s.value for s in spec.schemes] + [UPPER_BOUND_LABEL]
     trials = spec.trials
     for value, table in zip(spec.values, _capacity_tables(spec, workers)):
-        config, pnr_db, qnr_db = spec.point(value)
+        point = spec.point(value)
         for j, label in enumerate(labels):
             col = table[:, j]
             stderr = float(np.std(col, ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
@@ -306,12 +341,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
                     scheme=label,
                     axis=spec.axis,
                     axis_value=value,
-                    m=config.m,
-                    n=config.n,
-                    k=config.k,
-                    pnr_db=pnr_db,
-                    qnr_db=qnr_db,
-                    alpha=config.alpha,
+                    **point,
                     trials=trials,
                     seed=spec.seed,
                     capacity_mean_bits=float(np.mean(col)),

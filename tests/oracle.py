@@ -19,11 +19,12 @@ transpose, trace, norms, log-determinant) are the tests' building blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from relaysim.beamformers import Scheme, stacked_power_factors
-from relaysim.channel import NetworkConfig, channels_for_trials, check_seed
+from relaysim.channel import channels_for_trials, check_seed
 from relaysim.linalg import NumericError, logdet_hpd_stack, re_inner
 from relaysim.link import _relay_sum, stacked_capacity_bits, stacked_upper_bound
 
@@ -150,6 +151,20 @@ def solve_hpd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------- channel
 
 
+class Network(NamedTuple):
+    """One network as the chain reads it: m antennas at source and
+    destination, n per relay, k relays, p (PNR) and q (QNR) as linear
+    ratios to the unit noise variance, and mf-rzf's alpha. Unchecked: the
+    package checks its input in relaysim.montecarlo.SweepSpec."""
+
+    m: int
+    n: int
+    k: int
+    p: float
+    q: float
+    alpha: float = 1.0
+
+
 @dataclass(frozen=True)
 class ChannelRealization:
     """One fading realization: h[k] is the n x m first-hop matrix of relay k,
@@ -184,12 +199,12 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, trial], dtype=np.uint64)))
 
 
-def realization_for_trial(config: NetworkConfig, seed: int, trial: int) -> ChannelRealization:
+def realization_for_trial(config: Network, seed: int, trial: int) -> ChannelRealization:
     """The fading realization of Monte Carlo trial `trial` under `seed`:
     the one-trial view of channels_for_trials, which leaves checking the
     seed and trial to its caller."""
     _check_key(seed, trial)
-    h, g = channels_for_trials(config, seed, trial, trial + 1, config.k)
+    h, g = channels_for_trials(config.m, config.n, config.k, seed, trial, trial + 1, config.k)
     return ChannelRealization(h=h[0], g=g[0])
 
 
@@ -272,7 +287,7 @@ def power_control_factor(
 
 
 def build_weights(
-    scheme: Scheme, realization: ChannelRealization, config: NetworkConfig
+    scheme: Scheme, realization: ChannelRealization, config: Network
 ) -> RelayWeights:
     """Beamforming matrices and power scales for every relay of one
     realization: the per-relay builders applied relay by relay, and
@@ -314,7 +329,7 @@ def stacked_snr(
     noise_gram: np.ndarray,
     q: np.ndarray,
     r_diag: np.ndarray,
-    config: NetworkConfig,
+    config: Network,
 ) -> np.ndarray:
     """Post-detection SNR of each stream, batched over leading axes, from
     the QR factor q and |diag r| (..., m) of the effective channel. A unit
@@ -334,7 +349,7 @@ def stacked_snr(
 
 
 def lapack_scheme_capacity(
-    p: np.ndarray, s: np.ndarray, rho: np.ndarray, config: NetworkConfig
+    p: np.ndarray, s: np.ndarray, rho: np.ndarray, config: Network
 ) -> np.ndarray:
     """relaysim.link.sic_capacity's inputs and output, through LAPACK's
     QR and stacked_snr: per-trial capacities of cascades p and noise
@@ -349,7 +364,7 @@ def effective_channel(realization: ChannelRealization, weights: RelayWeights) ->
 
 
 def per_stream_snr(
-    realization: ChannelRealization, weights: RelayWeights, qr: QrFactors, config: NetworkConfig
+    realization: ChannelRealization, weights: RelayWeights, qr: QrFactors, config: Network
 ) -> np.ndarray:
     """Post-detection SNRs of one realization under one scheme."""
     gf = realization.g @ weights.f
@@ -366,7 +381,7 @@ def instantaneous_capacity(snr_per_stream: np.ndarray) -> float:
 
 
 def compute_link_metrics(
-    realization: ChannelRealization, weights: RelayWeights, config: NetworkConfig
+    realization: ChannelRealization, weights: RelayWeights, config: Network
 ) -> LinkMetrics:
     """Assemble the full chain for one realization under one scheme."""
     h_sd = effective_channel(realization, weights)
@@ -380,7 +395,7 @@ def compute_link_metrics(
     )
 
 
-def upper_bound_capacity(realization: ChannelRealization, config: NetworkConfig) -> float:
+def upper_bound_capacity(realization: ChannelRealization, config: Network) -> float:
     """Cut-set bound of one realization, in bits."""
     h = realization.h
     b_sum = np.sum(np.swapaxes(h, -1, -2).conj() @ h, axis=0)
@@ -391,7 +406,7 @@ def simulate_transmission(
     realization: ChannelRealization,
     weights: RelayWeights,
     qr: QrFactors,
-    config: NetworkConfig,
+    config: Network,
     draws: int,
     rng: np.random.Generator,
     sigma1_sq: float = 1.0,

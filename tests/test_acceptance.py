@@ -20,10 +20,10 @@ import time
 import numpy as np
 
 from relaysim.beamformers import Scheme
-from relaysim.channel import NetworkConfig
 from relaysim.montecarlo import SweepSpec, _capacity_tables, run_sweep
 
 from oracle import (
+    Network,
     build_weights,
     compute_link_metrics,
     effective_channel,
@@ -54,7 +54,7 @@ def test_01_per_relay_power_meets_budget_exactly():
     realizations = 0
     for m in (2, 4):
         for k in (1, 4):
-            cfg = NetworkConfig.from_db(m=m, n=m, k=k, pnr_db=10.0, qnr_db=10.0)
+            cfg = Network(m=m, n=m, k=k, p=10.0, q=10.0)
             for trial in range(250):
                 real = realization_for_trial(cfg, seed=10 * m + k, trial=trial)
                 for scheme in ALL_SCHEMES:
@@ -83,7 +83,7 @@ def test_02_effective_channel_qr_contract():
     shape_ok = True
     checked = 0
     for m, k in ((2, 1), (4, 2), (8, 3)):
-        cfg = NetworkConfig.from_db(m=m, n=m, k=k, pnr_db=10.0, qnr_db=10.0)
+        cfg = Network(m=m, n=m, k=k, p=10.0, q=10.0)
         eye = np.eye(m)
         for trial in range(334):
             real = realization_for_trial(cfg, seed=20 + m, trial=trial)
@@ -142,7 +142,7 @@ def test_03_capacity_never_exceeds_cutset_bound():
 
 def test_04_measured_snr_matches_analytic_formula():
     start = time.perf_counter()
-    cfg = NetworkConfig.from_db(m=2, n=2, k=2, pnr_db=10.0, qnr_db=10.0)
+    cfg = Network(m=2, n=2, k=2, p=10.0, q=10.0)
     worst = 0.0
     for trial in range(10):
         real = realization_for_trial(cfg, seed=40, trial=trial)
@@ -201,8 +201,8 @@ def test_05_matches_independent_scalar_oracle():
 
 def test_06_huge_regularizer_recovers_matched_filter():
     start = time.perf_counter()
-    cfg_mf = NetworkConfig.from_db(m=4, n=4, k=4, pnr_db=10.0, qnr_db=10.0)
-    cfg_big = NetworkConfig.from_db(m=4, n=4, k=4, pnr_db=10.0, qnr_db=10.0, alpha=1e8)
+    cfg_mf = Network(m=4, n=4, k=4, p=10.0, q=10.0)
+    cfg_big = Network(m=4, n=4, k=4, p=10.0, q=10.0, alpha=1e8)
     worst = 0.0
     for trial in range(100):
         real = realization_for_trial(cfg_mf, seed=60, trial=trial)

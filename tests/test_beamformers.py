@@ -6,10 +6,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from relaysim.beamformers import Scheme, regularized_inverse, relay_grams, stacked_beamformers
-from relaysim.channel import NetworkConfig, channels_for_trials
+from relaysim.channel import channels_for_trials
 from relaysim.linalg import NumericError
 
 from oracle import (
+    Network,
     RelayWeights,
     af_beamformer,
     build_weights,
@@ -67,8 +68,7 @@ def test_mf_rzf_zero_alpha_singular_gram_raises():
 def test_mf_rzf_singular_gram_in_a_chunk_raises():
     # one trial of a batch has a second hop with a zero row: with alpha = 0
     # its Gram matrix g g^H is singular and the whole chunk must fail
-    cfg = NetworkConfig(m=4, n=4, k=4, p=1.0, q=1.0, alpha=0.0)
-    h, g = channels_for_trials(cfg, seed=3, start=100, stop=164, g_start=cfg.k)
+    h, g = channels_for_trials(4, 4, 4, seed=3, start=100, stop=164, g_start=4)
     a, b = relay_grams(h, g)
     d = regularized_inverse(a, alpha=0.0)  # full rank: fine
     stacked_beamformers(Scheme.MF_RZF, a, b, d)
@@ -93,16 +93,16 @@ def test_gram_products_equal_per_relay_builder_products(seed, m, extra, k, alpha
     # (P, S, ||fh||^2, ||f||^2) from g g^H and h^H h against the products
     # of the per-relay builders' f, which for mf-rzf the Gram route scales
     # by 1 + alpha; fails for C = (1 + alpha)I - alpha D at alpha = 1e8
-    cfg = NetworkConfig(m=m, n=m + extra, k=k, p=1.0, q=1.0, alpha=alpha)
-    h, g = channels_for_trials(cfg, seed=seed, start=0, stop=3, g_start=cfg.k)
+    n = m + extra
+    h, g = channels_for_trials(m, n, k, seed=seed, start=0, stop=3, g_start=k)
     a, b = relay_grams(h, g)
     if alpha == 0.0:
         # both routes invert g g^H, so their errors grow with its condition
         assume(np.linalg.cond(a).max() < 1e4)
     # mf-rzf reads D; af reads the cascade and n
-    products = dict(d=regularized_inverse(a, alpha), cascade=g @ h, n=cfg.n)
+    products = dict(d=regularized_inverse(a, alpha), cascade=g @ h, n=n)
     builders = {
-        Scheme.AF: lambda h_i, g_i: af_beamformer(cfg.n),
+        Scheme.AF: lambda h_i, g_i: af_beamformer(n),
         Scheme.MF: mf_beamformer,
         Scheme.MF_RZF: lambda h_i, g_i: (1 + alpha) * mf_rzf_beamformer(h_i, g_i, alpha),
     }
@@ -176,7 +176,7 @@ def test_power_factor_zero_beamformer_raises():
     st.integers(1, 4),
 )
 def test_realized_power_is_exactly_q(seed, scheme, k):
-    cfg = NetworkConfig(m=2, n=3, k=k, p=4.0, q=2.5, alpha=1.0)
+    cfg = Network(m=2, n=3, k=k, p=4.0, q=2.5, alpha=1.0)
     real = realization_for_trial(cfg, seed=seed, trial=0)
     weights = build_weights(scheme, real, cfg)
     for i in range(k):
@@ -185,7 +185,7 @@ def test_realized_power_is_exactly_q(seed, scheme, k):
 
 
 def test_build_weights_matches_per_relay_ops():
-    cfg = NetworkConfig(m=2, n=3, k=3, p=1.5, q=3.0, alpha=0.7)
+    cfg = Network(m=2, n=3, k=3, p=1.5, q=3.0, alpha=0.7)
     real = realization_for_trial(cfg, seed=77, trial=2)
     for scheme, builder in [
         (Scheme.AF, lambda h, g: af_beamformer(cfg.n)),
@@ -201,8 +201,8 @@ def test_build_weights_matches_per_relay_ops():
 
 
 def test_build_weights_rejects_mismatched_config():
-    cfg = NetworkConfig(m=2, n=3, k=2, p=1.0, q=1.0)
-    other = NetworkConfig(m=2, n=3, k=3, p=1.0, q=1.0)
+    cfg = Network(m=2, n=3, k=2, p=1.0, q=1.0)
+    other = Network(m=2, n=3, k=3, p=1.0, q=1.0)
     real = realization_for_trial(cfg, seed=0, trial=0)
     with pytest.raises(ValueError):
         build_weights(Scheme.MF, real, other)

@@ -8,9 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from relaysim.channel import NetworkConfig, channels_for_trials
+from relaysim.channel import channels_for_trials
 
-from oracle import ChannelRealization, realization_for_trial, trial_rng
+from oracle import ChannelRealization, Network, realization_for_trial, trial_rng
 
 
 def sample_gaussian_matrix(rows, cols, rng):
@@ -24,33 +24,8 @@ def sample_gaussian_matrix(rows, cols, rng):
 
 def first_hop_matrix(rows, cols, seed):
     """h_1 of trial 0 of a one-relay network with n=rows, m=cols."""
-    cfg = NetworkConfig(m=cols, n=rows, k=1, p=1.0, q=1.0)
+    cfg = Network(m=cols, n=rows, k=1, p=1.0, q=1.0)
     return realization_for_trial(cfg, seed=seed, trial=0).h[0]
-
-
-def test_config_rejects_n_smaller_than_m():
-    with pytest.raises(ValueError, match="n >= m"):
-        NetworkConfig(m=4, n=2, k=1, p=1.0, q=1.0)
-
-
-def test_config_rejects_nonpositive_powers():
-    with pytest.raises(ValueError):
-        NetworkConfig(m=2, n=2, k=1, p=0.0, q=1.0)
-    with pytest.raises(ValueError):
-        NetworkConfig(m=2, n=2, k=1, p=1.0, q=-3.0)
-
-
-def test_config_rejects_zero_relays_and_negative_alpha():
-    with pytest.raises(ValueError):
-        NetworkConfig(m=2, n=2, k=0, p=1.0, q=1.0)
-    with pytest.raises(ValueError):
-        NetworkConfig(m=2, n=2, k=1, p=1.0, q=1.0, alpha=-0.5)
-
-
-def test_config_from_db():
-    cfg = NetworkConfig.from_db(m=4, n=4, k=3, pnr_db=10.0, qnr_db=20.0)
-    assert cfg.p == pytest.approx(10.0)
-    assert cfg.q == pytest.approx(100.0)
 
 
 def test_realization_shape_validation():
@@ -61,14 +36,14 @@ def test_realization_shape_validation():
 
 
 def test_realization_arrays_frozen():
-    cfg = NetworkConfig(m=2, n=2, k=1, p=1.0, q=1.0)
+    cfg = Network(m=2, n=2, k=1, p=1.0, q=1.0)
     real = realization_for_trial(cfg, seed=0, trial=0)
     with pytest.raises(ValueError):
         real.h[0, 0, 0] = 0.0
 
 
 def test_same_seed_trial_gives_identical_realization():
-    cfg = NetworkConfig(m=2, n=3, k=2, p=1.0, q=1.0)
+    cfg = Network(m=2, n=3, k=2, p=1.0, q=1.0)
     a = realization_for_trial(cfg, seed=42, trial=17)
     b = realization_for_trial(cfg, seed=42, trial=17)
     assert np.array_equal(a.h, b.h)
@@ -76,7 +51,7 @@ def test_same_seed_trial_gives_identical_realization():
 
 
 def test_different_trials_give_different_draws():
-    cfg = NetworkConfig(m=2, n=2, k=1, p=1.0, q=1.0)
+    cfg = Network(m=2, n=2, k=1, p=1.0, q=1.0)
     a = realization_for_trial(cfg, seed=42, trial=0)
     b = realization_for_trial(cfg, seed=42, trial=1)
     assert not np.allclose(a.h, b.h)
@@ -84,8 +59,8 @@ def test_different_trials_give_different_draws():
 
 def test_powers_do_not_touch_the_stream():
     # common random numbers: the realization depends on dims and seed only
-    lo = NetworkConfig(m=2, n=2, k=2, p=1.0, q=1.0)
-    hi = NetworkConfig(m=2, n=2, k=2, p=100.0, q=7.0, alpha=0.25)
+    lo = Network(m=2, n=2, k=2, p=1.0, q=1.0)
+    hi = Network(m=2, n=2, k=2, p=100.0, q=7.0, alpha=0.25)
     a = realization_for_trial(lo, seed=5, trial=3)
     b = realization_for_trial(hi, seed=5, trial=3)
     assert np.array_equal(a.h, b.h)
@@ -95,7 +70,7 @@ def test_powers_do_not_touch_the_stream():
 def test_negative_trial_rejected():
     with pytest.raises(ValueError):
         trial_rng(seed=1, trial=-1)
-    cfg = NetworkConfig(m=2, n=2, k=1, p=1.0, q=1.0)
+    cfg = Network(m=2, n=2, k=1, p=1.0, q=1.0)
     with pytest.raises(ValueError):
         realization_for_trial(cfg, seed=1, trial=-1)
 
@@ -111,9 +86,9 @@ def test_chunk_draw_is_stack_of_per_trial_draws(m, n, k):
     # a chunk away from trial 0 equals the trials drawn one by one, byte
     # for byte, both through realization_for_trial and through a fresh
     # keyed stream per trial read in the documented order
-    cfg = NetworkConfig(m=m, n=n, k=k, p=1.0, q=1.0)
+    cfg = Network(m=m, n=n, k=k, p=1.0, q=1.0)
     seed, start, stop = 2**64 - 3, 1021, 1029
-    h, g = channels_for_trials(cfg, seed, start, stop, cfg.k)
+    h, g = channels_for_trials(m, n, k, seed, start, stop, k)
     reals = [realization_for_trial(cfg, seed, t) for t in range(start, stop)]
     assert h.tobytes() == np.stack([r.h for r in reals]).tobytes()
     assert g.tobytes() == np.stack([r.g for r in reals]).tobytes()
@@ -131,9 +106,8 @@ def test_every_relay_count_is_a_slice_of_one_draw(relays):
     # blocks [k, 2k), byte for byte what k's own keyed stream gives in
     # the reference layout; g starts at the sweep's smallest k
     m, n, low, top = 2, 3, min(relays), max(relays)
-    cfg = NetworkConfig(m=m, n=n, k=top, p=1.0, q=1.0)
     seed, start, stop = 12, 1022, 1027
-    h, g = channels_for_trials(cfg, seed, start, stop, low)
+    h, g = channels_for_trials(m, n, top, seed, start, stop, low)
     assert h.shape == (stop - start, top, n, m)
     assert g.shape == (stop - start, 2 * top - low, m, n)
     for i, trial in enumerate(range(start, stop)):
@@ -172,7 +146,7 @@ def test_real_imag_parts_are_normal():
 
 def test_cross_relay_independence():
     # entries of different relays' matrices are uncorrelated
-    cfg = NetworkConfig(m=2, n=2, k=2, p=1.0, q=1.0)
+    cfg = Network(m=2, n=2, k=2, p=1.0, q=1.0)
     xs, ys = [], []
     for t in range(12_500):
         real = realization_for_trial(cfg, seed=99, trial=t)
@@ -185,7 +159,7 @@ def test_cross_relay_independence():
 
 
 def test_first_and_second_hop_independence():
-    cfg = NetworkConfig(m=2, n=2, k=1, p=1.0, q=1.0)
+    cfg = Network(m=2, n=2, k=1, p=1.0, q=1.0)
     xs, ys = [], []
     for t in range(12_500):
         real = realization_for_trial(cfg, seed=17, trial=t)
@@ -197,7 +171,7 @@ def test_first_and_second_hop_independence():
 
 def test_documented_draw_order():
     # a trial consumes its stream as h_1..h_k then g_1..g_k
-    cfg = NetworkConfig(m=2, n=3, k=2, p=1.0, q=1.0)
+    cfg = Network(m=2, n=3, k=2, p=1.0, q=1.0)
     real = realization_for_trial(cfg, seed=4, trial=9)
     rng = trial_rng(seed=4, trial=9)
     h1 = sample_gaussian_matrix(3, 2, rng)

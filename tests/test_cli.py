@@ -234,6 +234,22 @@ def test_overflowing_power_exits_2_naming_the_field(tmp_path, capsys, edits, fie
     assert f"{field} = {value} dB" in err
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("  m: 2\n", "  m: 0\n", "m must be >= 1, got 0"),
+        ("  n: 2\n", "  n: 1\n", "relay antennas must satisfy n >= m, got n=1, m=2"),
+        ("  qnr_db: 10\n", "  qnr_db: 10\n  alpha: -1\n", "alpha must be >= 0, got -1.0"),
+    ],
+    ids=["m-zero", "n-below-m", "alpha-negative"],
+)
+def test_bad_network_exits_2_naming_the_file_and_field(tmp_path, capsys, old, new, message):
+    path = tmp_path / "bad.yaml"
+    path.write_text(TINY.replace(old, new))
+    assert _run(["run", path, "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err == f"error: bad.yaml: {message}\n"
+
+
 def test_non_utf8_scenario_exits_2_naming_the_file(tmp_path, capsys):
     path = tmp_path / "latin1.yaml"
     path.write_bytes(TINY.replace("  seed: 5", "  seed: 5  # caf\xe9").encode("latin-1"))

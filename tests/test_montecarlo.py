@@ -14,7 +14,6 @@ from scipy.special import eval_genlaguerre, gammaln
 
 from relaysim import montecarlo
 from relaysim.beamformers import Scheme
-from relaysim.channel import NetworkConfig
 from relaysim.linalg import NumericError
 from relaysim.montecarlo import (
     AXES,
@@ -27,7 +26,13 @@ from relaysim.montecarlo import (
 )
 from relaysim.scenario import load_bundled
 
-from oracle import build_weights, compute_link_metrics, realization_for_trial, upper_bound_capacity
+from oracle import (
+    Network,
+    build_weights,
+    compute_link_metrics,
+    realization_for_trial,
+    upper_bound_capacity,
+)
 
 
 def base_spec(**overrides):
@@ -116,26 +121,33 @@ def test_scheme_names_are_parsed_by_the_spec():
 
 
 def test_axis_point_semantics():
-    spec = base_spec()
-    cfg, pnr, qnr = spec.point(5)
-    assert (cfg.k, pnr, qnr) == (5, 10.0, 10.0)
-
+    # a point is the base network, powers in dB, with the axis's fields set
+    network = dict(m=2, n=2, k=1, pnr_db=10.0, qnr_db=10.0, alpha=1.0)
+    assert base_spec().point(5) == {**network, "k": 5}
     spec = base_spec(axis="pnr_db", values=(0.0, 20.0))
-    cfg, pnr, qnr = spec.point(20.0)
-    assert cfg.p == pytest.approx(100.0)
-    assert cfg.q == pytest.approx(10.0)
-    assert (pnr, qnr) == (20.0, 10.0)
-
+    assert spec.point(20.0) == {**network, "pnr_db": 20.0}
     spec = base_spec(axis="qnr_db", values=(-5.0, 15.0))
-    cfg, pnr, qnr = spec.point(-5.0)
-    assert cfg.q == pytest.approx(10.0 ** (-0.5))
-    assert (pnr, qnr) == (10.0, -5.0)
-
+    assert spec.point(-5.0) == {**network, "qnr_db": -5.0}
     spec = base_spec(axis="pnr_equals_qnr_db", values=(0.0, 30.0))
-    cfg, pnr, qnr = spec.point(30.0)
-    assert cfg.p == pytest.approx(1000.0)
-    assert cfg.q == pytest.approx(1000.0)
-    assert (pnr, qnr) == (30.0, 30.0)
+    assert spec.point(30.0) == {**network, "pnr_db": 30.0, "qnr_db": 30.0}
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (dict(m=0), "m must be >= 1, got 0"),
+        (dict(m=3, n=2), "relay antennas must satisfy n >= m, got n=2, m=3"),
+        (dict(axis="pnr_db", values=(0.0,), k=0), "k must be >= 1, got 0"),
+        (dict(alpha=-0.5), "alpha must be >= 0, got -0.5"),
+        (dict(alpha=math.inf), "alpha must be >= 0, got inf"),
+        (dict(alpha=math.nan), "alpha must be >= 0, got nan"),
+    ],
+    ids=["m-zero", "n-below-m", "k-zero", "alpha-negative", "alpha-inf", "alpha-nan"],
+)
+def test_bad_network_is_a_config_error_naming_the_field(overrides, message):
+    with pytest.raises(ConfigError) as info:
+        base_spec(**overrides)
+    assert str(info.value) == message
 
 
 def test_bad_point_fails_when_the_spec_is_built():
@@ -156,16 +168,17 @@ def test_axis_point_errors_name_the_point():
 
 @pytest.mark.parametrize("m, n, k", [(4, 4, 4), (2, 3, 2), (8, 8, 10)])
 def test_chunk_matches_per_realization_chain(m, n, k):
-    # the fused batch kernel on a two-point group against the
+    # the fused batch kernel on a two-point sweep against the
     # single-realization API, trial by trial, for every scheme and the bound
-    configs = [
-        NetworkConfig.from_db(m=m, n=n, k=k, pnr_db=pnr, qnr_db=qnr, alpha=0.7)
-        for pnr, qnr in ((10.0, 5.0), (20.0, 15.0))
-    ]
-    points = tuple((f"point {p}", cfg) for p, cfg in enumerate(configs))
-    schemes = (Scheme.AF, Scheme.MF, Scheme.MF_RZF)
     seed, start, stop = 17, 2050, 2066
-    block = _capacity_chunk((points, schemes, seed, start, stop))
+    spec = SweepSpec("pnr_db", (10.0, 20.0), m=m, n=n, k=k, pnr_db=10.0, qnr_db=5.0,
+                     alpha=0.7, seed=seed)
+    configs = [
+        Network(m=m, n=n, k=k, p=10.0 ** (pnr / 10.0), q=10.0 ** 0.5, alpha=0.7)
+        for pnr in spec.values
+    ]
+    schemes = spec.schemes
+    block = _capacity_chunk((spec, start, stop))
     assert block.shape == (2, stop - start, 4)
     for i, trial in enumerate(range(start, stop)):
         real = realization_for_trial(configs[0], seed, trial)
@@ -229,6 +242,29 @@ def test_workers_do_not_change_results():
     # or more CPUs
     spec = one_point(2, Scheme.MF_RZF, n=3, trials=2100, seed=5)
     assert run_sweep(spec, workers=1) == run_sweep(spec, workers=3)
+
+
+def test_coherent_relays_gain_m_over_2_bits_per_doubling_of_k():
+    """The distributed-array-gain law at large K (Boelcskei, Nabar, Oyman
+    and Paulraj, IEEE Trans. Wireless Commun. 2006): coherent relays (mf,
+    mf-rzf) gain m/2 bits per doubling of K, and af saturates.
+
+    At m = n = 2, 10 dB and 1024 trials, the paired gain from K = 64 to
+    128 read, at seeds 1/2/3: mf +1.010/+1.009/+1.000 and mf-rzf
+    +1.016/+1.019/+1.006, each +- 0.004; af +0.068/-0.042/-0.000, each
+    +- 0.031. mf-rzf approaches m/2 from above and is still 4-5 paired
+    stderrs off at seed 2, so mf and mf-rzf are held to a relative band
+    of 5% around m/2, and af to 4 paired stderrs around 0."""
+    m, trials = 2, 1024
+    spec = SweepSpec("relay_count", (16, 32, 64, 128), m=m, n=m, k=16, pnr_db=10.0,
+                     qnr_db=10.0, trials=trials, seed=1)
+    tables = _capacity_tables(spec, 1)
+    gain = tables[3] - tables[2]  # per trial and series, K = 64 -> 128
+    mean = dict(zip(spec.schemes, gain.mean(axis=0)))
+    stderr = dict(zip(spec.schemes, gain.std(axis=0, ddof=1) / np.sqrt(trials)))
+    for scheme in (Scheme.MF, Scheme.MF_RZF):
+        assert abs(mean[scheme] / (m / 2) - 1) < 0.05, (scheme, mean[scheme])
+    assert abs(mean[Scheme.AF]) < 4 * stderr[Scheme.AF], (mean[Scheme.AF], stderr[Scheme.AF])
 
 
 def test_scalar_network_against_independent_oracle():
@@ -363,7 +399,7 @@ def test_relay_count_sweep_draws_once_per_chunk(monkeypatch):
     beamformers = _count_calls(monkeypatch, "stacked_beamformers")
     run_sweep(base_spec(values=(1, 2), trials=TRIAL_CHUNK + 6))
     assert len(draws) == 2  # two chunks, each drawn once at the largest k
-    assert [args[0].k for args in draws] == [2, 2]
+    assert [args[2] for args in draws] == [2, 2]
     assert len(inverses) == 2  # mf-rzf's D, once per chunk for both relay counts
     assert len(beamformers) == 3 * 2 * 2
     # chunk length and relay count of each call's Grams (T, k, m, m)
@@ -388,7 +424,7 @@ def test_trial_chunk_bounds_a_jobs_memory(monkeypatch, name, bound_mib):
     monkeypatch.setattr(montecarlo, "_capacity_chunk", lambda job: jobs.append(job) or 0.0)
     _capacity_tables(spec, 1)
     job = jobs[0]
-    assert job[3:] == (0, 40 if name == "k128" else TRIAL_CHUNK)
+    assert job[1:] == (0, 40 if name == "k128" else TRIAL_CHUNK)
     tracemalloc.start()
     try:
         _capacity_chunk(job)
@@ -432,7 +468,7 @@ def test_small_relay_sweep_splits_its_chunk_across_workers(monkeypatch, serial_p
     rows = run_sweep(spec, workers=2)
     assert serial_pool == [2]
     # (relay count, trial count) of each draw
-    assert [(args[0].k, args[3] - args[2]) for args in draws] == [(5, 32), (5, 32)]
+    assert [(args[2], args[5] - args[4]) for args in draws] == [(5, 32), (5, 32)]
     assert rows == run_sweep(spec, workers=1)  # bitwise on the floats
 
 
@@ -463,13 +499,13 @@ def test_pool_never_exceeds_the_cpus(monkeypatch, serial_pool):
     jobs = _count_calls(monkeypatch, "_capacity_chunk")
     run_sweep(one_point(1, Scheme.MF, m=1, n=1, trials=10_000), workers=1000)
     assert serial_pool == [2]
-    assert [job[3:] for (job,) in jobs] == [
+    assert [job[1:] for (job,) in jobs] == [
         (start, min(start + TRIAL_CHUNK, 10_000)) for start in range(0, 10_000, TRIAL_CHUNK)
     ]  # jobs of at most TRIAL_CHUNK trials
     jobs.clear()
     run_sweep(one_point(1, Scheme.MF, trials=64), workers=8)
     assert serial_pool == [2, 2]
-    assert [job[3:] for (job,) in jobs] == [(0, 32), (32, 64)]
+    assert [job[1:] for (job,) in jobs] == [(0, 32), (32, 64)]
     monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one process
     run_sweep(one_point(1, Scheme.MF, trials=64), workers=8)
     assert serial_pool == [2, 2]

@@ -62,9 +62,8 @@ def test_pnr_values_stored_in_db():
     spec = parse_scenario_text(MINIMAL)
     assert spec.pnr_db == 10.0
     assert spec.qnr_db == 10.0
-    config, _, _ = spec.point(1)
-    assert config.p == pytest.approx(10.0)
-    assert config.q == pytest.approx(10.0)
+    point = spec.point(1)
+    assert (point["pnr_db"], point["qnr_db"]) == (10.0, 10.0)
 
 
 def test_unknown_section_key_names_file_and_section():
