@@ -26,10 +26,12 @@ any alpha. These are
 so for mf and mf-rzf all four are m x m functions of A and B. A sweep
 forms A, B (relay_grams) and mf-rzf's D (regularized_inverse) once per
 chunk of trials, for all its relay counts, and the products once per
-relay count (stacked_beamformers). The powers p and q enter only
-through rho (stacked_power_factors). C is the product A D and not
-(1 + alpha)I - alpha D, which is the same matrix in exact arithmetic but
-cancels at large alpha. The test suite pins the Gram route to per-relay
+relay count (stacked_beamformers). Every product is a linalg.matmul and
+D is copied into the stacks' layout, so trial-minor stacks (m <= 4) stay
+trial-minor. The powers p and q enter only through rho
+(stacked_power_factors). C is the product A D and not (1 + alpha)I -
+alpha D, which is the same matrix in exact arithmetic but cancels at
+large alpha. The test suite pins the Gram route to per-relay
 builders that do form F.
 """
 
@@ -39,7 +41,7 @@ import enum
 
 import numpy as np
 
-from .linalg import NumericError, cholesky_stack, re_inner
+from .linalg import NumericError, cholesky_stack, fixed_sum, matmul, re_inner, trial_minor
 
 
 class Scheme(enum.Enum):
@@ -54,7 +56,7 @@ def relay_grams(h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The m x m channel products (A, B) = (g g^H, h^H h) of stacks
     h (..., k, n, m) and g (..., k, m, n) that stacked_beamformers works
     from; af's caller forms the cascade g h for the relays it reads."""
-    return g @ np.swapaxes(g, -1, -2).conj(), np.swapaxes(h, -1, -2).conj() @ h
+    return matmul(g, np.swapaxes(g, -1, -2).conj()), matmul(np.swapaxes(h, -1, -2).conj(), h)
 
 
 def regularized_inverse(a: np.ndarray, alpha: float) -> np.ndarray:
@@ -67,7 +69,7 @@ def regularized_inverse(a: np.ndarray, alpha: float) -> np.ndarray:
     gram = a / (1.0 + alpha)
     gram[..., range(m), range(m)] += alpha / (1.0 + alpha)
     cholesky_stack(gram)  # raises NumericError unless positive definite
-    return np.linalg.inv(gram)
+    return np.asarray(np.linalg.inv(gram), order="F" if trial_minor(m) else "C")
 
 
 def stacked_beamformers(
@@ -89,14 +91,16 @@ def stacked_beamformers(
     from d; af reads the cascade g h and the relay antenna count n.
     """
     if scheme is Scheme.AF:
-        trace_b = np.real(np.trace(b, axis1=-2, axis2=-1))
+        m = b.shape[-1]
+        trace_b = (fixed_sum(b[..., i, i].real for i in range(m)) if trial_minor(m)
+                   else np.real(np.trace(b, axis1=-2, axis2=-1)))
         return cascade, a, trace_b, np.full(trace_b.shape, float(n))
     x, c = b, a  # D = I
     if scheme is Scheme.MF_RZF:
-        x, c = d @ b, a @ d
-    p = a @ x
+        x, c = matmul(d, b), matmul(a, d)
+    p = matmul(a, x)
     # tr(C X) as Re sum X o conj(C): C = A D is Hermitian
-    return p, p @ c, re_inner(p, x), re_inner(x, c)
+    return p, matmul(p, c), re_inner(p, x), re_inner(x, c)
 
 
 def stacked_power_factors(

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .linalg import trial_minor
+
 _SEED_LIMIT = 1 << 64
 
 
@@ -55,6 +57,11 @@ def channels_for_trials(
     of a sweep, k' reads its g as g[:, k' - g_start : 2k' - g_start] and
     one draw at the sweep's largest k serves every k'.
 
+    Up to the crossover m (linalg.trial_minor, m <= 4) h and g are
+    trial-minor: in Fortran order, so memory runs (column, row, relay,
+    trial) and every matrix entry is one contiguous run over the trials.
+    Above it they are C-contiguous. Their shapes are the same either way.
+
     The caller passes positive dimensions, a checked seed,
     0 <= start <= stop and 1 <= g_start <= k; a seed or trial outside
     64 bits raises OverflowError when it keys the stream.
@@ -73,6 +80,7 @@ def channels_for_trials(
     entries /= np.sqrt(2.0)  # complex division: its rounding differs from raw /= sqrt(2)
     blocks = entries.reshape(len(raw), 2 * k, n * m)
     # column-major fill per matrix == reshape to the transposed shape, then swap
-    h = blocks[:, :k].reshape(len(raw), k, m, n).swapaxes(-1, -2).copy()
-    g = blocks[:, g_start:].reshape(len(raw), 2 * k - g_start, n, m).swapaxes(-1, -2).copy()
+    order = "F" if trial_minor(m) else "C"
+    h = blocks[:, :k].reshape(len(raw), k, m, n).swapaxes(-1, -2).copy(order)
+    g = blocks[:, g_start:].reshape(len(raw), 2 * k - g_start, n, m).swapaxes(-1, -2).copy(order)
     return h, g

@@ -24,38 +24,42 @@ sum_k h_k^H h_k.
 
 sic_capacity factors H_sd by modified Gram-Schmidt vectorized across
 the trials rather than by one LAPACK call per m x m matrix, whose
-per-call cost dominates at these sizes. H_sd is transposed once into a
-column-major, trial-minor array (column, row, trial), so column j of
-every trial is one contiguous (m, T) slice. Step j normalizes the
-residual v_j of column j, with |r_jj|^2 = ||v_j||^2, and projects q_j
-out of all the columns after it in one step. A residual that is exactly
-zero, such as that of a zero column, is never divided by: its q_j is 0
-and its stream gets SNR 0, so it removes nothing from the later columns
-(where LAPACK's Householder QR would pick some unit q_j). A column in
-the span of the earlier ones leaves rounding dust and an SNR near 0.
-The noise q_j^H M q_j is then read from the batched product M Q, which
-at 8 x 8 is cheaper than forming it in the trial-minor layout.
+per-call cost dominates at these sizes. It reads H_sd as a column-major,
+trial-minor array (column, row, trial), so column j of every trial is
+one contiguous (m, T) slice; a trial-minor H_sd (linalg) is one already,
+others are copied into one. Step j normalizes the residual v_j of
+column j, with |r_jj|^2 = ||v_j||^2, and projects q_j out of all the
+columns after it in one step. A residual that is exactly zero, such as
+that of a zero column, is never divided by: its q_j is 0 and its stream
+gets SNR 0, so it removes nothing from the later columns (where
+LAPACK's Householder QR would pick some unit q_j). A column in the span
+of the earlier ones leaves rounding dust and an SNR near 0.
+The noise q_j^H M q_j is formed in q's layout for trial-minor M and
+read from the batched product M Q otherwise: at 8 x 8 that is cheaper.
 
 A trial's capacity must not depend on how many trials share its batch.
-Elementwise operations and einsum over the row axis keep that;
-ndarray.sum over the row axis does not, because numpy sums in another
-order when the trial axis has length 1. So no row-axis reduction here is
-an ndarray.sum.
+Elementwise operations, fixed_sum and einsum over one axis keep that;
+ndarray.sum over the row or relay axis does not, because numpy sums in
+another order when the trial axis has length 1. So no such reduction
+here is an ndarray.sum.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import logdet_hpd_stack
+from .linalg import fixed_sum, logdet_hpd_stack, trial_minor
 
 _LN2 = float(np.log(2.0))
 
 
 def _relay_sum(weights: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """sum_k weights_k a_k for weights (..., k) and a stack a (..., k, m, m),
-    as one (1, k) @ (k, m*m) product per trial."""
+    """sum_k weights_k a_k for weights (..., k) and a stack a (..., k, m, m):
+    a fixed_sum over the relays of trial-minor stacks, else one
+    (1, k) @ (k, m*m) product per trial."""
     *lead, k, m, _ = a.shape
+    if trial_minor(m):
+        return fixed_sum(weights[..., i, None, None] * a[..., i, :, :] for i in range(k))
     return (weights[..., np.newaxis, :] @ a.reshape(*lead, k, m * m)).reshape(*lead, m, m)
 
 
@@ -82,8 +86,13 @@ def sic_capacity(p: np.ndarray, s: np.ndarray, rho: np.ndarray, p_lin: float) ->
         scale = np.divide(1.0, np.sqrt(r_sq[j]), out=np.zeros(a.shape[-1]), where=r_sq[j] > 0)
         np.multiply(v, scale, out=q[j])
         a[j + 1 :] -= np.einsum("rt,crt->ct", q[j].conj(), a[j + 1 :])[:, np.newaxis] * q[j]
-    q = np.ascontiguousarray(q.transpose(2, 1, 0))  # (trial, row, column)
-    noise = np.real(np.einsum("...ij,...ij->...j", q.conj(), _relay_sum(rho**2, s) @ q))
+    noise_gram = _relay_sum(rho**2, s)
+    if trial_minor(m):  # in q's (column, row, trial) layout
+        mq = np.einsum("crt,jct->jrt", noise_gram.transpose(2, 1, 0), q)
+        noise = np.real(np.einsum("jrt,jrt->tj", q.conj(), mq))
+    else:
+        q = np.ascontiguousarray(q.transpose(2, 1, 0))  # (trial, row, column)
+        noise = np.real(np.einsum("...ij,...ij->...j", q.conj(), noise_gram @ q))
     return stacked_capacity_bits((p_lin / m) * r_sq.T / (noise + 1.0))
 
 

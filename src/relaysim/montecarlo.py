@@ -55,7 +55,7 @@ import numpy as np
 from .beamformers import Scheme, regularized_inverse, relay_grams
 from .beamformers import stacked_beamformers, stacked_power_factors
 from .channel import ConfigError, channels_for_trials, check_seed
-from .linalg import NumericError
+from .linalg import NumericError, fixed_sum, matmul
 from .link import sic_capacity, stacked_upper_bound
 
 UPPER_BOUND_LABEL = "upper-bound"
@@ -78,6 +78,7 @@ AXES = {
 # non-string iterable, kept as a tuple
 _TYPES = dict(axis=str, values=list, m=int, n=int, k=int, pnr_db=float, qnr_db=float,
               alpha=float, schemes=list, trials=int, seed=int, workers=int)
+# the network fields, which are also a scenario file's network section
 _NETWORK = ("m", "n", "k", "pnr_db", "qnr_db", "alpha")
 
 
@@ -261,7 +262,7 @@ def _capacity_chunk(job) -> np.ndarray:
                 where = [labels[i] for i in relays[k]], scheme.value
                 p, s, fh_sq, f_sq = stacked_beamformers(
                     scheme, a[:, g_k], b[:, :k], d=d if d is None else d[:, g_k], n=n,
-                    cascade=g[:, g_k] @ h[:, :k] if scheme is Scheme.AF else None,
+                    cascade=matmul(g[:, g_k], h[:, :k]) if scheme is Scheme.AF else None,
                 )
                 for i in relays[k]:
                     where = labels[i : i + 1], scheme.value
@@ -272,7 +273,7 @@ def _capacity_chunk(job) -> np.ndarray:
             if scheme is Scheme.AF:
                 del h, g
         for k in sorted(relays):
-            b_sum = np.sum(b[:, :k], axis=-3)
+            b_sum = fixed_sum(b[:, i] for i in range(k))
             for i in relays[k]:
                 where = labels[i : i + 1], UPPER_BOUND_LABEL
                 table[i, :, -1] = stacked_upper_bound(b_sum, powers[i][0])

@@ -26,7 +26,7 @@ from pathlib import Path
 import yaml
 
 from .channel import ConfigError
-from .montecarlo import SweepSpec
+from .montecarlo import _NETWORK, SweepSpec
 
 
 class ScenarioError(ConfigError):
@@ -35,7 +35,7 @@ class ScenarioError(ConfigError):
 
 # section -> its keys; every key is a SweepSpec field
 _SECTIONS = {
-    "network": ("m", "n", "k", "pnr_db", "qnr_db", "alpha"),
+    "network": _NETWORK,
     "sweep": ("axis", "values"),
     "run": ("schemes", "trials", "seed"),
 }

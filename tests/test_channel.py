@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from relaysim.channel import channels_for_trials
+from relaysim.linalg import TRIAL_MINOR_MAX_M
 
 from oracle import ChannelRealization, Network, realization_for_trial, trial_rng
 
@@ -55,16 +56,6 @@ def test_different_trials_give_different_draws():
     a = realization_for_trial(cfg, seed=42, trial=0)
     b = realization_for_trial(cfg, seed=42, trial=1)
     assert not np.allclose(a.h, b.h)
-
-
-def test_powers_do_not_touch_the_stream():
-    # common random numbers: the realization depends on dims and seed only
-    lo = Network(m=2, n=2, k=2, p=1.0, q=1.0)
-    hi = Network(m=2, n=2, k=2, p=100.0, q=7.0, alpha=0.25)
-    a = realization_for_trial(lo, seed=5, trial=3)
-    b = realization_for_trial(hi, seed=5, trial=3)
-    assert np.array_equal(a.h, b.h)
-    assert np.array_equal(a.g, b.g)
 
 
 def test_negative_trial_rejected():
@@ -193,3 +184,13 @@ def test_entry_order_within_matrix():
         ]
     ) / np.sqrt(2.0)
     assert np.array_equal(mat, expect)
+
+
+@pytest.mark.parametrize("m", [TRIAL_MINOR_MAX_M, TRIAL_MINOR_MAX_M + 1])
+def test_draw_is_trial_minor_up_to_the_crossover(m):
+    # Fortran order up to the crossover and C order above it, one shape;
+    # the chunk tests above pin the values in both layouts
+    h, g = channels_for_trials(m, m + 1, 3, 4, 0, 8, 2)
+    assert h.shape == (8, 3, m + 1, m) and g.shape == (8, 4, m, m + 1)
+    assert h.flags.f_contiguous == g.flags.f_contiguous == (m <= TRIAL_MINOR_MAX_M)
+    assert h.flags.c_contiguous == g.flags.c_contiguous == (m > TRIAL_MINOR_MAX_M)

@@ -231,10 +231,14 @@ def test_per_trial_capacity_matches_lapack_on_ill_conditioned_trials(m, worst_co
     np.testing.assert_allclose(capacity, expected, rtol=1e-13, atol=0)
 
 
-@pytest.mark.parametrize("m, n, k, scheme", [(4, 4, 2, "mf"), (3, 5, 3, "af"), (8, 8, 2, "mf-rzf")])
+@pytest.mark.parametrize(
+    "m, n, k, scheme",
+    [(4, 4, 2, "mf"), (3, 5, 3, "af"), (8, 8, 2, "mf-rzf"), (4, 4, 6, "mf-rzf")],
+)
 def test_kernel_capacity_does_not_depend_on_the_batch_length(m, n, k, scheme):
     # every row-axis reduction must sum in the same order whether the
-    # trial axis holds 1024 trials, one, or an odd three
+    # trial axis holds 1024 trials, one, or an odd three; the draw is
+    # trial-minor at m <= 4
     p, s, rho, cfg = product_inputs(m, n, k, 10.0, Scheme(scheme), trials=1024, seed=2)
     batch = sic_capacity(p, s, rho, cfg.p)
     alone = [

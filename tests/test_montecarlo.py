@@ -479,6 +479,8 @@ def test_small_relay_sweep_splits_its_chunk_across_workers(monkeypatch, serial_p
         (2, 3, (1, 2, 5), 0.0, 64),
         (4, 4, tuple(range(1, 9)), 1.0, 64),
         (8, 8, (10,), 1.0, 16),
+        (3, 4, (1, 2, 6), 1.0, 64),  # the last trial-minor m
+        (5, 5, (1, 3), 0.5, 32),  # the first trial-major m
     ],
 )
 def test_per_trial_capacities_do_not_depend_on_the_range_length(
@@ -492,6 +494,22 @@ def test_per_trial_capacities_do_not_depend_on_the_range_length(
     for workers in (3, 7, trials):
         assert _capacity_tables(spec, workers).tobytes() == whole.tobytes()
     assert len(serial_pool) == 3
+
+
+def test_trial_minor_and_trial_major_stacks_give_the_same_capacities(monkeypatch):
+    # at m = 4 the draw is trial-minor; the same draw copied into C order
+    # must give every series' per-trial capacities to rounding
+    spec = base_spec(values=(1, 3, 4), m=4, n=4, alpha=0.5, trials=256, seed=9)
+    minor = _capacity_chunk((spec, 0, 256))
+    draw = montecarlo.channels_for_trials
+
+    def trial_major(*args):
+        h, g = draw(*args)
+        assert h.strides[0] == g.strides[0] == h.itemsize  # trial-minor
+        return np.ascontiguousarray(h), np.ascontiguousarray(g)
+
+    monkeypatch.setattr(montecarlo, "channels_for_trials", trial_major)
+    np.testing.assert_allclose(_capacity_chunk((spec, 0, 256)), minor, rtol=1e-13, atol=0)
 
 
 def test_pool_never_exceeds_the_cpus(monkeypatch, serial_pool):
