@@ -76,9 +76,11 @@ def channels_for_trials(
         key[1] = trial
         bitgen.state = state
         normal(out=row)
-    entries = raw.view(np.complex128)
-    entries /= np.sqrt(2.0)  # complex division: its rounding differs from raw /= sqrt(2)
-    blocks = entries.reshape(len(raw), 2 * k, n * m)
+    # The entries are complex normals divided by sqrt(2) + 0j, which numpy
+    # computes as a product with fl(1 / sqrt(2)); scaling the real buffer
+    # by that factor gives the same bytes (raw /= sqrt(2) does not)
+    raw *= 1.0 / np.sqrt(2.0)
+    blocks = raw.view(np.complex128).reshape(len(raw), 2 * k, n * m)
     # column-major fill per matrix == reshape to the transposed shape, then swap
     order = "F" if trial_minor(m) else "C"
     h = blocks[:, :k].reshape(len(raw), k, m, n).swapaxes(-1, -2).copy(order)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from relaysim.beamformers import Scheme, regularized_inverse, relay_grams, stacked_beamformers
 from relaysim.channel import channels_for_trials
-from relaysim.linalg import NumericError
+from relaysim.linalg import NumericError, cholesky_stack
 
 from oracle import (
     Network,
@@ -75,6 +75,74 @@ def test_mf_rzf_singular_gram_in_a_chunk_raises():
     g[37, 2, 1, :] = 0.0
     with pytest.raises(NumericError):
         regularized_inverse(relay_grams(h, g)[0], alpha=0.0)
+
+
+def scaled_gram(a, alpha):
+    """A/(1 + alpha) + alpha/(1 + alpha) I, the matrix regularized_inverse inverts."""
+    m = a.shape[-1]
+    return a / (1.0 + alpha) + alpha / (1.0 + alpha) * np.eye(m)
+
+
+@pytest.mark.parametrize("order", ["F", "C"])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_regularized_inverse_matches_lapack_inverse(m, order):
+    h, g = channels_for_trials(m, m + 2, 3, seed=8, start=0, stop=64, g_start=3)
+    a = np.asarray(relay_grams(h, g)[0], order=order)
+    for alpha in (0.0, 0.01, 0.7, 1e4):
+        d = regularized_inverse(a, alpha)
+        expected = np.linalg.inv(scaled_gram(a, alpha))
+        error = np.linalg.norm(d - expected, axis=(-2, -1))
+        assert np.all(error <= 1e-13 * np.linalg.norm(expected, axis=(-2, -1)))
+        assert d.flags.f_contiguous  # the trial-minor layout, whatever a's
+
+
+def hermitian_with_eigenvalues(rng, eigenvalues):
+    m = len(eigenvalues)
+    u = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))[0]
+    return (u * eigenvalues) @ u.conj().T
+
+
+def gram_batch_with_defects(m, alpha):
+    """Grams (6, 2, m, m) of which trials 1-4 have one of these at relay
+    1: a zero row of g (at alpha = 0 an exactly singular Gram), an
+    eigenvalue of A + alpha I below zero, a NaN entry and its mirror, and
+    a positive definite A + alpha I with an eigenvalue near zero."""
+    rng = np.random.default_rng(m)
+    h, g = channels_for_trials(m, m + 1, 2, seed=m, start=0, stop=6, g_start=2)
+    g[1, 1, m - 1, :] = 0.0
+    a = np.array(relay_grams(h, g)[0])
+    eigenvalues = np.linspace(1.0, 2.0, m)
+    eigenvalues[m // 2] = -alpha - 0.5
+    a[2, 1] = hermitian_with_eigenvalues(rng, eigenvalues)
+    a[3, 1, 0, m - 1] = a[3, 1, m - 1, 0] = np.nan
+    eigenvalues[m // 2] = 1e-9 - alpha
+    a[4, 1] = hermitian_with_eigenvalues(rng, eigenvalues)
+    return a
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_regularized_inverse_fails_exactly_where_cholesky_fails(m, alpha):
+    a = gram_batch_with_defects(m, alpha)
+    for order in ("F", "C"):
+        failed = {"gauss-jordan": [], "cholesky": []}
+        for trial in range(len(a)):
+            one = np.asarray(a[trial : trial + 1], order=order)
+            for name, check in [
+                ("gauss-jordan", lambda: regularized_inverse(one, alpha)),
+                ("cholesky", lambda: cholesky_stack(scaled_gram(one, alpha))),
+            ]:
+                try:
+                    check()
+                except NumericError:
+                    failed[name].append(trial)
+        # the zero row fails at alpha = 0 only; Cholesky lets NaN through
+        expected = [1, 2] if alpha == 0.0 else [2]
+        assert failed == {"gauss-jordan": sorted(expected + [3]), "cholesky": expected}
+    for trial in failed["gauss-jordan"]:  # one failing trial fails its batch
+        with pytest.raises(NumericError):
+            regularized_inverse(a[[0, trial, 4, 5]], alpha)
+    regularized_inverse(np.delete(a, failed["gauss-jordan"], axis=0), alpha)
 
 
 def _relative_error(actual, expected):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relaysim import linalg
 from relaysim.linalg import NumericError
 
 from oracle import (
@@ -78,6 +79,52 @@ def test_matmul_rejects_nan():
     bad = np.array([[np.nan + 0j, 0], [0, 0]])
     with pytest.raises(ValueError):
         matmul(bad, np.eye(2, dtype=complex))
+
+
+# ------------------------------------------------ stacked linalg.matmul
+
+
+def random_stack(rng, shape, order):
+    return np.asarray(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), order=order)
+
+
+def assert_close_to_matmul(product, x, y):
+    expected = x @ y
+    error = np.linalg.norm(product - expected, axis=(-2, -1))
+    assert np.all(error <= 1e-14 * np.linalg.norm(expected, axis=(-2, -1)))
+
+
+@pytest.mark.parametrize("order", ["F", "C"])
+def test_trial_minor_matmul_of_square_stacks(order):
+    rng = np.random.default_rng(21)
+    x, y = (random_stack(rng, (9, 3, 4, 4), order) for _ in range(2))
+    product = linalg.matmul(x, y)
+    assert_close_to_matmul(product, x, y)
+    assert product.flags.f_contiguous
+
+
+@pytest.mark.parametrize("order", ["F", "C"])
+def test_trial_minor_matmul_of_the_af_cascade_shapes(order):
+    # g (2 x 5) h (5 x 2) is trial-minor; h g has 5 rows and is a stacked @
+    rng = np.random.default_rng(22)
+    g = random_stack(rng, (9, 3, 2, 5), order)
+    h = random_stack(rng, (9, 3, 5, 2), order)
+    cascade = linalg.matmul(g, h)
+    assert_close_to_matmul(cascade, g, h)
+    assert cascade.flags.f_contiguous
+    assert_close_to_matmul(linalg.matmul(h, g), h, g)
+
+
+def test_trial_minor_matmul_of_conjugate_transposed_views():
+    # the operands relay_grams passes: g g^H and h^H h, with the
+    # conjugate transposes formed from swapaxes views of trial-minor h, g
+    rng = np.random.default_rng(23)
+    h = random_stack(rng, (9, 3, 5, 4), "F")
+    g = random_stack(rng, (9, 3, 4, 5), "F")
+    for x, y in [(g, np.swapaxes(g, -1, -2).conj()), (np.swapaxes(h, -1, -2).conj(), h)]:
+        product = linalg.matmul(x, y)
+        assert_close_to_matmul(product, x, y)
+        assert product.flags.f_contiguous
 
 
 # ------------------------------------------------------- conj_transpose

@@ -588,10 +588,10 @@ def test_numeric_error_in_shared_beamformers_names_every_point_of_the_group(monk
 
 def test_numeric_error_in_shared_inverse_names_every_point_of_the_chunk(monkeypatch):
     # mf-rzf's (A + alpha I)^-1 is formed once per chunk for all relay counts
-    def singular(gram):
+    def singular(gram, alpha):
         raise NumericError("cholesky_stack: matrix not positive definite")
 
-    monkeypatch.setattr("relaysim.beamformers.cholesky_stack", singular)
+    monkeypatch.setattr(montecarlo, "regularized_inverse", singular)
     with pytest.raises(NumericError) as info:
         run_sweep(base_spec(values=(1, 2, 3), trials=64))
     assert str(info.value) == (
