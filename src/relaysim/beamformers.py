@@ -109,7 +109,9 @@ def stacked_beamformers(
 
     Leading axes are broadcast batch dimensions (Monte Carlo trials),
     axis -3 indexes relays. mf-rzf reads D = regularized_inverse(a, alpha)
-    from d; af reads the cascade g h and the relay antenna count n.
+    from d; af reads the cascade g h and the relay antenna count n. Each
+    operand and product is dropped after its last use, so one that the
+    caller holds no other reference to is freed there.
     """
     if scheme is Scheme.AF:
         m = b.shape[-1]
@@ -118,10 +120,16 @@ def stacked_beamformers(
         return cascade, a, trace_b, np.full(trace_b.shape, float(n))
     x, c = b, a  # D = I
     if scheme is Scheme.MF_RZF:
-        x, c = matmul(d, b), matmul(a, d)
+        x = matmul(d, b)
+        del b
+        c = matmul(a, d)
+        del d
     p = matmul(a, x)
+    del a
     # tr(C X) as Re sum X o conj(C): C = A D is Hermitian
-    return p, matmul(p, c), re_inner(p, x), re_inner(x, c)
+    fh_sq, f_sq = re_inner(p, x), re_inner(x, c)
+    del x
+    return p, matmul(p, c), fh_sq, f_sq
 
 
 def stacked_power_factors(

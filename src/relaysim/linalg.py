@@ -78,11 +78,16 @@ def re_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def cholesky_stack(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factors of a stack (..., m, m) of HPD matrices."""
+    """Lower Cholesky factors of a stack (..., m, m) of HPD matrices.
+    numpy factors a matrix with a NaN entry into NaNs without an error,
+    so a factor whose diagonal is not finite fails too."""
     try:
-        return np.linalg.cholesky(a)
+        c = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"cholesky_stack: matrix not positive definite ({exc})") from exc
+    if not np.all(np.isfinite(np.diagonal(c, axis1=-2, axis2=-1))):
+        raise NumericError("cholesky_stack: matrix not positive definite (factor not finite)")
+    return c
 
 
 def logdet_hpd_stack(a: np.ndarray) -> np.ndarray:

@@ -37,7 +37,9 @@ what the point gives on its own, at any range length. So a sweep with
 fewer chunks than workers shortens its ranges rather than cutting its
 points, and a run uses at most as many processes as there are jobs or
 CPUs. A job's memory is linear in its relay-trials, so their budget
-bounds it at any k.
+bounds it at any k. Each relay stack (h, g, the Grams, D and the
+products) is released at its last use, so a job holds at most about
+five stacks at once.
 """
 
 from __future__ import annotations
@@ -49,13 +51,14 @@ import os
 from collections.abc import Iterable, Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from itertools import accumulate
 
 import numpy as np
 
 from .beamformers import Scheme, regularized_inverse, relay_grams
 from .beamformers import stacked_beamformers, stacked_power_factors
 from .channel import ConfigError, channels_for_trials, check_seed
-from .linalg import NumericError, fixed_sum, matmul
+from .linalg import NumericError, matmul
 from .link import sic_capacity, stacked_upper_bound
 
 UPPER_BOUND_LABEL = "upper-bound"
@@ -224,14 +227,21 @@ def _capacity_chunk(job) -> np.ndarray:
 
     The channels are drawn once, at the largest relay count K, and
     reduced once to B = h^H h of blocks [0, K) and A = g g^H of blocks
-    [min k, 2K), which hold every k's g; for mf-rzf, to
+    [min k, 2K), which hold every k's g, and right away to the bound's
+    sum of B over each k's relays; for mf-rzf, to
     D = (1 + alpha)(A + alpha I)^-1 too. Each k takes its slices of A, B
     and D; the af cascade g h and each scheme's link products are formed
-    per k, and power control, the link and the bound per point. Two
-    releases keep a job's peak memory low: af runs first, so that h and g
-    go after it, and each k's P and S go before the next k's are formed.
-    af's P is its cascade, passed to stacked_beamformers inline, so no
-    local holds a cascade past its k or into the next scheme.
+    per k, and power control, the link and the bound per point.
+
+    Every relay stack is released at its last use, so a job holds about
+    five at once (fig5: 25.6 MiB in tracemalloc, against 35.3 with A, B,
+    D, X, C, P and S all alive): af runs first, h and g go with its top
+    k's cascade, D with mf-rzf's top k, A and B with the last scheme's
+    top k, and each k's P and S before the next k's. The stacks sit in
+    a dict; the work that reads one last pops it and passes its slice
+    inline, so stacked_beamformers holds the only reference (CPython
+    3.11 moves a call's arguments into the callee's frame) and frees it
+    with its del.
     A NumericError, or a floating-point overflow, division by zero or
     invalid operation, is raised as a NumericError naming the point(s)
     whose work failed (all of them for the shared D, those of one k for
@@ -251,18 +261,34 @@ def _capacity_chunk(job) -> np.ndarray:
         # g is blocks [low, 2 top): k reads its g blocks [k, 2k) at k - low
         h, g = channels_for_trials(m, n, top, spec.seed, start, stop, low)
         a, b = relay_grams(h, g)
-        if Scheme.AF not in schemes:
-            del h, g
+        # the bound's sum of B_i over i < k for every k, added from left
+        # to right as fixed_sum adds; the first term is a copy, so that no
+        # sum is a view of b
+        sums = accumulate((b[:, i] for i in range(1, top)), np.add, initial=np.copy(b[:, 0]))
+        b_sums = {k: b_sum for k, b_sum in enumerate(sums, 1) if k in relays}
+        order = sorted(enumerate(schemes), key=lambda item: item[1] is not Scheme.AF)
+        # the relay stacks, each popped at its last use (see the docstring)
+        stacks = {"a": a, "b": b}
+        if Scheme.AF in schemes:  # only af's cascade reads h and g
+            stacks.update(h=h, g=g)
+        del h, g, a, b
         table = np.empty((len(labels), stop - start, len(schemes) + 1))
-        for j, scheme in sorted(enumerate(schemes), key=lambda item: item[1] is not Scheme.AF):
+        for j, scheme in order:
             where = labels, scheme.value
-            d = regularized_inverse(a, alpha) if scheme is Scheme.MF_RZF else None
+            if scheme is Scheme.MF_RZF:
+                stacks["d"] = regularized_inverse(stacks["a"], alpha)
             for k in sorted(relays):
                 g_k = slice(k - low, 2 * k - low)
                 where = [labels[i] for i in relays[k]], scheme.value
+                # the top k pops what no later work reads: h, g and d are
+                # read by one scheme each, a and b by every scheme
+                own = stacks.pop if k == top else stacks.__getitem__
+                grams = stacks.pop if k == top and j == order[-1][0] else stacks.__getitem__
                 p, s, fh_sq, f_sq = stacked_beamformers(
-                    scheme, a[:, g_k], b[:, :k], d=d if d is None else d[:, g_k], n=n,
-                    cascade=matmul(g[:, g_k], h[:, :k]) if scheme is Scheme.AF else None,
+                    scheme, grams("a")[:, g_k], grams("b")[:, :k], n=n,
+                    d=own("d")[:, g_k] if scheme is Scheme.MF_RZF else None,
+                    cascade=(matmul(own("g")[:, g_k], own("h")[:, :k])
+                             if scheme is Scheme.AF else None),
                 )
                 for i in relays[k]:
                     where = labels[i : i + 1], scheme.value
@@ -270,13 +296,10 @@ def _capacity_chunk(job) -> np.ndarray:
                     rho = stacked_power_factors(fh_sq, f_sq, pnr, m, qnr)
                     table[i, :, j] = sic_capacity(p, s, rho, pnr)
                 del p, s
-            if scheme is Scheme.AF:
-                del h, g
         for k in sorted(relays):
-            b_sum = fixed_sum(b[:, i] for i in range(k))
             for i in relays[k]:
                 where = labels[i : i + 1], UPPER_BOUND_LABEL
-                table[i, :, -1] = stacked_upper_bound(b_sum, powers[i][0])
+                table[i, :, -1] = stacked_upper_bound(b_sums[k], powers[i][0])
     except (NumericError, FloatingPointError) as exc:
         failed, series = where
         raise NumericError(

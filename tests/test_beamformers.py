@@ -121,28 +121,28 @@ def gram_batch_with_defects(m, alpha):
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.3])
-@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_regularized_inverse_fails_exactly_where_cholesky_fails(m, alpha):
     a = gram_batch_with_defects(m, alpha)
     for order in ("F", "C"):
-        failed = {"gauss-jordan": [], "cholesky": []}
+        failed = {"inverse": [], "cholesky": []}
         for trial in range(len(a)):
             one = np.asarray(a[trial : trial + 1], order=order)
             for name, check in [
-                ("gauss-jordan", lambda: regularized_inverse(one, alpha)),
+                ("inverse", lambda: regularized_inverse(one, alpha)),
                 ("cholesky", lambda: cholesky_stack(scaled_gram(one, alpha))),
             ]:
                 try:
                     check()
                 except NumericError:
                     failed[name].append(trial)
-        # the zero row fails at alpha = 0 only; Cholesky lets NaN through
-        expected = [1, 2] if alpha == 0.0 else [2]
-        assert failed == {"gauss-jordan": sorted(expected + [3]), "cholesky": expected}
-    for trial in failed["gauss-jordan"]:  # one failing trial fails its batch
+        # the zero row fails at alpha = 0 only, the NaN on both paths
+        expected = [1, 2, 3] if alpha == 0.0 else [2, 3]
+        assert failed == {"inverse": expected, "cholesky": expected}
+    for trial in failed["inverse"]:  # one failing trial fails its batch
         with pytest.raises(NumericError):
             regularized_inverse(a[[0, trial, 4, 5]], alpha)
-    regularized_inverse(np.delete(a, failed["gauss-jordan"], axis=0), alpha)
+    regularized_inverse(np.delete(a, failed["inverse"], axis=0), alpha)
 
 
 def _relative_error(actual, expected):

@@ -306,6 +306,14 @@ def test_logdet_rejects_indefinite():
         logdet_hpd(a)
 
 
+def test_logdet_rejects_nan():
+    # numpy's Cholesky factors this into NaNs without a LinAlgError
+    a = np.eye(5, dtype=complex)[np.newaxis].copy()
+    a[0, 0, 4] = a[0, 4, 0] = np.nan
+    with pytest.raises(NumericError, match="factor not finite"):
+        linalg.logdet_hpd_stack(a)
+
+
 def test_as_matrix_rejects_vector():
     with pytest.raises(ShapeError):
         as_matrix(np.ones(3))

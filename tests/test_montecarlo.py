@@ -408,13 +408,16 @@ def test_relay_count_sweep_draws_once_per_chunk(monkeypatch):
     )
 
 
-@pytest.mark.parametrize("name, bound_mib", [("fig5", 40), ("fig2", 12), ("k128", 40)])
+@pytest.mark.parametrize(
+    "name, bound_mib", [("fig5", 30), ("fig6", 30), ("fig2", 12), ("k128", 40)]
+)
 def test_trial_chunk_bounds_a_jobs_memory(monkeypatch, name, bound_mib):
     # the traced peak of the first job that the scheduler makes of a
     # sweep, over every point, scheme and the bound: (8, 8, 10) at 7
-    # points for fig5 and (4, 4, 1..8) for fig2, each in TRIAL_CHUNK
-    # trials, and (4, 4, 2..128) for k128, whose largest k cuts a job to
-    # 10 TRIAL_CHUNK / 128 = 40 trials
+    # points for fig5 and fig6 and (4, 4, 1..8) for fig2, each in
+    # TRIAL_CHUNK trials, and (4, 4, 2..128) for k128, whose largest k
+    # cuts a job to 10 TRIAL_CHUNK / 128 = 40 trials. fig5 and fig6 stay
+    # under 30 MiB only if every relay stack is released at its last use
     if name == "k128":
         spec = SweepSpec("relay_count", (2, 4, 8, 16, 32, 64, 128), m=4, n=4, k=2,
                          pnr_db=10.0, qnr_db=10.0, seed=1)
@@ -529,11 +532,15 @@ def test_pool_never_exceeds_the_cpus(monkeypatch, serial_pool):
     assert serial_pool == [2, 2]
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_power_sweep_rows_equal_one_point_sweeps(workers):
-    # two chunks per point, so workers 2 runs a pool
+@pytest.mark.parametrize("workers, m, n", [(1, 2, 2), (2, 2, 2), (1, 5, 5), (2, 5, 5)],
+                         ids=["1", "2", "1-m5", "2-m5"])
+def test_power_sweep_rows_equal_one_point_sweeps(workers, m, n):
+    # two chunks per point, so workers 2 runs a pool; m = 5 runs the
+    # stacked kernels, m = 2 the trial-minor ones. Bitwise at k = 4, so
+    # the points cannot share one product for their rho-sums over the
+    # relays: its rounding would depend on how many points it holds
     values = (0.0, 10.0, 20.0)
-    settings = dict(axis="pnr_equals_qnr_db", trials=TRIAL_CHUNK + 6, seed=4)
+    settings = dict(axis="pnr_equals_qnr_db", m=m, n=n, k=4, trials=TRIAL_CHUNK + 6, seed=4)
     alone = []
     for value in values:
         alone += run_sweep(base_spec(values=(value,), **settings))
@@ -541,14 +548,15 @@ def test_power_sweep_rows_equal_one_point_sweeps(workers):
     assert run_sweep(spec, workers=workers) == alone  # bitwise on the floats
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_relay_count_sweep_rows_equal_one_point_sweeps(workers):
+@pytest.mark.parametrize("workers, m, n", [(1, 2, 3), (2, 2, 3), (1, 5, 5), (2, 5, 5)],
+                         ids=["1", "2", "1-m5", "2-m5"])
+def test_relay_count_sweep_rows_equal_one_point_sweeps(workers, m, n):
     # each k reads slices of one draw at the largest k, here with gapped
     # relay counts, so g blocks [4, 5) are drawn but no k reads them; its
     # rows are bitwise those of a sweep of that k alone. Two chunks, so
     # workers 2 runs a pool
     values = (1, 2, 5)
-    settings = dict(axis="relay_count", m=2, n=3, alpha=0.7, trials=TRIAL_CHUNK + 6, seed=4)
+    settings = dict(axis="relay_count", m=m, n=n, alpha=0.7, trials=TRIAL_CHUNK + 6, seed=4)
     alone = []
     for value in values:
         alone += run_sweep(base_spec(values=(value,), **settings))
