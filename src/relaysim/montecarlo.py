@@ -45,9 +45,12 @@ five stacks at once.
 from __future__ import annotations
 
 import contextlib
+import importlib
 import math
+import multiprocessing
 import numbers
 import os
+import sys
 from collections.abc import Iterable, Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -318,7 +321,10 @@ def _capacity_tables(spec: SweepSpec, workers: int) -> np.ndarray:
     whole sweep, of at most TRIAL_CHUNK trials, of at most 10 TRIAL_CHUNK
     relay-trials at the sweep's largest k (but at least one trial), and
     short enough that every worker gets one; the map runs in at most one
-    process per job and per CPU."""
+    process per job and per CPU. A pool's parent loads numpy.random (which
+    numpy loads on first use) before it starts the workers, and on Linux
+    forks them on every Python (3.14 defaults to forkserver), so they
+    inherit it rather than each loading it for its first draw."""
     workers = _typed("workers", workers)
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
@@ -333,7 +339,12 @@ def _capacity_tables(spec: SweepSpec, workers: int) -> np.ndarray:
     ranges = [(start, min(start + step, trials)) for start in range(0, trials, step)]
     jobs = [(spec, start, stop) for start, stop in ranges]
     workers = min(workers, len(jobs))
-    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+    executor = contextlib.nullcontext()
+    if workers > 1:
+        importlib.import_module("numpy.random")
+        context = multiprocessing.get_context("fork") if sys.platform == "linux" else None
+        executor = ProcessPoolExecutor(workers, mp_context=context)
+    with executor as pool:
         blocks = (pool.map if pool else map)(_capacity_chunk, jobs)
         for (start, stop), block in zip(ranges, blocks):
             tables[:, start:stop] = block

@@ -3,9 +3,14 @@ scalar oracle, common random numbers, axis semantics, and bitwise
 determinism across seeds and worker counts."""
 
 import dataclasses
+import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -438,6 +443,78 @@ def test_trial_chunk_bounds_a_jobs_memory(monkeypatch, name, bound_mib):
     assert peak < bound_mib * 2**20
 
 
+def test_an_array_popped_into_a_call_is_freed_at_the_callees_del():
+    # the mechanism that test_trial_chunk_bounds_a_jobs_memory relies on:
+    # _capacity_chunk pops a relay stack from its dict and passes a slice
+    # of it inline, and stacked_beamformers' del frees the stack, because
+    # CPython (3.11 on) moves a call's arguments into the callee's frame
+    stacks = {"a": np.ones((4, 3))}
+    stack = weakref.ref(stacks["a"])
+
+    def callee(a):
+        del a
+        return stack() is None
+
+    freed = callee(stacks.pop("a")[:, 1:])  # not in the assert, whose rewrite keeps it
+    assert freed
+
+
+# Runs one sweep in a fresh interpreter with a stub pool; prints whether
+# numpy.random was loaded when each pool was built, the pool's start
+# method, and whether it was loaded when the first job began.
+POOL_START = """
+import json, os, sys
+from relaysim import montecarlo
+
+pools, first_job = [], []
+
+class StubPool:
+    def __init__(self, workers, mp_context=None):
+        method = mp_context.get_start_method() if mp_context else None
+        pools.append(["numpy.random" in sys.modules, method])
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+chunk = montecarlo._capacity_chunk
+
+def job(args):
+    first_job.append("numpy.random" in sys.modules)
+    return chunk(args)
+
+os.cpu_count = lambda: 2
+montecarlo.ProcessPoolExecutor = StubPool
+montecarlo._capacity_chunk = job
+spec = montecarlo.SweepSpec("relay_count", (1, 2), m=2, n=2, k=1, pnr_db=10.0,
+                            qnr_db=10.0, trials=64)
+montecarlo.run_sweep(spec, int(sys.argv[1]))
+print(json.dumps([pools, first_job[0]]))
+"""
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_pool_forks_from_a_parent_that_has_loaded_numpy_random(workers):
+    # a fresh interpreter, because scipy has loaded numpy.random in this one
+    src = str(Path(montecarlo.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", POOL_START, str(workers)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    pools, loaded_at_first_job = json.loads(proc.stdout)
+    if workers == 1:  # no pool, and the first draw loads numpy.random
+        assert pools == [] and loaded_at_first_job is False
+    else:  # the workers inherit it, forked on Linux on every Python
+        assert pools == [[True, "fork" if sys.platform == "linux" else None]]
+
+
 @pytest.fixture
 def serial_pool(monkeypatch):
     """Replace ProcessPoolExecutor by a stand-in that runs the jobs here,
@@ -446,7 +523,7 @@ def serial_pool(monkeypatch):
     started = []
 
     class SerialPool:
-        def __init__(self, workers):
+        def __init__(self, workers, mp_context=None):
             started.append(workers)
 
         def __enter__(self):
