@@ -26,10 +26,9 @@ any alpha. These are
 so for mf and mf-rzf all four are m x m functions of A and B. A sweep
 forms A, B (relay_grams) and mf-rzf's D (regularized_inverse) once per
 chunk of trials, for all its relay counts, and the products once per
-relay count (stacked_beamformers). Every product is a linalg.matmul, and
-for trial-minor stacks (m <= 4) D comes from a Gauss-Jordan sweep over
-all trials that writes their layout, so they stay trial-minor and need
-no LAPACK call. The powers p and q enter only through rho
+relay count (stacked_beamformers). Every product is a linalg.matmul and
+D's inverse a linalg.hpd_inverse, which keep the stacks in the layout
+linalg chooses for them. The powers p and q enter only through rho
 (stacked_power_factors). C is the product A D and not (1 + alpha)I -
 alpha D, which is the same matrix in exact arithmetic but cancels at
 large alpha. The test suite pins the Gram route to per-relay
@@ -42,7 +41,7 @@ import enum
 
 import numpy as np
 
-from .linalg import NumericError, cholesky_stack, fixed_sum, matmul, re_inner, trial_minor
+from .linalg import NumericError, hpd_inverse, matmul, re_inner, re_trace, stack_order
 
 
 class Scheme(enum.Enum):
@@ -65,32 +64,11 @@ def regularized_inverse(a: np.ndarray, alpha: float) -> np.ndarray:
     as the inverse of A/(1 + alpha) + alpha/(1 + alpha) I: it tends to I
     as alpha grows, where the products of (A + alpha I)^-1 underflow,
     and to A^-1 as alpha tends to 0. Raises NumericError unless every
-    A + alpha I is positive definite.
-
-    Trial-minor stacks are inverted in place by Gauss-Jordan elimination
-    without pivoting, one numpy call per row operation over all trials.
-    Its p-th pivot is the p-th diagonal entry of the matrix's LDL^H
-    factorization, so the pivots are the positive-definiteness check:
-    they are all positive exactly when the matrix is positive definite,
-    and a zero row or a NaN gives a zero or NaN pivot. Larger stacks are
-    checked by a Cholesky factorization and inverted by LAPACK."""
+    A + alpha I is positive definite."""
     m = a.shape[-1]
-    d = np.divide(a, 1.0 + alpha, order="F" if trial_minor(m) else "C")
+    d = np.divide(a, 1.0 + alpha, order=stack_order(m))
     d[..., range(m), range(m)] += alpha / (1.0 + alpha)
-    if not trial_minor(m):
-        cholesky_stack(d)  # raises NumericError unless positive definite
-        return np.linalg.inv(d)
-    for p in range(m):
-        pivot = d[..., p, p].real.copy()
-        if not np.all(pivot > 0):
-            raise NumericError("regularized_inverse: matrix not positive definite")
-        d[..., p, p] = 1.0
-        d[..., p, :] *= (1.0 / pivot)[..., None]
-        for i in (*range(p), *range(p + 1, m)):
-            factor = d[..., i, p].copy()
-            d[..., i, p] = 0.0
-            d[..., i, :] -= factor[..., None] * d[..., p, :]
-    return d
+    return hpd_inverse(d)
 
 
 def stacked_beamformers(
@@ -114,9 +92,7 @@ def stacked_beamformers(
     caller holds no other reference to is freed there.
     """
     if scheme is Scheme.AF:
-        m = b.shape[-1]
-        trace_b = (fixed_sum(b[..., i, i].real for i in range(m)) if trial_minor(m)
-                   else np.real(np.trace(b, axis1=-2, axis2=-1)))
+        trace_b = re_trace(b)
         return cascade, a, trace_b, np.full(trace_b.shape, float(n))
     x, c = b, a  # D = I
     if scheme is Scheme.MF_RZF:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import trial_minor
+from .linalg import stack_order
 
 _SEED_LIMIT = 1 << 64
 
@@ -57,16 +57,19 @@ def channels_for_trials(
     of a sweep, k' reads its g as g[:, k' - g_start : 2k' - g_start] and
     one draw at the sweep's largest k serves every k'.
 
-    Up to the crossover m (linalg.trial_minor, m <= 4) h and g are
-    trial-minor: in Fortran order, so memory runs (column, row, relay,
-    trial) and every matrix entry is one contiguous run over the trials.
-    Above it they are C-contiguous. Their shapes are the same either way.
+    h and g are written in linalg.stack_order(m), the layout of the
+    m x m stacks formed from them; their shapes are the same either way.
 
     The caller passes positive dimensions, a checked seed,
     0 <= start <= stop and 1 <= g_start <= k; a seed or trial outside
-    64 bits raises OverflowError when it keys the stream.
+    64 bits raises OverflowError when it keys the stream, and a draw
+    larger than numpy can index raises MemoryError, as one that does not
+    fit in memory does.
     """
-    raw = np.empty((stop - start, 4 * k * n * m))
+    try:
+        raw = np.empty((stop - start, 4 * k * n * m))
+    except ValueError as exc:  # more entries than numpy can index
+        raise MemoryError(exc) from exc
     bitgen = np.random.Philox(0)
     normal = np.random.Generator(bitgen).standard_normal
     state = bitgen.state  # counter 0, empty buffer: a fresh stream once re-keyed
@@ -82,7 +85,7 @@ def channels_for_trials(
     raw *= 1.0 / np.sqrt(2.0)
     blocks = raw.view(np.complex128).reshape(len(raw), 2 * k, n * m)
     # column-major fill per matrix == reshape to the transposed shape, then swap
-    order = "F" if trial_minor(m) else "C"
+    order = stack_order(m)
     h = blocks[:, :k].reshape(len(raw), k, m, n).swapaxes(-1, -2).copy(order)
     g = blocks[:, g_start:].reshape(len(raw), 2 * k - g_start, n, m).swapaxes(-1, -2).copy(order)
     return h, g

@@ -22,45 +22,20 @@ Per sweep point, what is left is
 where q is the unitary factor of H_sd, and the cut-set bound needs only
 sum_k h_k^H h_k.
 
-sic_capacity factors H_sd by modified Gram-Schmidt vectorized across
-the trials rather than by one LAPACK call per m x m matrix, whose
-per-call cost dominates at these sizes. It reads H_sd as a column-major,
-trial-minor array (column, row, trial), so column j of every trial is
-one contiguous (m, T) slice; a trial-minor H_sd (linalg) is one already,
-others are copied into one. Step j normalizes the residual v_j of
-column j, with |r_jj|^2 = ||v_j||^2, and projects q_j out of all the
-columns after it in one step. A residual that is exactly zero, such as
-that of a zero column, is never divided by: its q_j is 0 and its stream
-gets SNR 0, so it removes nothing from the later columns (where
-LAPACK's Householder QR would pick some unit q_j). A column in the span
-of the earlier ones leaves rounding dust and an SNR near 0.
-The noise q_j^H M q_j is formed in q's layout for trial-minor M and
-read from the batched product M Q otherwise: at 8 x 8 that is cheaper.
-
-A trial's capacity must not depend on how many trials share its batch.
-Elementwise operations, fixed_sum and einsum over one axis keep that;
-ndarray.sum over the row or relay axis does not, because numpy sums in
-another order when the trial axis has length 1. So no such reduction
-here is an ndarray.sum.
+sic_capacity factors H_sd by modified Gram-Schmidt (linalg.qr_stack),
+whose q_j of an exactly zero residual is 0, so that stream gets SNR 0.
+The kernels it calls keep a trial's capacity independent of how many
+trials share its batch; linalg's docstring says how, and how they lay
+out their stacks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import fixed_sum, logdet_hpd_stack, trial_minor
+from .linalg import logdet_hpd_stack, qr_stack, re_diag_congruence, relay_sum
 
 _LN2 = float(np.log(2.0))
-
-
-def _relay_sum(weights: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """sum_k weights_k a_k for weights (..., k) and a stack a (..., k, m, m):
-    a fixed_sum over the relays of trial-minor stacks, else one
-    (1, k) @ (k, m*m) product per trial."""
-    *lead, k, m, _ = a.shape
-    if trial_minor(m):
-        return fixed_sum(weights[..., i, None, None] * a[..., i, :, :] for i in range(k))
-    return (weights[..., np.newaxis, :] @ a.reshape(*lead, k, m * m)).reshape(*lead, m, m)
 
 
 def stacked_capacity_bits(snr: np.ndarray) -> np.ndarray:
@@ -75,25 +50,9 @@ def sic_capacity(p: np.ndarray, s: np.ndarray, rho: np.ndarray, p_lin: float) ->
 
     Stream j's SNR is (p_lin/m) |r_jj|^2 / (q_j^H M q_j + 1), with q_j and
     r_jj from the Gram-Schmidt QR of H_sd; see the module docstring."""
-    m = p.shape[-1]
-    # (column, row, trial): a[j] is column j of every trial
-    a = np.ascontiguousarray(_relay_sum(rho, p).transpose(2, 1, 0))
-    q = np.empty_like(a)
-    r_sq = np.empty((m, a.shape[-1]))
-    for j in range(m):
-        v = a[j]
-        r_sq[j] = np.einsum("rt,rt->t", v.real, v.real) + np.einsum("rt,rt->t", v.imag, v.imag)
-        scale = np.divide(1.0, np.sqrt(r_sq[j]), out=np.zeros(a.shape[-1]), where=r_sq[j] > 0)
-        np.multiply(v, scale, out=q[j])
-        a[j + 1 :] -= np.einsum("rt,crt->ct", q[j].conj(), a[j + 1 :])[:, np.newaxis] * q[j]
-    noise_gram = _relay_sum(rho**2, s)
-    if trial_minor(m):  # in q's (column, row, trial) layout
-        mq = np.einsum("crt,jct->jrt", noise_gram.transpose(2, 1, 0), q)
-        noise = np.real(np.einsum("jrt,jrt->tj", q.conj(), mq))
-    else:
-        q = np.ascontiguousarray(q.transpose(2, 1, 0))  # (trial, row, column)
-        noise = np.real(np.einsum("...ij,...ij->...j", q.conj(), noise_gram @ q))
-    return stacked_capacity_bits((p_lin / m) * r_sq.T / (noise + 1.0))
+    q, r_sq = qr_stack(relay_sum(rho, p))
+    noise = re_diag_congruence(relay_sum(rho**2, s), q)
+    return stacked_capacity_bits((p_lin / p.shape[-1]) * r_sq / (noise + 1.0))
 
 
 def stacked_upper_bound(b_sum: np.ndarray, p: float) -> np.ndarray:

@@ -265,8 +265,8 @@ def _capacity_chunk(job) -> np.ndarray:
         h, g = channels_for_trials(m, n, top, spec.seed, start, stop, low)
         a, b = relay_grams(h, g)
         # the bound's sum of B_i over i < k for every k, added from left
-        # to right as fixed_sum adds; the first term is a copy, so that no
-        # sum is a view of b
+        # to right whatever the range length (see linalg); the first term
+        # is a copy, so that no sum is a view of b
         sums = accumulate((b[:, i] for i in range(1, top)), np.add, initial=np.copy(b[:, 0]))
         b_sums = {k: b_sum for k, b_sum in enumerate(sums, 1) if k in relays}
         order = sorted(enumerate(schemes), key=lambda item: item[1] is not Scheme.AF)
@@ -332,7 +332,7 @@ def _capacity_tables(spec: SweepSpec, workers: int) -> np.ndarray:
     trials = spec.trials
     try:  # before the job list, which holds one tuple per trial range
         tables = np.empty((len(spec.values), trials, len(spec.schemes) + 1))
-    except MemoryError as exc:
+    except (MemoryError, ValueError) as exc:  # ValueError: more entries than numpy can index
         raise MemoryError(f"trials = {trials}: {exc}") from exc
     top = max(spec.point(value)["k"] for value in spec.values)
     step = min(TRIAL_CHUNK, max(1, 10 * TRIAL_CHUNK // top), -(-trials // workers))

@@ -25,8 +25,8 @@ import numpy as np
 
 from relaysim.beamformers import Scheme, stacked_power_factors
 from relaysim.channel import channels_for_trials, check_seed
-from relaysim.linalg import NumericError, logdet_hpd_stack, re_inner
-from relaysim.link import _relay_sum, stacked_capacity_bits, stacked_upper_bound
+from relaysim.linalg import NumericError, logdet_hpd_stack, re_inner, relay_sum
+from relaysim.link import stacked_capacity_bits, stacked_upper_bound
 
 # ------------------------------------------------------------------ linalg
 
@@ -354,13 +354,13 @@ def lapack_scheme_capacity(
     """relaysim.link.sic_capacity's inputs and output, through LAPACK's
     QR and stacked_snr: per-trial capacities of cascades p and noise
     Grams s (..., k, m, m) under power factors rho (..., k)."""
-    q, r_diag = qr_stack(_relay_sum(rho, p))
-    return stacked_capacity_bits(stacked_snr(_relay_sum(rho**2, s), q, r_diag, config))
+    q, r_diag = qr_stack(relay_sum(rho, p))
+    return stacked_capacity_bits(stacked_snr(relay_sum(rho**2, s), q, r_diag, config))
 
 
 def effective_channel(realization: ChannelRealization, weights: RelayWeights) -> np.ndarray:
     """Effective m x m source-destination channel of one realization."""
-    return _relay_sum(weights.rho, realization.g @ weights.f @ realization.h)
+    return relay_sum(weights.rho, realization.g @ weights.f @ realization.h)
 
 
 def per_stream_snr(
@@ -369,7 +369,7 @@ def per_stream_snr(
     """Post-detection SNRs of one realization under one scheme."""
     gf = realization.g @ weights.f
     s = gf @ np.swapaxes(gf, -1, -2).conj()
-    return stacked_snr(_relay_sum(weights.rho**2, s), qr.q, np.real(np.diagonal(qr.r)), config)
+    return stacked_snr(relay_sum(weights.rho**2, s), qr.q, np.real(np.diagonal(qr.r)), config)
 
 
 def instantaneous_capacity(snr_per_stream: np.ndarray) -> float:

@@ -333,9 +333,16 @@ def _cap_address_space():
         # a job holds at most 10 TRIAL_CHUNK relay-trials, but never less than one trial
         ("[1, 1000000000000000]", [], "relay_count = 1000000000000000 at trials [0, 1): "),
         ("[1, 2]", ["--trials", "1000000000000000"], "trials = 1000000000000000: "),
+        # past numpy's index range, np.empty raises ValueError, not MemoryError
+        (
+            "[1, 100000000000000000000]", [],
+            "relay_count = 100000000000000000000 at trials [0, 1): ",
+        ),
+        ("[1, 2]", ["--trials", "100000000000000000000"], "trials = 100000000000000000000: "),
         ("[1, 2]", [], None),
     ],
-    ids=["relay-count", "trials", "fits"],
+    ids=["relay-count", "trials", "relay-count-past-index-range", "trials-past-index-range",
+         "fits"],
 )
 def test_run_too_large_for_memory_exits_1_with_one_line(tmp_path, values, extra, message):
     path = tmp_path / "big.yaml"

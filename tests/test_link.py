@@ -8,7 +8,8 @@ import pytest
 from relaysim.beamformers import Scheme, regularized_inverse, relay_grams, stacked_beamformers
 from relaysim.beamformers import stacked_power_factors
 from relaysim.channel import channels_for_trials
-from relaysim.link import _relay_sum, sic_capacity, stacked_capacity_bits, stacked_upper_bound
+from relaysim.linalg import relay_sum
+from relaysim.link import sic_capacity, stacked_capacity_bits, stacked_upper_bound
 
 from oracle import (
     ChannelRealization,
@@ -157,7 +158,7 @@ def test_snr_ignores_unit_phases_on_the_columns_of_q():
     phases = np.exp(2j * np.pi * rng.random((32, 1, 1, 4)))
     capacity = sic_capacity(p, s, rho, cfg.p)
     np.testing.assert_allclose(sic_capacity(p * phases, s, rho, cfg.p), capacity, rtol=1e-12)
-    q, r_diag = qr_stack(_relay_sum(rho, p))
+    q, r_diag = qr_stack(relay_sum(rho, p))
     noise_gram = np.einsum("tk,tkij->tij", rho**2, s)
     snr = stacked_snr(noise_gram, q, r_diag, cfg)
     rotated = stacked_snr(noise_gram, q * phases[:, 0], r_diag, cfg)
@@ -222,7 +223,7 @@ def test_per_trial_capacity_matches_lapack_on_ill_conditioned_trials(m, worst_co
     # mf at 30 dB and one relay draws effective channels with condition
     # numbers up to 6.1e6 (m = 2) and 2.9e7 (m = 4) among these trials
     p, s, rho, cfg = product_inputs(m, m, 1, 1000.0, Scheme.MF, trials=8192, seed=1)
-    cond = np.linalg.cond(_relay_sum(rho, p))
+    cond = np.linalg.cond(relay_sum(rho, p))
     assert cond.max() > worst_cond
     capacity = sic_capacity(p, s, rho, cfg.p)
     expected = lapack_scheme_capacity(p, s, rho, cfg)
