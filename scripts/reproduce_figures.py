@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Run every bundled sweep scenario and collect the CSV/SVG outputs.
 
-Each scenario lands in its own subdirectory of --out. With default
-trial counts this takes a few minutes on one core; pass --trials for a
-quick look.
+Each scenario lands in its own subdirectory of --out. Every other
+argument is passed on to `relaysim run` (--trials, --workers, --seed).
+With default trial counts this takes a few minutes on one core; pass
+--trials for a quick look.
 """
 
 import argparse
@@ -17,19 +18,11 @@ from relaysim.scenario import list_bundled
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="results", help="parent output directory")
-    parser.add_argument("--trials", type=int, default=None, help="override trial count")
-    parser.add_argument("--workers", type=int, default=1, help="worker processes")
-    parser.add_argument("--seed", type=int, default=None, help="override the seed")
-    args = parser.parse_args(argv)
+    args, run_args = parser.parse_known_args(argv)
 
     for name in list_bundled():
-        cli_args = ["run", name, "--out", f"{args.out}/{name}", "--workers", str(args.workers)]
-        if args.trials is not None:
-            cli_args += ["--trials", str(args.trials)]
-        if args.seed is not None:
-            cli_args += ["--seed", str(args.seed)]
         started = time.perf_counter()
-        code = relaysim_main(cli_args)
+        code = relaysim_main(["run", name, "--out", f"{args.out}/{name}", *run_args])
         if code != 0:
             return code
         print(f"{name} finished in {time.perf_counter() - started:.1f}s")

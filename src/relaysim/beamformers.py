@@ -25,14 +25,14 @@ any alpha. These are
 
 so for mf and mf-rzf all four are m x m functions of A and B. A sweep
 forms A, B (relay_grams) and mf-rzf's D (regularized_inverse) once per
-chunk of trials, for all its relay counts, and the products once per
-relay count (stacked_beamformers). Every product is a linalg.matmul and
-D's inverse a linalg.hpd_inverse, which keep the stacks in the layout
-linalg chooses for them. The powers p and q enter only through rho
-(stacked_power_factors). C is the product A D and not (1 + alpha)I -
-alpha D, which is the same matrix in exact arithmetic but cancels at
-large alpha. The test suite pins the Gram route to per-relay
-builders that do form F.
+chunk of trials, for all its relay counts, and the products, af's
+cascade among them, once per relay count (stacked_beamformers). Every
+product is a linalg.matmul and D's inverse a linalg.hpd_inverse, which
+keep the stacks in the layout linalg chooses for them. The powers p and
+q enter only through rho (stacked_power_factors). C is the product A D
+and not (1 + alpha)I - alpha D, which is the same matrix in exact
+arithmetic but cancels at large alpha. The test suite pins the Gram
+route to per-relay builders that do form F.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ class Scheme(enum.Enum):
 def relay_grams(h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The m x m channel products (A, B) = (g g^H, h^H h) of stacks
     h (..., k, n, m) and g (..., k, m, n) that stacked_beamformers works
-    from; af's caller forms the cascade g h for the relays it reads."""
+    from; af reads h and g themselves for its cascade g h."""
     return matmul(g, np.swapaxes(g, -1, -2).conj()), matmul(np.swapaxes(h, -1, -2).conj(), h)
 
 
@@ -76,8 +76,8 @@ def stacked_beamformers(
     a: np.ndarray,
     b: np.ndarray,
     d: np.ndarray | None = None,
-    cascade: np.ndarray | None = None,
-    n: int | None = None,
+    h: np.ndarray | None = None,
+    g: np.ndarray | None = None,
 ) -> tuple:
     """What the link needs from each relay's beamformer F under `scheme`,
     from the Grams a = g g^H and b = h^H h (..., k, m, m): (P, S, fh_sq,
@@ -87,13 +87,15 @@ def stacked_beamformers(
 
     Leading axes are broadcast batch dimensions (Monte Carlo trials),
     axis -3 indexes relays. mf-rzf reads D = regularized_inverse(a, alpha)
-    from d; af reads the cascade g h and the relay antenna count n. Each
-    operand and product is dropped after its last use, so one that the
-    caller holds no other reference to is freed there.
+    from d; af reads the channels h (..., k, n, m) and g (..., k, m, n),
+    whose cascade g h it forms and whose n it takes. Each operand and
+    product is dropped after its last use, so one that the caller holds
+    no other reference to is freed there.
     """
     if scheme is Scheme.AF:
-        trace_b = re_trace(b)
-        return cascade, a, trace_b, np.full(trace_b.shape, float(n))
+        n, p = h.shape[-2], matmul(g, h)
+        del h, g
+        return p, a, re_trace(b), np.full(b.shape[:-2], float(n))
     x, c = b, a  # D = I
     if scheme is Scheme.MF_RZF:
         x = matmul(d, b)

@@ -1,4 +1,4 @@
-"""Input errors, seeds and Rayleigh block-fading channel sampling.
+"""Rayleigh block-fading channel sampling.
 
 Randomness is counter-based: every Monte Carlo trial gets its own Philox
 stream keyed by (seed, trial), so trial t yields the same channels no
@@ -14,21 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import stack_order
-
-_SEED_LIMIT = 1 << 64
-
-
-class ConfigError(ValueError):
-    """An input value is invalid; the message names its field."""
-
-
-def check_seed(seed: int, field: str = "seed") -> int:
-    """Return the integer seed if it is in [0, 2**64), else raise
-    ConfigError naming `field`. Seeds key the Philox streams, which take
-    64-bit words, so any other value would alias a valid one."""
-    if not 0 <= seed < _SEED_LIMIT:
-        raise ConfigError(f"{field} must be in [0, 2**64), got {seed}")
-    return seed
 
 
 def channels_for_trials(

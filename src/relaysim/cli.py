@@ -5,13 +5,13 @@
 
 <scenario> is a path to a scenario file, or the bare name of a bundled
 one. Results land in DIR (default ./results) as results.csv plus an SVG
-chart named after the scenario. Both are written beside their final
-names and then moved into place, so a failed run leaves earlier files
-intact. The seed resolution order is: --seed flag, then the
-RELAYSIM_SEED environment variable, then the scenario file. Output is
-byte-identical for any --workers value. Bad input exits 2, and a
-numerical failure or a run too large for memory exits 1, each with one
-`error:` line on stderr.
+chart named after the scenario, both in UTF-8 under any locale. Both
+are written beside their final names and then moved into place, so a
+failed run leaves earlier files intact. The seed resolution order is:
+--seed flag, then the RELAYSIM_SEED environment variable, then the
+scenario file. Output is byte-identical for any --workers value. Bad
+input exits 2, and a numerical failure or a run too large for memory
+exits 1, each with one `error:` line on stderr.
 """
 
 from __future__ import annotations
@@ -22,9 +22,8 @@ import os
 import sys
 from pathlib import Path
 
-from .channel import ConfigError, check_seed
 from .linalg import NumericError
-from .montecarlo import SweepRow, run_sweep
+from .montecarlo import ConfigError, SweepRow, check_seed, run_sweep
 from .plotting import emit_plot
 from .scenario import bundled_description, list_bundled, load_bundled, parse_scenario
 
@@ -40,7 +39,7 @@ def write_results_csv(rows: list, path: str | Path) -> None:
     lines = [",".join(CSV_COLUMNS)]
     for row in rows:
         lines.append(",".join(str(getattr(row, col)) for col in CSV_COLUMNS))
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _replace_atomically(writers: dict) -> None:
@@ -93,10 +92,12 @@ def cmd_run(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "results.csv"
     svg_path = out / f"{stem}.svg"
+    # the file name's bytes as UTF-8, whatever the locale decoded them to
+    title = os.fsencode(stem).decode("utf-8", "replace")
     _replace_atomically(
         {
             csv_path: lambda tmp: write_results_csv(rows, tmp),
-            svg_path: lambda tmp: emit_plot(rows, tmp, title=stem),
+            svg_path: lambda tmp: emit_plot(rows, tmp, title=title),
         }
     )
     print(f"wrote {csv_path} ({len(rows)} rows)")

@@ -21,13 +21,15 @@ Sums. A trial's values must not depend on how many trials share its
 batch. ndarray.sum over a matrix or relay axis orders its additions by
 the memory layout, which changes when a trial range holds one trial. So
 a trial-minor kernel adds whole trial vectors from left to right
-(_fixed_sum), and the others reduce one trial at a time (einsum over one
-axis, a batched product).
+(_fixed_sum), the bound's relay sums are added relay by relay from left
+to right at every m (relay_prefix_sums), and the others reduce one trial
+at a time (einsum over one axis, a batched product).
 """
 
 from __future__ import annotations
 
 from functools import reduce
+from itertools import accumulate
 
 import numpy as np
 
@@ -116,6 +118,15 @@ def relay_sum(weights: np.ndarray, a: np.ndarray) -> np.ndarray:
     if _trial_minor(m):
         return _fixed_sum(weights[..., i, None, None] * a[..., i, :, :] for i in range(k))
     return (weights[..., np.newaxis, :] @ a.reshape(*lead, k, m * m)).reshape(*lead, m, m)
+
+
+def relay_prefix_sums(a: np.ndarray, counts) -> dict:
+    """{k: sum_{i<k} a_i} for each k of `counts` and a stack a
+    (..., K, m, m) with K >= max(counts), whole relays added from left to
+    right. The first term is a copy, so that no sum is a view of a."""
+    sums = accumulate((a[..., i, :, :] for i in range(1, max(counts))), np.add,
+                      initial=np.copy(a[..., 0, :, :]))
+    return {k: total for k, total in enumerate(sums, 1) if k in counts}
 
 
 def qr_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

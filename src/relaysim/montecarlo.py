@@ -54,17 +54,17 @@ import sys
 from collections.abc import Iterable, Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from itertools import accumulate
 
 import numpy as np
 
 from .beamformers import Scheme, regularized_inverse, relay_grams
 from .beamformers import stacked_beamformers, stacked_power_factors
-from .channel import ConfigError, channels_for_trials, check_seed
-from .linalg import NumericError, matmul
+from .channel import channels_for_trials
+from .linalg import NumericError, relay_prefix_sums
 from .link import sic_capacity, stacked_upper_bound
 
 UPPER_BOUND_LABEL = "upper-bound"
+_SEED_LIMIT = 1 << 64
 
 # The longest trial range of one job; a range also holds at most
 # 10 TRIAL_CHUNK relay-trials (trials times the sweep's largest k), which
@@ -86,6 +86,19 @@ _TYPES = dict(axis=str, values=list, m=int, n=int, k=int, pnr_db=float, qnr_db=f
               alpha=float, schemes=list, trials=int, seed=int, workers=int)
 # the network fields, which are also a scenario file's network section
 _NETWORK = ("m", "n", "k", "pnr_db", "qnr_db", "alpha")
+
+
+class ConfigError(ValueError):
+    """An input value is invalid; the message names its field."""
+
+
+def check_seed(seed: int, field: str = "seed") -> int:
+    """Return the integer seed if it is in [0, 2**64), else raise
+    ConfigError naming `field`. Seeds key the Philox streams, which take
+    64-bit words, so any other value would alias a valid one."""
+    if not 0 <= seed < _SEED_LIMIT:
+        raise ConfigError(f"{field} must be in [0, 2**64), got {seed}")
+    return seed
 
 
 def _typed(name: str, value):
@@ -264,11 +277,7 @@ def _capacity_chunk(job) -> np.ndarray:
         # g is blocks [low, 2 top): k reads its g blocks [k, 2k) at k - low
         h, g = channels_for_trials(m, n, top, spec.seed, start, stop, low)
         a, b = relay_grams(h, g)
-        # the bound's sum of B_i over i < k for every k, added from left
-        # to right whatever the range length (see linalg); the first term
-        # is a copy, so that no sum is a view of b
-        sums = accumulate((b[:, i] for i in range(1, top)), np.add, initial=np.copy(b[:, 0]))
-        b_sums = {k: b_sum for k, b_sum in enumerate(sums, 1) if k in relays}
+        b_sums = relay_prefix_sums(b, relays)  # the bound's sum of B over k's relays
         order = sorted(enumerate(schemes), key=lambda item: item[1] is not Scheme.AF)
         # the relay stacks, each popped at its last use (see the docstring)
         stacks = {"a": a, "b": b}
@@ -288,10 +297,10 @@ def _capacity_chunk(job) -> np.ndarray:
                 own = stacks.pop if k == top else stacks.__getitem__
                 grams = stacks.pop if k == top and j == order[-1][0] else stacks.__getitem__
                 p, s, fh_sq, f_sq = stacked_beamformers(
-                    scheme, grams("a")[:, g_k], grams("b")[:, :k], n=n,
+                    scheme, grams("a")[:, g_k], grams("b")[:, :k],
                     d=own("d")[:, g_k] if scheme is Scheme.MF_RZF else None,
-                    cascade=(matmul(own("g")[:, g_k], own("h")[:, :k])
-                             if scheme is Scheme.AF else None),
+                    h=own("h")[:, :k] if scheme is Scheme.AF else None,
+                    g=own("g")[:, g_k] if scheme is Scheme.AF else None,
                 )
                 for i in relays[k]:
                     where = labels[i : i + 1], scheme.value

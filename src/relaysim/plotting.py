@@ -173,4 +173,4 @@ def emit_plot(rows: list, path: str | Path, title: str = "") -> None:
         legend_y += 20
 
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n")
+    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")

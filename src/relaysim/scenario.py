@@ -25,8 +25,7 @@ from pathlib import Path
 
 import yaml
 
-from .channel import ConfigError
-from .montecarlo import _NETWORK, SweepSpec
+from .montecarlo import _NETWORK, ConfigError, SweepSpec
 
 
 class ScenarioError(ConfigError):
@@ -145,7 +144,7 @@ def _load_bundled_text(name: str) -> str:
     known = list_bundled()
     if name not in known:
         raise ScenarioError(f"unknown scenario '{name}' (bundled: {', '.join(known)})")
-    return _bundled_dir().joinpath(f"{name}.yaml").read_text()
+    return _bundled_dir().joinpath(f"{name}.yaml").read_text(encoding="utf-8")
 
 
 def load_bundled(name: str) -> SweepSpec:

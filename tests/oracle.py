@@ -24,9 +24,10 @@ from typing import NamedTuple
 import numpy as np
 
 from relaysim.beamformers import Scheme, stacked_power_factors
-from relaysim.channel import channels_for_trials, check_seed
+from relaysim.channel import channels_for_trials
 from relaysim.linalg import NumericError, logdet_hpd_stack, re_inner, relay_sum
 from relaysim.link import stacked_capacity_bits, stacked_upper_bound
+from relaysim.montecarlo import check_seed
 
 # ------------------------------------------------------------------ linalg
 
@@ -68,15 +69,6 @@ def trace(a: np.ndarray) -> complex:
 
 def frobenius_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(as_matrix(a, "a")))
-
-
-def row_norm_sq(a: np.ndarray, m: int) -> float:
-    """Squared Euclidean norm of row m."""
-    a = as_matrix(a, "a")
-    if not 0 <= m < a.shape[0]:
-        raise ShapeError(f"row index {m} out of range for shape {a.shape}")
-    row = a[m]
-    return float(np.real(np.vdot(row, row)))
 
 
 def logdet_hpd(a: np.ndarray) -> float:

@@ -167,8 +167,8 @@ def test_gram_products_equal_per_relay_builder_products(seed, m, extra, k, alpha
     if alpha == 0.0:
         # both routes invert g g^H, so their errors grow with its condition
         assume(np.linalg.cond(a).max() < 1e4)
-    # mf-rzf reads D; af reads the cascade and n
-    products = dict(d=regularized_inverse(a, alpha), cascade=g @ h, n=n)
+    # mf-rzf reads D; af reads the channels, for its cascade and n
+    products = dict(d=regularized_inverse(a, alpha), h=h, g=g)
     builders = {
         Scheme.AF: lambda h_i, g_i: af_beamformer(n),
         Scheme.MF: mf_beamformer,

@@ -322,6 +322,25 @@ def test_svg_title_with_markup_characters_is_escaped(tmp_path):
     assert "a&b<c" in [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
 
 
+def test_non_ascii_scenario_name_runs_under_an_ascii_locale(tmp_path):
+    # under the C locale without UTF-8 mode the stem arrives as surrogate
+    # escapes of its UTF-8 bytes; both files must still come out as they
+    # do under the default locale, byte for byte
+    path = tmp_path / "fïg.yaml"
+    path.write_text(TINY, encoding="utf-8")
+    outs = []
+    for name, env in (("default", {}), ("ascii", {"LC_ALL": "C", "PYTHONUTF8": "0"})):
+        outs.append(tmp_path / name)
+        proc = subprocess.run(
+            [sys.executable, "-m", "relaysim", "run", path, "--out", outs[-1]],
+            capture_output=True,
+            env=dict(os.environ, **env),
+        )
+        assert proc.returncode == 0, proc.stderr
+    for file in ("results.csv", "fïg.svg"):
+        assert (outs[0] / file).read_bytes() == (outs[1] / file).read_bytes()
+
+
 def _cap_address_space():
     # 2 GiB: a normal run fits, and a run that tries to fill the host fails fast
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))

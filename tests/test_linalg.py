@@ -20,7 +20,6 @@ from oracle import (
     matmul,
     qr_decompose,
     qr_stack,
-    row_norm_sq,
     solve_hpd,
     trace,
 )
@@ -165,17 +164,6 @@ def test_trace_requires_square():
 def test_frobenius_norm_known_value():
     a = np.array([[3.0 + 4j, 0.0], [0.0, 0.0]])
     assert frobenius_norm(a) == pytest.approx(5.0)
-
-
-def test_row_norm_sq_known_value():
-    a = np.array([[1 + 1j, 2.0], [0.0, 3j]])
-    assert row_norm_sq(a, 0) == pytest.approx(6.0)
-    assert row_norm_sq(a, 1) == pytest.approx(9.0)
-
-
-def test_row_norm_sq_index_error():
-    with pytest.raises(ShapeError):
-        row_norm_sq(np.eye(2, dtype=complex), 2)
 
 
 # ---------------------------------------------------------------- QR

@@ -134,7 +134,7 @@ def link_inputs(h, g, scheme, cfg):
     forms them for one point and scheme."""
     a, b = relay_grams(h, g)
     d = regularized_inverse(a, cfg.alpha)
-    p, s, fh_sq, f_sq = stacked_beamformers(scheme, a, b, d, cascade=g @ h, n=cfg.n)
+    p, s, fh_sq, f_sq = stacked_beamformers(scheme, a, b, d, h=h, g=g)
     return p, s, stacked_power_factors(fh_sq, f_sq, cfg.p, cfg.m, cfg.q)
 
 
