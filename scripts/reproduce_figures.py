@@ -3,8 +3,9 @@
 
 Each scenario lands in its own subdirectory of --out. Every other
 argument is passed on to `relaysim run` (--trials, --workers, --seed).
-With default trial counts this takes a few minutes on one core; pass
---trials for a quick look.
+With default trial counts (10^4) fig2-fig6 take about 10 s on one core
+of a 2-vCPU machine with one BLAS thread; pass --trials for a quick
+look.
 """
 
 import argparse

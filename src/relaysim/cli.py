@@ -11,7 +11,7 @@ failed run leaves earlier files intact. The seed resolution order is:
 --seed flag, then the RELAYSIM_SEED environment variable, then the
 scenario file. Output is byte-identical for any --workers value. Bad
 input exits 2, and a numerical failure or a run too large for memory
-exits 1, each with one `error:` line on stderr.
+exits 1, each with one `error:` line on stderr, also in UTF-8.
 """
 
 from __future__ import annotations
@@ -132,15 +132,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_error(exc: Exception) -> None:
+    """One `error:` line on stderr in UTF-8, like the output files: a
+    file name that the locale decoded to surrogate escapes is written as
+    its own bytes."""
+    line = f"error: {exc}\n"
+    stream = getattr(sys.stderr, "buffer", None)
+    if stream is None:  # a text-only stream, such as an io.StringIO
+        sys.stderr.write(line)
+    else:
+        sys.stderr.flush()
+        stream.write(line.encode("utf-8", "surrogateescape"))
+        stream.flush()
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(exc)
         return 2
     except (NumericError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(exc)
         return 1
 
 

@@ -22,22 +22,24 @@ from blocks [k, 2k) of it (see channels_for_trials), so one draw at the
 largest k holds every smaller k as slices. The beamformers depend only
 on the channels and alpha; the powers p and q enter at power control. A
 job is one trial range [start, stop) of the whole sweep, at most
-TRIAL_CHUNK long and at most 10 TRIAL_CHUNK relay-trials (trials times
-the largest k): it draws the range's channels once, at the largest k,
-and reduces them once to the relays' m x m Grams g g^H and h^H h (and,
-for mf-rzf, to (1 + alpha)(g g^H + alpha I)^-1).
-Each k reads its slices of these; only the af cascade g h and each
-scheme's per-relay link products are formed per k. What is left per
-point is power control, two rho-weighted sums over relays, the QR and
-SNR, and the bound. A slice holds exactly the floats that k's own draw
-and Grams would, and every operation works trial by trial, so a trial's
-capacities depend neither on the other points of its sweep nor on the
-range that holds it: every float, and every byte of results.csv, equals
-what the point gives on its own, at any range length. So a sweep with
-fewer chunks than workers shortens its ranges rather than cutting its
-points, and a run uses at most as many processes as there are jobs or
-CPUs. A job's memory is linear in its relay-trials, so their budget
-bounds it at any k. Each relay stack (h, g, the Grams, D and the
+TRIAL_CHUNK long, at most 10 TRIAL_CHUNK relay-trials (trials times the
+largest k) and at most STACK_BYTES in its largest relay stack: it draws
+the range's channels once, at the largest k, and reduces them once to
+the relays' m x m Grams g g^H and h^H h (and, for mf-rzf, to
+(1 + alpha)(g g^H + alpha I)^-1). Each k reads its slices of these;
+only the af cascade g h and each scheme's per-relay link products are
+formed per k. What is left per point is power control, two rho-weighted
+sums over relays, the QR and SNR, and the bound. A slice holds exactly
+the floats that k's own draw and Grams would, and every operation works
+trial by trial, so a trial's capacities depend neither on the other
+points of its sweep nor on the range that holds it: every float, and
+every byte of results.csv, equals what the point gives on its own, at
+any range length. So a sweep with fewer chunks than workers shortens
+its ranges rather than cutting its points, and a run uses at most as
+many processes as there are jobs or CPUs. A job's memory is linear in
+its trials times the bytes of a trial's relay stacks, the largest of
+which is g (2K - min k relays of n x m entries), so STACK_BYTES bounds
+it at any (m, n, k). Each relay stack (h, g, the Grams, D and the
 products) is released at its last use, so a job holds at most about
 five stacks at once.
 """
@@ -67,10 +69,12 @@ UPPER_BOUND_LABEL = "upper-bound"
 _SEED_LIMIT = 1 << 64
 
 # The longest trial range of one job; a range also holds at most
-# 10 TRIAL_CHUNK relay-trials (trials times the sweep's largest k), which
-# bound a job's memory. Per-trial floats do not depend on the range
-# length, so neither do the results.
+# 10 TRIAL_CHUNK relay-trials (trials times the sweep's largest k) and at
+# most STACK_BYTES in its largest relay stack, g, which bound a job's
+# memory. Per-trial floats do not depend on the range length, so neither
+# do the results.
 TRIAL_CHUNK = 512
+STACK_BYTES = 5 << 19  # 2.5 MiB
 
 # axis -> the base network fields that each of its values replaces
 AXES = {
@@ -250,14 +254,14 @@ def _capacity_chunk(job) -> np.ndarray:
     per k, and power control, the link and the bound per point.
 
     Every relay stack is released at its last use, so a job holds about
-    five at once (fig5: 25.6 MiB in tracemalloc, against 35.3 with A, B,
-    D, X, C, P and S all alive): af runs first, h and g go with its top
-    k's cascade, D with mf-rzf's top k, A and B with the last scheme's
-    top k, and each k's P and S before the next k's. The stacks sit in
-    a dict; the work that reads one last pops it and passes its slice
-    inline, so stacked_beamformers holds the only reference (CPython
-    3.11 moves a call's arguments into the callee's frame) and frees it
-    with its del.
+    five at once (a 512-trial fig5 job: 25.6 MiB in tracemalloc, against
+    35.3 with A, B, D, X, C, P and S all alive): af runs first, h and g
+    go with its top k's cascade, D with mf-rzf's top k, A and B with the
+    last scheme's top k, and each k's P and S before the next k's. The
+    stacks sit in a dict; the work that reads one last pops it and
+    passes its slice inline, so stacked_beamformers holds the only
+    reference (CPython 3.11 moves a call's arguments into the callee's
+    frame) and frees it with its del.
     A NumericError, or a floating-point overflow, division by zero or
     invalid operation, is raised as a NumericError naming the point(s)
     whose work failed (all of them for the shared D, those of one k for
@@ -327,24 +331,37 @@ def _capacity_tables(spec: SweepSpec, workers: int) -> np.ndarray:
     """(points, trials, series) per-trial capacities of every point of
     the sweep, in trial order, with the schemes' series and then the
     bound's, from one map over jobs. A job is one trial range of the
-    whole sweep, of at most TRIAL_CHUNK trials, of at most 10 TRIAL_CHUNK
-    relay-trials at the sweep's largest k (but at least one trial), and
-    short enough that every worker gets one; the map runs in at most one
-    process per job and per CPU. A pool's parent loads numpy.random (which
-    numpy loads on first use) before it starts the workers, and on Linux
-    forks them on every Python (3.14 defaults to forkserver), so they
-    inherit it rather than each loading it for its first draw."""
+    whole sweep, of at least one trial and otherwise of at most
+    TRIAL_CHUNK trials, 10 TRIAL_CHUNK relay-trials at the sweep's
+    largest k, STACK_BYTES in g (its largest relay stack) and
+    ceil(trials / workers) trials. So a job's memory is bounded at any
+    (m, n, k): 8 x 8 sweeps at k = 10 (fig5, fig6) run 256-trial jobs,
+    and 4 x 4 ones up to k = 8 TRIAL_CHUNK. The map runs in at most one
+    process per job and per CPU this process may run on. A pool's parent
+    loads numpy.random (which numpy loads on first use) before it starts
+    the workers, and on Linux forks them on every Python (3.14 defaults
+    to forkserver), so they inherit it rather than each loading it for
+    its first draw."""
     workers = _typed("workers", workers)
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    workers = min(workers, os.cpu_count() or 1)
+    # the CPUs this process may run on: taskset and cpusets narrow its
+    # affinity set, where the OS has one
+    if hasattr(os, "sched_getaffinity"):
+        workers = min(workers, len(os.sched_getaffinity(0)))
+    else:
+        workers = min(workers, os.cpu_count() or 1)
     trials = spec.trials
     try:  # before the job list, which holds one tuple per trial range
         tables = np.empty((len(spec.values), trials, len(spec.schemes) + 1))
     except (MemoryError, ValueError) as exc:  # ValueError: more entries than numpy can index
         raise MemoryError(f"trials = {trials}: {exc}") from exc
-    top = max(spec.point(value)["k"] for value in spec.values)
-    step = min(TRIAL_CHUNK, max(1, 10 * TRIAL_CHUNK // top), -(-trials // workers))
+    relays = [spec.point(value)["k"] for value in spec.values]
+    low, top = min(relays), max(relays)
+    # g, the largest relay stack: 2 top - low complex n x m blocks a trial
+    stack = 16 * (2 * top - low) * spec.n * spec.m
+    step = max(1, min(TRIAL_CHUNK, 10 * TRIAL_CHUNK // top, STACK_BYTES // stack,
+                      -(-trials // workers)))
     ranges = [(start, min(start + step, trials)) for start in range(0, trials, step)]
     jobs = [(spec, start, stop) for start, stop in ranges]
     workers = min(workers, len(jobs))
@@ -369,8 +386,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
     spec order, then the upper bound. All series of one point share the
     same per-trial channel realizations. One map over trial-range jobs,
     and for workers above 1 one process pool, serves the whole sweep.
-    `workers` must be an integral number >= 1; it is capped at the CPU
-    count.
+    `workers` must be an integral number >= 1; it is capped at the CPUs
+    this process may run on.
     """
     rows = []
     labels = [s.value for s in spec.schemes] + [UPPER_BOUND_LABEL]

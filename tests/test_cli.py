@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: files written, seed precedence, exit codes."""
 
+import contextlib
+import io
 import os
 import resource
 import runpy
@@ -341,6 +343,32 @@ def test_non_ascii_scenario_name_runs_under_an_ascii_locale(tmp_path):
         assert (outs[0] / file).read_bytes() == (outs[1] / file).read_bytes()
 
 
+def test_error_line_names_a_non_ascii_file_by_its_bytes_under_an_ascii_locale(tmp_path):
+    # the error line is UTF-8 like the output files, so the file's own
+    # name appears under the C locale rather than its surrogate escapes
+    path = tmp_path / "bäd.yaml"
+    path.write_text("network: [\n", encoding="utf-8")
+    errors = []
+    for env in ({}, {"LC_ALL": "C", "PYTHONUTF8": "0"}):
+        proc = subprocess.run(
+            [sys.executable, "-m", "relaysim", "run", path, "--out", tmp_path / "out"],
+            capture_output=True,
+            env=dict(os.environ, **env),
+        )
+        assert proc.returncode == 2
+        errors.append(proc.stderr)
+    assert errors[0] == errors[1]
+    assert errors[1].startswith("error: bäd.yaml: not valid YAML".encode())
+    assert errors[1].count(b"\n") == 1
+
+
+def test_error_line_goes_to_a_text_only_stderr(tmp_path):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(["run", "nöne", "--out", str(tmp_path)]) == 2
+    assert err.getvalue().startswith("error: unknown scenario 'nöne' (bundled: ")
+
+
 def _cap_address_space():
     # 2 GiB: a normal run fits, and a run that tries to fill the host fails fast
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
@@ -349,7 +377,7 @@ def _cap_address_space():
 @pytest.mark.parametrize(
     "values, extra, message",
     [
-        # a job holds at most 10 TRIAL_CHUNK relay-trials, but never less than one trial
+        # a job's budgets cut it to one trial here, but never to less
         ("[1, 1000000000000000]", [], "relay_count = 1000000000000000 at trials [0, 1): "),
         ("[1, 2]", ["--trials", "1000000000000000"], "trials = 1000000000000000: "),
         # past numpy's index range, np.empty raises ValueError, not MemoryError

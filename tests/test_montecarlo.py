@@ -2,6 +2,7 @@
 scalar oracle, common random numbers, axis semantics, and bitwise
 determinism across seeds and worker counts."""
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -14,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.laguerre import laggauss
 from scipy.special import eval_genlaguerre, gammaln
 
@@ -22,6 +25,7 @@ from relaysim.beamformers import Scheme
 from relaysim.linalg import NumericError
 from relaysim.montecarlo import (
     AXES,
+    STACK_BYTES,
     TRIAL_CHUNK,
     ConfigError,
     SweepSpec,
@@ -413,35 +417,93 @@ def test_relay_count_sweep_draws_once_per_chunk(monkeypatch):
     )
 
 
+def _job_ranges(spec, workers):
+    """The trial ranges of the jobs that _capacity_tables makes of
+    `spec` on 64 CPUs; no job runs and no process starts."""
+    ranges = []
+    with pytest.MonkeyPatch.context() as patch:
+        _pin_cpus(patch, 64)
+        patch.setattr(montecarlo, "_capacity_chunk", lambda job: ranges.append(job[1:]) or 0.0)
+        # a pool that yields None, so the jobs run through the builtin map
+        patch.setattr(montecarlo, "ProcessPoolExecutor", lambda *a, **kw: contextlib.nullcontext())
+        _capacity_tables(spec, workers)
+    return ranges
+
+
 @pytest.mark.parametrize(
-    "name, bound_mib", [("fig5", 28), ("fig6", 28), ("fig2", 10), ("k128", 9.5)]
+    "name, bound_mib, stop",
+    [("fig5", 15, 256), ("fig6", 15, 256), ("fig2", 10, TRIAL_CHUNK), ("k128", 9.5, 40),
+     ("m16", 15, 64)],
+    ids=["fig5-15", "fig6-15", "fig2-10", "k128-9.5", "m16-15"],
 )
-def test_trial_chunk_bounds_a_jobs_memory(monkeypatch, name, bound_mib):
+def test_trial_chunk_bounds_a_jobs_memory(name, bound_mib, stop):
     # the traced peak of the first job that the scheduler makes of a
     # sweep, over every point, scheme and the bound: (8, 8, 10) at 7
-    # points for fig5 and fig6 and (4, 4, 1..8) for fig2, each in
-    # TRIAL_CHUNK trials, and (4, 4, 2..128) for k128, whose largest k
-    # cuts a job to 10 TRIAL_CHUNK / 128 = 40 trials. Each bound is below
-    # the peak plus one relay stack of the top k (fig5 and fig6 5.0 MiB,
-    # fig2 1.0, k128 1.25), so h kept alive past af's top k fails each
+    # points for fig5 and fig6, whose 2.5 MiB budget per relay stack cuts
+    # a job to 256 trials, (4, 4, 1..8) for fig2 in TRIAL_CHUNK trials,
+    # (4, 4, 2..128) for k128, whose largest k cuts a job to
+    # 10 TRIAL_CHUNK / 128 = 40 trials, and (16, 16, 10) at 3 points for
+    # m16, cut to 64 trials. Each bound is below the peak plus one relay
+    # stack of the top k (fig5, fig6 and m16 2.5 MiB, fig2 1.0, k128
+    # 1.25), so h kept alive past af's top k fails each
     if name == "k128":
         spec = SweepSpec("relay_count", (2, 4, 8, 16, 32, 64, 128), m=4, n=4, k=2,
                          pnr_db=10.0, qnr_db=10.0, seed=1)
+    elif name == "m16":
+        spec = SweepSpec("pnr_equals_qnr_db", (0.0, 10.0, 20.0), m=16, n=16, k=10,
+                         pnr_db=10.0, qnr_db=10.0, seed=1)
     else:
         spec = load_bundled(name)
-    jobs = []
-    monkeypatch.setattr(montecarlo, "_capacity_chunk", lambda job: jobs.append(job) or 0.0)
-    _capacity_tables(spec, 1)
-    job = jobs[0]
-    assert job[1:] == (0, 40 if name == "k128" else TRIAL_CHUNK)
+    assert _job_ranges(spec, 1)[0] == (0, stop)
     tracemalloc.start()
     try:
-        _capacity_chunk(job)
+        _capacity_chunk((spec, 0, stop))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     print(f"{name}: {peak / 2**20:.1f} MiB")
     assert peak < bound_mib * 2**20
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 16), st.integers(0, 16), st.integers(1, 200), st.integers(0, 200),
+    st.integers(1, 5000), st.integers(1, 64),
+)
+def test_job_ranges_tile_the_trials_within_every_budget(m, extra, low, more, trials, workers):
+    # a power sweep at k = low, or a relay sweep from low to low + more
+    n, top = m + extra, low + more
+    axis = "relay_count" if more else "pnr_equals_qnr_db"
+    values = (low, top) if more else (0.0, 10.0)
+    spec = SweepSpec(axis, values, m=m, n=n, k=low, pnr_db=10.0, qnr_db=10.0, trials=trials)
+    ranges = _job_ranges(spec, workers)
+    assert [start for start, _ in ranges] == [0] + [stop for _, stop in ranges[:-1]]
+    assert ranges[-1][1] == trials
+    for start, stop in ranges:
+        length = stop - start
+        assert 1 <= length <= min(TRIAL_CHUNK, -(-trials // workers))
+        # relay-trials at the top k, and the bytes of g, the largest relay
+        # stack (relays [low, 2 top) of n x m complex entries), unless a
+        # single trial exceeds them
+        assert length * top <= 10 * TRIAL_CHUNK or length == 1
+        assert length * 16 * (2 * top - low) * n * m <= STACK_BYTES or length == 1
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "k128"])
+def test_the_job_ranges_of_4x4_relay_sweeps_are_the_relay_trial_budgets(name, workers):
+    # at m = 4 the relay-trial budget binds before the bytes of a stack:
+    # fig2-fig4 (4, 4, 1..8) run TRIAL_CHUNK trials a job and (4, 4, 2..128)
+    # 10 TRIAL_CHUNK / 128 = 40
+    if name == "k128":
+        spec = SweepSpec("relay_count", (2, 4, 8, 16, 32, 64, 128), m=4, n=4, k=2,
+                         pnr_db=10.0, qnr_db=10.0, trials=1024)
+    else:
+        spec = dataclasses.replace(load_bundled(name), trials=1024)
+    step = 40 if name == "k128" else TRIAL_CHUNK
+    assert _job_ranges(spec, workers) == [
+        (start, min(start + step, 1024)) for start in range(0, 1024, step)
+    ]
 
 
 def test_an_array_popped_into_a_call_is_freed_at_the_callees_del():
@@ -490,6 +552,7 @@ def job(args):
     return chunk(args)
 
 os.cpu_count = lambda: 2
+os.sched_getaffinity = lambda pid: {0, 1}
 montecarlo.ProcessPoolExecutor = StubPool
 montecarlo._capacity_chunk = job
 spec = montecarlo.SweepSpec("relay_count", (1, 2), m=2, n=2, k=1, pnr_db=10.0,
@@ -514,6 +577,17 @@ def test_a_pool_forks_from_a_parent_that_has_loaded_numpy_random(workers):
         assert pools == [] and loaded_at_first_job is False
     else:  # the workers inherit it, forked on Linux on every Python
         assert pools == [[True, "fork" if sys.platform == "linux" else None]]
+
+
+def _pin_cpus(monkeypatch, count):
+    """Let this process run on `count` CPUs, by affinity and by count;
+    None: no affinity and an unknown count."""
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    if count is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                            raising=False)
 
 
 @pytest.fixture
@@ -543,7 +617,7 @@ def serial_pool(monkeypatch):
 def test_small_relay_sweep_splits_its_chunk_across_workers(monkeypatch, serial_pool):
     # one chunk's worth of trials and two workers: each worker gets a range
     # of 32 trials of every point, drawn once at the sweep's largest k
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _pin_cpus(monkeypatch, 2)
     draws = _count_calls(monkeypatch, "channels_for_trials")
     spec = base_spec(values=(2, 3, 4, 5), trials=64)
     rows = run_sweep(spec, workers=2)
@@ -569,7 +643,7 @@ def test_per_trial_capacities_do_not_depend_on_the_range_length(
 ):
     # with the CPUs pinned high, workers 3, 7 and `trials` cut the trials
     # into ranges of ceil(trials / workers), down to one trial a job
-    monkeypatch.setattr(os, "cpu_count", lambda: 1000)
+    _pin_cpus(monkeypatch, 1000)
     spec = base_spec(values=relays, m=m, n=n, alpha=alpha, trials=trials, seed=6)
     whole = _capacity_tables(spec, 1)
     for workers in (3, 7, trials):
@@ -594,7 +668,7 @@ def test_trial_minor_and_trial_major_stacks_give_the_same_capacities(monkeypatch
 
 
 def test_pool_never_exceeds_the_cpus(monkeypatch, serial_pool):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _pin_cpus(monkeypatch, 2)
     jobs = _count_calls(monkeypatch, "_capacity_chunk")
     run_sweep(one_point(1, Scheme.MF, m=1, n=1, trials=10_000), workers=1000)
     assert serial_pool == [2]
@@ -605,9 +679,16 @@ def test_pool_never_exceeds_the_cpus(monkeypatch, serial_pool):
     run_sweep(one_point(1, Scheme.MF, trials=64), workers=8)
     assert serial_pool == [2, 2]
     assert [job[1:] for (job,) in jobs] == [(0, 32), (32, 64)]
-    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one process
+    _pin_cpus(monkeypatch, None)  # unknown: one process
     run_sweep(one_point(1, Scheme.MF, trials=64), workers=8)
     assert serial_pool == [2, 2]
+    # pinned to one CPU of eight (taskset, a cpuset): one process, one job
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    jobs.clear()
+    run_sweep(one_point(1, Scheme.MF, trials=64), workers=8)
+    assert serial_pool == [2, 2]
+    assert [job[1:] for (job,) in jobs] == [(0, 64)]
 
 
 @pytest.mark.parametrize("workers, m, n", [(1, 2, 2), (2, 2, 2), (1, 5, 5), (2, 5, 5)],
