@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import os
 import sys
 from pathlib import Path
@@ -85,6 +86,8 @@ def cmd_run(args) -> int:
         seed=_resolve_seed(args.seed, os.environ, spec.seed),
         trials=spec.trials if args.trials is None else args.trials,
     )
+    if args.workers > 1:  # the pool's modules load at start-up, not in the sweep
+        importlib.import_module("concurrent.futures.process")
 
     rows = run_sweep(spec, workers=args.workers)
 
@@ -132,11 +135,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _message(exc: Exception) -> str:
+    """str(exc), except that an OSError names its files as they are
+    rather than by repr, which would spell a name that the locale
+    decoded to surrogate escapes as those escapes."""
+    if isinstance(exc, OSError) and isinstance(exc.filename, str):
+        names = " -> ".join(f"'{name}'" for name in (exc.filename, exc.filename2)
+                           if name is not None)
+        return f"[Errno {exc.errno}] {exc.strerror}: {names}"
+    return str(exc)
+
+
 def _print_error(exc: Exception) -> None:
     """One `error:` line on stderr in UTF-8, like the output files: a
     file name that the locale decoded to surrogate escapes is written as
     its own bytes."""
-    line = f"error: {exc}\n"
+    line = f"error: {_message(exc)}\n"
     stream = getattr(sys.stderr, "buffer", None)
     if stream is None:  # a text-only stream, such as an io.StringIO
         sys.stderr.write(line)

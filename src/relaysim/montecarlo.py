@@ -49,12 +49,10 @@ from __future__ import annotations
 import contextlib
 import importlib
 import math
-import multiprocessing
 import numbers
 import os
 import sys
 from collections.abc import Iterable, Mapping
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -90,6 +88,17 @@ _TYPES = dict(axis=str, values=list, m=int, n=int, k=int, pnr_db=float, qnr_db=f
               alpha=float, schemes=list, trials=int, seed=int, workers=int)
 # the network fields, which are also a scenario file's network section
 _NETWORK = ("m", "n", "k", "pnr_db", "qnr_db", "alpha")
+
+
+def __getattr__(name: str):
+    """ProcessPoolExecutor, imported on first use: its modules
+    (concurrent.futures.process and multiprocessing, about 2 MB) serve
+    only a pool, which a one-process run never starts."""
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ConfigError(ValueError):
@@ -333,15 +342,19 @@ def _capacity_tables(spec: SweepSpec, workers: int) -> np.ndarray:
     bound's, from one map over jobs. A job is one trial range of the
     whole sweep, of at least one trial and otherwise of at most
     TRIAL_CHUNK trials, 10 TRIAL_CHUNK relay-trials at the sweep's
-    largest k, STACK_BYTES in g (its largest relay stack) and
-    ceil(trials / workers) trials. So a job's memory is bounded at any
-    (m, n, k): 8 x 8 sweeps at k = 10 (fig5, fig6) run 256-trial jobs,
-    and 4 x 4 ones up to k = 8 TRIAL_CHUNK. The map runs in at most one
-    process per job and per CPU this process may run on. A pool's parent
-    loads numpy.random (which numpy loads on first use) before it starts
-    the workers, and on Linux forks them on every Python (3.14 defaults
-    to forkserver), so they inherit it rather than each loading it for
-    its first draw."""
+    largest k and STACK_BYTES in g (its largest relay stack). So a job's
+    memory is bounded at any (m, n, k): 8 x 8 sweeps at k = 10 (fig5,
+    fig6) run 256-trial jobs, and 4 x 4 ones up to k = 8 TRIAL_CHUNK. A
+    sweep that fits in one such job per worker is instead split evenly
+    into min(workers, trials) jobs. The map runs in at most one process
+    per job and per CPU this process may run on. Only a pool's parent
+    loads multiprocessing and concurrent.futures.process (relaysim run
+    loads them before its sweep when --workers is above 1), so a
+    one-process run never imports them. It also loads numpy.random
+    (which numpy loads on first use) before it starts the workers, and
+    on Linux forks them on every Python (3.14 defaults to forkserver),
+    so they inherit it rather than each loading it for its first
+    draw."""
     workers = _typed("workers", workers)
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
@@ -360,16 +373,22 @@ def _capacity_tables(spec: SweepSpec, workers: int) -> np.ndarray:
     low, top = min(relays), max(relays)
     # g, the largest relay stack: 2 top - low complex n x m blocks a trial
     stack = 16 * (2 * top - low) * spec.n * spec.m
-    step = max(1, min(TRIAL_CHUNK, 10 * TRIAL_CHUNK // top, STACK_BYTES // stack,
-                      -(-trials // workers)))
-    ranges = [(start, min(start + step, trials)) for start in range(0, trials, step)]
+    step = max(1, min(TRIAL_CHUNK, 10 * TRIAL_CHUNK // top, STACK_BYTES // stack))
+    if trials <= step * workers:  # a short sweep: one even range per worker
+        count = min(workers, trials)
+        ranges = [(i * trials // count, (i + 1) * trials // count) for i in range(count)]
+    else:
+        ranges = [(start, min(start + step, trials)) for start in range(0, trials, step)]
     jobs = [(spec, start, stop) for start, stop in ranges]
     workers = min(workers, len(jobs))
     executor = contextlib.nullcontext()
     if workers > 1:
+        import multiprocessing
+
         importlib.import_module("numpy.random")
         context = multiprocessing.get_context("fork") if sys.platform == "linux" else None
-        executor = ProcessPoolExecutor(workers, mp_context=context)
+        # through the module, where tests and tracers replace the class
+        executor = sys.modules[__name__].ProcessPoolExecutor(workers, mp_context=context)
     with executor as pool:
         blocks = (pool.map if pool else map)(_capacity_chunk, jobs)
         for (start, stop), block in zip(ranges, blocks):

@@ -8,7 +8,6 @@ is needed.
 
 from __future__ import annotations
 
-import html
 import math
 from pathlib import Path
 
@@ -29,6 +28,12 @@ SERIES_STYLE = {
     "mf-rzf": ("#2ca02c", None),
     "upper-bound": ("#555555", "7 4"),
 }
+
+
+def _escape(text: str) -> str:
+    """`text` as SVG character data: html.escape(text, quote=False)
+    without importing html."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list:
@@ -91,7 +96,7 @@ def emit_plot(rows: list, path: str | Path, title: str = "") -> None:
     if title:
         parts.append(
             f'<text x="{MARGIN_L + plot_w / 2:.2f}" y="16" font-size="14" '
-            f'text-anchor="middle">{html.escape(title, quote=False)}</text>'
+            f'text-anchor="middle">{_escape(title)}</text>'
         )
 
     # frame and ticks

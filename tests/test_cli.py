@@ -1,7 +1,9 @@
 """End-to-end CLI behavior: files written, seed precedence, exit codes."""
 
 import contextlib
+import errno
 import io
+import json
 import os
 import resource
 import runpy
@@ -362,6 +364,25 @@ def test_error_line_names_a_non_ascii_file_by_its_bytes_under_an_ascii_locale(tm
     assert errors[1].count(b"\n") == 1
 
 
+def test_os_error_line_names_a_non_ascii_path_by_its_bytes_under_an_ascii_locale(tmp_path):
+    # OSError's own text quotes the path with repr, which spells a name
+    # that the C locale decoded to surrogate escapes as those escapes
+    (tmp_path / "plain").write_text("")
+    out = tmp_path / "plain" / "bäd"
+    errors = []
+    for env in ({}, {"LC_ALL": "C", "PYTHONUTF8": "0"}):
+        proc = subprocess.run(
+            [sys.executable, "-m", "relaysim", "run", "fig2", "--trials", "4", "--out", out],
+            capture_output=True,
+            env=dict(os.environ, **env),
+        )
+        assert proc.returncode == 2
+        errors.append(proc.stderr)
+    assert errors[0] == errors[1]
+    strerror = os.strerror(errno.ENOTDIR)
+    assert errors[1] == f"error: [Errno {errno.ENOTDIR}] {strerror}: '{out}'\n".encode()
+
+
 def test_error_line_goes_to_a_text_only_stderr(tmp_path):
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
@@ -438,6 +459,46 @@ def test_product_runs_without_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "results.csv").is_file() and (tmp_path / "fig2.svg").is_file()
+
+
+# Runs fig2 through the CLI in a fresh interpreter at the given workers;
+# prints whether the pool's module was loaded when the sweep began, which
+# of the pool's and html's modules the run loaded, and whether montecarlo
+# still has its ProcessPoolExecutor.
+POOL_IMPORTS = """
+import json, sys
+from relaysim import cli, montecarlo
+
+sweep, loaded = cli.run_sweep, []
+
+def run_sweep(*args, **kwargs):
+    loaded.append("concurrent.futures.process" in sys.modules)
+    return sweep(*args, **kwargs)
+
+cli.run_sweep = run_sweep
+workers, out = sys.argv[1:]
+assert cli.main(["run", "fig2", "--trials", "16", "--workers", workers, "--out", out]) == 0
+names = ("concurrent.futures", "multiprocessing", "html")
+print(json.dumps([loaded, [name for name in names if name in sys.modules],
+                  hasattr(montecarlo, "ProcessPoolExecutor")]))
+"""
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_only_a_pool_run_loads_the_pools_modules(tmp_path, workers):
+    # a one-process run loads neither the pool's modules nor html; a run
+    # at --workers 2 loads the pool's before its sweep begins
+    proc = subprocess.run(
+        [sys.executable, "-c", POOL_IMPORTS, str(workers), str(tmp_path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded, modules, has_pool = json.loads(proc.stdout.splitlines()[-1])
+    if workers == 1:
+        assert loaded == [False] and modules == []
+    else:
+        assert loaded == [True] and modules == ["concurrent.futures", "multiprocessing"]
+    assert has_pool
 
 
 def test_reproduce_figures_script_runs_every_bundled_scenario(tmp_path, capsys):

@@ -487,6 +487,13 @@ def test_job_ranges_tile_the_trials_within_every_budget(m, extra, low, more, tri
         # single trial exceeds them
         assert length * top <= 10 * TRIAL_CHUNK or length == 1
         assert length * 16 * (2 * top - low) * n * m <= STACK_BYTES or length == 1
+    # a sweep that fits in one job per worker is spread over them all
+    budget = max(1, min(TRIAL_CHUNK, 10 * TRIAL_CHUNK // top,
+                        STACK_BYTES // (16 * (2 * top - low) * n * m)))
+    if trials <= budget * workers:
+        assert len(ranges) == min(workers, trials)
+    else:
+        assert len(ranges) == -(-trials // budget)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -642,7 +649,7 @@ def test_per_trial_capacities_do_not_depend_on_the_range_length(
     monkeypatch, serial_pool, m, n, relays, alpha, trials
 ):
     # with the CPUs pinned high, workers 3, 7 and `trials` cut the trials
-    # into ranges of ceil(trials / workers), down to one trial a job
+    # into that many even ranges, down to one trial a job
     _pin_cpus(monkeypatch, 1000)
     spec = base_spec(values=relays, m=m, n=n, alpha=alpha, trials=trials, seed=6)
     whole = _capacity_tables(spec, 1)

@@ -1,9 +1,13 @@
 """SVG chart emitter: structure, not pixels."""
 
+import html
 import xml.etree.ElementTree as ET
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from relaysim.montecarlo import AXES, SweepRow
-from relaysim.plotting import AXIS_LABELS, emit_plot
+from relaysim.plotting import AXIS_LABELS, _escape, emit_plot
 
 
 def _row(scheme, axis_value, mean, stderr=0.1):
@@ -79,3 +83,9 @@ def test_output_is_wellformed_xml(tmp_path):
 
 def test_axis_labels_cover_exactly_the_sweep_axes():
     assert set(AXIS_LABELS) == set(AXES)
+
+
+@given(st.text())
+def test_title_escape_is_htmls_without_quotes(text):
+    # the package escapes titles itself rather than import html
+    assert _escape(text) == html.escape(text, quote=False)
