@@ -22,10 +22,9 @@ from blocks [k, 2k) of it (see channels_for_trials), so one draw at the
 largest k holds every smaller k as slices. The beamformers depend only
 on the channels and alpha; the powers p and q enter at power control. A
 job is one trial range [start, stop) of the whole sweep, at most
-TRIAL_CHUNK long, at most 10 TRIAL_CHUNK relay-trials (trials times the
-largest k) and at most STACK_BYTES in its largest relay stack: it draws
-the range's channels once, at the largest k, and reduces them once to
-the relays' m x m Grams g g^H and h^H h (and, for mf-rzf, to
+TRIAL_CHUNK long and at most STACK_BYTES in its largest relay stack: it
+draws the range's channels once, at the largest k, and reduces them once
+to the relays' m x m Grams g g^H and h^H h (and, for mf-rzf, to
 (1 + alpha)(g g^H + alpha I)^-1). Each k reads its slices of these;
 only the af cascade g h and each scheme's per-relay link products are
 formed per k. What is left per point is power control, two rho-weighted
@@ -67,9 +66,7 @@ UPPER_BOUND_LABEL = "upper-bound"
 _SEED_LIMIT = 1 << 64
 
 # The longest trial range of one job; a range also holds at most
-# 10 TRIAL_CHUNK relay-trials (trials times the sweep's largest k) and at
-# most STACK_BYTES in its largest relay stack, g, which bound a job's
-# memory. Per-trial floats do not depend on the range length, so neither
+# STACK_BYTES in its largest relay stack, g, which bounds a job's memory. Per-trial floats do not depend on the range length, so neither
 # do the results.
 TRIAL_CHUNK = 512
 STACK_BYTES = 5 << 19  # 2.5 MiB
@@ -341,16 +338,15 @@ def _capacity_tables(spec: SweepSpec, workers: int) -> np.ndarray:
     the sweep, in trial order, with the schemes' series and then the
     bound's, from one map over jobs. A job is one trial range of the
     whole sweep, of at least one trial and otherwise of at most
-    TRIAL_CHUNK trials, 10 TRIAL_CHUNK relay-trials at the sweep's
-    largest k and STACK_BYTES in g (its largest relay stack). So a job's
-    memory is bounded at any (m, n, k): 8 x 8 sweeps at k = 10 (fig5,
-    fig6) run 256-trial jobs, and 4 x 4 ones up to k = 8 TRIAL_CHUNK. A
-    sweep that fits in one such job per worker is instead split evenly
-    into min(workers, trials) jobs. The map runs in at most one process
-    per job and per CPU this process may run on. Only a pool's parent
-    loads multiprocessing and concurrent.futures.process (relaysim run
-    loads them before its sweep when --workers is above 1), so a
-    one-process run never imports them. It also loads numpy.random
+    TRIAL_CHUNK trials and STACK_BYTES in g (its largest relay stack).
+    So a job's memory is bounded at any (m, n, k): 8 x 8 sweeps at k = 10
+    (fig5, fig6) run 256-trial jobs, and 4 x 4 ones up to k = 8
+    TRIAL_CHUNK. A sweep that fits in one such job per worker is instead
+    split evenly into min(workers, trials) jobs. The map runs in at most
+    one process per job and per CPU this process may run on. Only a
+    pool's parent loads multiprocessing and concurrent.futures.process
+    (relaysim run loads them before its sweep when --workers is above 1),
+    so a one-process run never imports them. It also loads numpy.random
     (which numpy loads on first use) before it starts the workers, and
     on Linux forks them on every Python (3.14 defaults to forkserver),
     so they inherit it rather than each loading it for its first
@@ -373,7 +369,7 @@ def _capacity_tables(spec: SweepSpec, workers: int) -> np.ndarray:
     low, top = min(relays), max(relays)
     # g, the largest relay stack: 2 top - low complex n x m blocks a trial
     stack = 16 * (2 * top - low) * spec.n * spec.m
-    step = max(1, min(TRIAL_CHUNK, 10 * TRIAL_CHUNK // top, STACK_BYTES // stack))
+    step = max(1, min(TRIAL_CHUNK, STACK_BYTES // stack))
     if trials <= step * workers:  # a short sweep: one even range per worker
         count = min(workers, trials)
         ranges = [(i * trials // count, (i + 1) * trials // count) for i in range(count)]

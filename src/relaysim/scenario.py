@@ -1,29 +1,26 @@
-"""Scenario files: a small YAML schema describing one sweep.
+"""Scenario files: a small TOML schema describing one sweep.
 
-A scenario has three sections plus an optional top-level description:
+A scenario has three tables plus an optional top-level description:
 
-    description: one line shown by list-scenarios   (optional)
-    network:  m, n, k, pnr_db, qnr_db, alpha (optional)
-    sweep:    axis, values
-    run:      schemes, seed, trials (optional)
+    description = "one line shown by list-scenarios"   (optional)
+    [network]  m, n, k, pnr_db, qnr_db, alpha (optional)
+    [sweep]    axis, values
+    [run]      schemes, seed, trials (optional)
 
 The keys are the fields of SweepSpec, one for one, and a missing optional
 key takes SweepSpec's default. This module only finds and reads files:
-it checks the file format (UTF-8, YAML, duplicated keys, sections,
-unknown or missing keys, and that the description is a string) and
-hands the keys to SweepSpec, which types and checks every value. A
-ConfigError from SweepSpec comes back as a ScenarioError naming the file.
-Numbers follow YAML 1.2, so 1e-3 is a float.
+it checks the file format (UTF-8, TOML, sections, unknown or missing
+keys, and that the description is a string) and hands the keys to
+SweepSpec, which types and checks every value. A ConfigError from
+SweepSpec comes back as a ScenarioError naming the file. tomllib
+rejects a duplicated key and reads 1e-3 as a float, as TOML says.
 """
 
 from __future__ import annotations
 
 import importlib.resources
-import re
-from collections.abc import Hashable
+import tomllib
 from pathlib import Path
-
-import yaml
 
 from .montecarlo import _NETWORK, ConfigError, SweepSpec
 
@@ -41,38 +38,12 @@ _SECTIONS = {
 _OPTIONAL = ("alpha", "trials")
 
 
-class _Loader(yaml.SafeLoader):
-    """SafeLoader that rejects a duplicated mapping key, and also reads
-    YAML 1.2 exponent floats such as 1e1 and 1.0e-3, which YAML 1.1
-    leaves as strings (it wants a dot and a signed exponent)."""
-
-    def construct_mapping(self, node, deep=False):
-        seen = set()
-        for key_node, _ in node.value:
-            key = self.construct_object(key_node, deep=True)
-            if not isinstance(key, Hashable):
-                continue  # the base constructor rejects it
-            if key in seen:
-                raise yaml.constructor.ConstructorError(
-                    problem=f"duplicate key {key!r}", problem_mark=key_node.start_mark
-                )
-            seen.add(key)
-        return super().construct_mapping(node, deep)
-
-
-_Loader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(?:\d+(?:\.\d*)?|\.\d+)[eE][-+]?\d+$"),
-    list("-+0123456789."),
-)
-
-
 def _require_section(data: dict, name: str, source: str) -> dict:
     if name not in data:
         raise ScenarioError(f"{source}: missing section '{name}'")
     section = data[name]
     if not isinstance(section, dict):
-        raise ScenarioError(f"{source}: section '{name}' must be a mapping")
+        raise ScenarioError(f"{source}: section '{name}' must be a table")
     for key in section:
         if key not in _SECTIONS[name]:
             raise ScenarioError(f"{source}: unknown key '{key}' in section '{name}'")
@@ -82,14 +53,9 @@ def _require_section(data: dict, name: str, source: str) -> dict:
 def parse_scenario_text(text: str, source: str = "<scenario>") -> SweepSpec:
     """Parse and fully validate one scenario document."""
     try:
-        data = yaml.load(text, Loader=_Loader)
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        where = f" (line {mark.line + 1}, column {mark.column + 1})" if mark else ""
-        detail = getattr(exc, "problem", None) or exc
-        raise ScenarioError(f"{source}: not valid YAML{where}: {detail}") from exc
-    if not isinstance(data, dict):
-        raise ScenarioError(f"{source}: top level must be a mapping of sections")
+        data = tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
+        raise ScenarioError(f"{source}: not valid TOML: {exc}") from exc
     for key in data:
         if key not in _SECTIONS and key != "description":
             raise ScenarioError(f"{source}: unknown top-level key '{key}'")
@@ -127,15 +93,14 @@ def _bundled_dir():
 def list_bundled() -> list:
     """Names of the scenarios shipped with the package."""
     return sorted(
-        entry.name[: -len(".yaml")]
+        entry.name[: -len(".toml")]
         for entry in _bundled_dir().iterdir()
-        if entry.name.endswith(".yaml")
+        if entry.name.endswith(".toml")
     )
 
 
 def bundled_description(name: str) -> str:
-    data = yaml.load(_load_bundled_text(name), Loader=_Loader)
-    return data.get("description", "") if isinstance(data, dict) else ""
+    return tomllib.loads(_load_bundled_text(name)).get("description", "")
 
 
 def _load_bundled_text(name: str) -> str:
@@ -144,9 +109,9 @@ def _load_bundled_text(name: str) -> str:
     known = list_bundled()
     if name not in known:
         raise ScenarioError(f"unknown scenario '{name}' (bundled: {', '.join(known)})")
-    return _bundled_dir().joinpath(f"{name}.yaml").read_text(encoding="utf-8")
+    return _bundled_dir().joinpath(f"{name}.toml").read_text(encoding="utf-8")
 
 
 def load_bundled(name: str) -> SweepSpec:
     """Parse one of the shipped scenarios by bare name."""
-    return parse_scenario_text(_load_bundled_text(name), source=f"{name}.yaml")
+    return parse_scenario_text(_load_bundled_text(name), source=f"{name}.toml")

@@ -20,25 +20,27 @@ from relaysim.cli import CSV_COLUMNS, main
 from relaysim.linalg import NumericError
 
 TINY = """\
-network:
-  m: 2
-  n: 2
-  k: 1
-  pnr_db: 10
-  qnr_db: 10
-sweep:
-  axis: relay_count
-  values: [1, 2]
-run:
-  schemes: [mf]
-  seed: 5
-  trials: 64
+[network]
+m = 2
+n = 2
+k = 1
+pnr_db = 10
+qnr_db = 10
+
+[sweep]
+axis = "relay_count"
+values = [1, 2]
+
+[run]
+schemes = ["mf"]
+seed = 5
+trials = 64
 """
 
 
 @pytest.fixture
 def tiny_scenario(tmp_path):
-    path = tmp_path / "tiny.yaml"
+    path = tmp_path / "tiny.toml"
     path.write_text(TINY)
     return path
 
@@ -124,10 +126,10 @@ def test_unknown_scenario_exits_2_and_lists_bundled(capsys, tmp_path):
 
 
 def test_malformed_scenario_file_exits_2(tmp_path, capsys):
-    bad = tmp_path / "bad.yaml"
-    bad.write_text(TINY.replace("n: 2", "n: 0"))
+    bad = tmp_path / "bad.toml"
+    bad.write_text(TINY.replace("n = 2", "n = 0"))
     assert _run(["run", bad, "--out", tmp_path / "out"]) == 2
-    assert "bad.yaml" in capsys.readouterr().err
+    assert "bad.toml" in capsys.readouterr().err
 
 
 def test_bundled_name_resolves(tmp_path, capsys):
@@ -167,16 +169,16 @@ def test_list_scenarios_names_all_bundled(capsys):
         (2**64, None, 5, "--seed"),
         (None, "-1", 5, "RELAYSIM_SEED"),
         (None, str(2**64), 5, "RELAYSIM_SEED"),
-        (None, None, -1, "tiny.yaml: seed"),
-        (None, None, 2**64, "tiny.yaml: seed"),
+        (None, None, -1, "tiny.toml: seed"),
+        (None, None, 2**64, "tiny.toml: seed"),
     ],
 )
 def test_seed_outside_64_bits_exits_2(
     tmp_path, capsys, monkeypatch, flag, env, scenario_seed, field
 ):
     # -1 used to alias 2**64 - 1 silently; every seed source now rejects it
-    path = tmp_path / "tiny.yaml"
-    path.write_text(TINY.replace("seed: 5", f"seed: {scenario_seed}"))
+    path = tmp_path / "tiny.toml"
+    path.write_text(TINY.replace("seed = 5", f"seed = {scenario_seed}"))
     if env is None:
         monkeypatch.delenv("RELAYSIM_SEED", raising=False)
     else:
@@ -208,18 +210,18 @@ def test_nonpositive_workers_exit_2(tiny_scenario, tmp_path, capsys, workers):
     "edits, field, value",
     [
         # network values, then axis values
-        pytest.param({"pnr_db: 10": "pnr_db: 4000"}, "pnr_db", "4000.0", id="edits0-pnr_db"),
-        pytest.param({"pnr_db: 10": "pnr_db: .inf"}, "pnr_db", "inf", id="pnr_db-inf"),
-        pytest.param({"qnr_db: 10": "qnr_db: -.inf"}, "qnr_db", "-inf", id="qnr_db-minus-inf"),
-        pytest.param({"qnr_db: 10": "qnr_db: -4000"}, "qnr_db", "-4000.0", id="qnr_db-underflow"),
+        pytest.param({"pnr_db = 10": "pnr_db = 4000"}, "pnr_db", "4000.0", id="edits0-pnr_db"),
+        pytest.param({"pnr_db = 10": "pnr_db = inf"}, "pnr_db", "inf", id="pnr_db-inf"),
+        pytest.param({"qnr_db = 10": "qnr_db = -inf"}, "qnr_db", "-inf", id="qnr_db-minus-inf"),
+        pytest.param({"qnr_db = 10": "qnr_db = -4000"}, "qnr_db", "-4000.0", id="qnr_db-underflow"),
         pytest.param(
-            {"axis: relay_count": "axis: qnr_db", "values: [1, 2]": "values: [1, 4000]"},
+            {'axis = "relay_count"': 'axis = "qnr_db"', "values = [1, 2]": "values = [1, 4000]"},
             "qnr_db",
             "4000.0",
             id="edits1-qnr_db",
         ),
         pytest.param(
-            {"axis: relay_count": "axis: pnr_db", "values: [1, 2]": "values: [1, .nan]"},
+            {'axis = "relay_count"': 'axis = "pnr_db"', "values = [1, 2]": "values = [1, nan]"},
             "pnr_db",
             "nan",
             id="pnr_db-axis-nan",
@@ -230,36 +232,36 @@ def test_overflowing_power_exits_2_naming_the_field(tmp_path, capsys, edits, fie
     text = TINY
     for old, new in edits.items():
         text = text.replace(old, new)
-    path = tmp_path / "big.yaml"
+    path = tmp_path / "big.toml"
     path.write_text(text)
     assert _run(["run", path, "--out", tmp_path / "out"]) == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: big.yaml: ")
+    assert err.count("\n") == 1 and err.startswith("error: big.toml: ")
     assert f"{field} = {value} dB" in err
 
 
 @pytest.mark.parametrize(
     "old, new, message",
     [
-        ("  m: 2\n", "  m: 0\n", "m must be >= 1, got 0"),
-        ("  n: 2\n", "  n: 1\n", "relay antennas must satisfy n >= m, got n=1, m=2"),
-        ("  qnr_db: 10\n", "  qnr_db: 10\n  alpha: -1\n", "alpha must be >= 0, got -1.0"),
+        ("m = 2\n", "m = 0\n", "m must be >= 1, got 0"),
+        ("n = 2\n", "n = 1\n", "relay antennas must satisfy n >= m, got n=1, m=2"),
+        ("qnr_db = 10\n", "qnr_db = 10\nalpha = -1\n", "alpha must be >= 0, got -1.0"),
     ],
     ids=["m-zero", "n-below-m", "alpha-negative"],
 )
 def test_bad_network_exits_2_naming_the_file_and_field(tmp_path, capsys, old, new, message):
-    path = tmp_path / "bad.yaml"
+    path = tmp_path / "bad.toml"
     path.write_text(TINY.replace(old, new))
     assert _run(["run", path, "--out", tmp_path / "out"]) == 2
-    assert capsys.readouterr().err == f"error: bad.yaml: {message}\n"
+    assert capsys.readouterr().err == f"error: bad.toml: {message}\n"
 
 
 def test_non_utf8_scenario_exits_2_naming_the_file(tmp_path, capsys):
-    path = tmp_path / "latin1.yaml"
-    path.write_bytes(TINY.replace("  seed: 5", "  seed: 5  # caf\xe9").encode("latin-1"))
+    path = tmp_path / "latin1.toml"
+    path.write_bytes(TINY.replace("seed = 5", "seed = 5  # caf\xe9").encode("latin-1"))
     assert _run(["run", path, "--out", tmp_path / "out"]) == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: latin1.yaml: ")
+    assert err.count("\n") == 1 and err.startswith("error: latin1.toml: ")
     assert "0xe9" in err
 
 
@@ -285,9 +287,9 @@ def test_numeric_error_exits_1_naming_point_scheme_and_trials(
 
 def test_floating_point_overflow_exits_1_with_one_line(tmp_path):
     # at 3080 dB (p/m) ||FH||^2 overflows, and so would the bound
-    path = tmp_path / "loud.yaml"
+    path = tmp_path / "loud.toml"
     path.write_text(
-        TINY.replace("axis: relay_count", "axis: pnr_db").replace("[1, 2]", "[3060.0, 3080.0]")
+        TINY.replace('"relay_count"', '"pnr_db"').replace("[1, 2]", "[3060.0, 3080.0]")
     )
     proc = subprocess.run(
         [sys.executable, "-m", "relaysim", "run", path, "--out", tmp_path / "out"],
@@ -319,7 +321,7 @@ def test_failed_write_keeps_earlier_files(tiny_scenario, tmp_path, capsys, monke
 
 def test_svg_title_with_markup_characters_is_escaped(tmp_path):
     # the chart title is the scenario file's stem
-    path = tmp_path / "a&b<c.yaml"
+    path = tmp_path / "a&b<c.toml"
     path.write_text(TINY)
     assert _run(["run", path, "--out", tmp_path / "out"]) == 0
     root = ET.parse(tmp_path / "out" / "a&b<c.svg").getroot()
@@ -330,7 +332,7 @@ def test_non_ascii_scenario_name_runs_under_an_ascii_locale(tmp_path):
     # under the C locale without UTF-8 mode the stem arrives as surrogate
     # escapes of its UTF-8 bytes; both files must still come out as they
     # do under the default locale, byte for byte
-    path = tmp_path / "fïg.yaml"
+    path = tmp_path / "fïg.toml"
     path.write_text(TINY, encoding="utf-8")
     outs = []
     for name, env in (("default", {}), ("ascii", {"LC_ALL": "C", "PYTHONUTF8": "0"})):
@@ -348,8 +350,8 @@ def test_non_ascii_scenario_name_runs_under_an_ascii_locale(tmp_path):
 def test_error_line_names_a_non_ascii_file_by_its_bytes_under_an_ascii_locale(tmp_path):
     # the error line is UTF-8 like the output files, so the file's own
     # name appears under the C locale rather than its surrogate escapes
-    path = tmp_path / "bäd.yaml"
-    path.write_text("network: [\n", encoding="utf-8")
+    path = tmp_path / "bäd.toml"
+    path.write_text("network = [\n", encoding="utf-8")
     errors = []
     for env in ({}, {"LC_ALL": "C", "PYTHONUTF8": "0"}):
         proc = subprocess.run(
@@ -360,7 +362,7 @@ def test_error_line_names_a_non_ascii_file_by_its_bytes_under_an_ascii_locale(tm
         assert proc.returncode == 2
         errors.append(proc.stderr)
     assert errors[0] == errors[1]
-    assert errors[1].startswith("error: bäd.yaml: not valid YAML".encode())
+    assert errors[1].startswith("error: bäd.toml: not valid TOML".encode())
     assert errors[1].count(b"\n") == 1
 
 
@@ -413,8 +415,8 @@ def _cap_address_space():
          "fits"],
 )
 def test_run_too_large_for_memory_exits_1_with_one_line(tmp_path, values, extra, message):
-    path = tmp_path / "big.yaml"
-    path.write_text(TINY.replace("[1, 2]", values).replace("trials: 64", "trials: 4"))
+    path = tmp_path / "big.toml"
+    path.write_text(TINY.replace("[1, 2]", values).replace("trials = 64", "trials = 4"))
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run(
         [sys.executable, "-m", "relaysim", "run", path, "--out", tmp_path / "out", *extra],
@@ -432,19 +434,23 @@ def test_run_too_large_for_memory_exits_1_with_one_line(tmp_path, values, extra,
     assert not (tmp_path / "out" / "results.csv").exists()
 
 
-WITHOUT_SCIPY = """
+# Hides the package named by the first argument from every import
+HIDE = """
 import sys
 
-class HideScipy:
+class Hide:
     def find_spec(self, name, path=None, target=None):
-        if name.split(".")[0] == "scipy":
+        if name.split(".")[0] == sys.argv[1]:
             raise ImportError(f"{name} is hidden")
 
-sys.meta_path.insert(0, HideScipy())
+sys.meta_path.insert(0, Hide())
+"""
+
+WITHOUT_SCIPY = HIDE + """
 from relaysim import Scheme, SweepSpec, run_sweep
 from relaysim.cli import main
 
-assert main(["run", "fig2", "--trials", "16", "--out", sys.argv[1]]) == 0
+assert main(["run", "fig2", "--trials", "16", "--out", sys.argv[2]]) == 0
 spec = SweepSpec("relay_count", (4,), m=4, n=4, k=4, pnr_db=10.0, qnr_db=10.0,
                  schemes=(Scheme.MF_RZF,), trials=64, seed=1)
 assert run_sweep(spec)[0].capacity_mean_bits > 0
@@ -455,10 +461,33 @@ assert "scipy" not in sys.modules
 def test_product_runs_without_scipy(tmp_path):
     # scipy is a test-only dependency: the CLI and run_sweep never import it
     proc = subprocess.run(
-        [sys.executable, "-c", WITHOUT_SCIPY, str(tmp_path)], capture_output=True, text=True
+        [sys.executable, "-c", WITHOUT_SCIPY, "scipy", str(tmp_path)],
+        capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "results.csv").is_file() and (tmp_path / "fig2.svg").is_file()
+
+
+WITHOUT_YAML = HIDE + """
+from relaysim.cli import main
+
+out, scenario = sys.argv[2:]
+assert main(["run", "fig2", "--trials", "16", "--out", out + "/fig2"]) == 0
+assert main(["run", scenario, "--out", out + "/tiny"]) == 0
+assert main(["list-scenarios"]) == 0
+assert "yaml" not in sys.modules
+"""
+
+
+def test_product_runs_without_yaml(tiny_scenario, tmp_path):
+    # scenario files are TOML, read by the standard library's tomllib
+    proc = subprocess.run(
+        [sys.executable, "-c", WITHOUT_YAML, "yaml", str(tmp_path), str(tiny_scenario)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "fig6" in proc.stdout
+    assert (tmp_path / "fig2" / "fig2.svg").is_file() and (tmp_path / "tiny" / "tiny.svg").is_file()
 
 
 # Runs fig2 through the CLI in a fresh interpreter at the given workers;

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import relaysim
 from relaysim import SweepSpec
+from relaysim.scenario import load_bundled, parse_scenario_text
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -31,3 +32,9 @@ def test_sweep_spec_field_list_matches_the_dataclass():
         README.read_text(),
     )
     assert listed.group(1).split(", ") == [field.name for field in dataclasses.fields(SweepSpec)]
+
+
+def test_scenario_block_parses_as_written():
+    section = README.read_text().split("\n## Scenario files\n", 1)[1]
+    text = re.search(r"```toml\n(.*?)```", section, re.DOTALL).group(1)
+    assert parse_scenario_text(text, source="README.md") == load_bundled("fig2")

@@ -433,21 +433,25 @@ def _job_ranges(spec, workers):
 @pytest.mark.parametrize(
     "name, bound_mib, stop",
     [("fig5", 15, 256), ("fig6", 15, 256), ("fig2", 10, TRIAL_CHUNK), ("k128", 9.5, 40),
-     ("m16", 15, 64)],
-    ids=["fig5-15", "fig6-15", "fig2-10", "k128-9.5", "m16-15"],
+     ("m16", 15, 64), ("m2", 15, 322)],
+    ids=["fig5-15", "fig6-15", "fig2-10", "k128-9.5", "m16-15", "m2-15"],
 )
 def test_trial_chunk_bounds_a_jobs_memory(name, bound_mib, stop):
     # the traced peak of the first job that the scheduler makes of a
-    # sweep, over every point, scheme and the bound: (8, 8, 10) at 7
-    # points for fig5 and fig6, whose 2.5 MiB budget per relay stack cuts
-    # a job to 256 trials, (4, 4, 1..8) for fig2 in TRIAL_CHUNK trials,
-    # (4, 4, 2..128) for k128, whose largest k cuts a job to
-    # 10 TRIAL_CHUNK / 128 = 40 trials, and (16, 16, 10) at 3 points for
-    # m16, cut to 64 trials. Each bound is below the peak plus one relay
-    # stack of the top k (fig5, fig6 and m16 2.5 MiB, fig2 1.0, k128
-    # 1.25), so h kept alive past af's top k fails each
+    # sweep, over every point, scheme and the bound. The 2.5 MiB budget
+    # for g, the largest relay stack, cuts a job to 256 trials for fig5
+    # and fig6 ((8, 8, 10) at 7 points), to 2.5 MiB / (16 * 254 * 16 B)
+    # = 40 trials for k128 ((4, 4, 2..128)), to 64 trials for m16
+    # ((16, 16, 10) at 3 points) and to 322 trials for m2 ((2, 2, 1..64)),
+    # while fig2 ((4, 4, 1..8)) runs TRIAL_CHUNK trials. Each bound but
+    # m2's is below the peak plus one relay stack of the top k (fig5, fig6
+    # and m16 2.5 MiB, fig2 1.0, k128 1.25), so h kept alive past af's top
+    # k fails each; m2 is held to the 15 MiB that fig5 and m16 run at
     if name == "k128":
         spec = SweepSpec("relay_count", (2, 4, 8, 16, 32, 64, 128), m=4, n=4, k=2,
+                         pnr_db=10.0, qnr_db=10.0, seed=1)
+    elif name == "m2":
+        spec = SweepSpec("relay_count", (1, *range(8, 65, 8)), m=2, n=2, k=1,
                          pnr_db=10.0, qnr_db=10.0, seed=1)
     elif name == "m16":
         spec = SweepSpec("pnr_equals_qnr_db", (0.0, 10.0, 20.0), m=16, n=16, k=10,
@@ -482,14 +486,11 @@ def test_job_ranges_tile_the_trials_within_every_budget(m, extra, low, more, tri
     for start, stop in ranges:
         length = stop - start
         assert 1 <= length <= min(TRIAL_CHUNK, -(-trials // workers))
-        # relay-trials at the top k, and the bytes of g, the largest relay
-        # stack (relays [low, 2 top) of n x m complex entries), unless a
-        # single trial exceeds them
-        assert length * top <= 10 * TRIAL_CHUNK or length == 1
+        # the bytes of g, the largest relay stack (relays [low, 2 top) of
+        # n x m complex entries), unless a single trial exceeds them
         assert length * 16 * (2 * top - low) * n * m <= STACK_BYTES or length == 1
     # a sweep that fits in one job per worker is spread over them all
-    budget = max(1, min(TRIAL_CHUNK, 10 * TRIAL_CHUNK // top,
-                        STACK_BYTES // (16 * (2 * top - low) * n * m)))
+    budget = max(1, min(TRIAL_CHUNK, STACK_BYTES // (16 * (2 * top - low) * n * m)))
     if trials <= budget * workers:
         assert len(ranges) == min(workers, trials)
     else:
@@ -499,9 +500,9 @@ def test_job_ranges_tile_the_trials_within_every_budget(m, extra, low, more, tri
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "k128"])
 def test_the_job_ranges_of_4x4_relay_sweeps_are_the_relay_trial_budgets(name, workers):
-    # at m = 4 the relay-trial budget binds before the bytes of a stack:
-    # fig2-fig4 (4, 4, 1..8) run TRIAL_CHUNK trials a job and (4, 4, 2..128)
-    # 10 TRIAL_CHUNK / 128 = 40
+    # fig2-fig4 (4, 4, 1..8) run TRIAL_CHUNK trials a job, and the bytes of
+    # g, the largest relay stack, cut (4, 4, 2..128) to
+    # 2.5 MiB / (16 * 254 * 16 B) = 40
     if name == "k128":
         spec = SweepSpec("relay_count", (2, 4, 8, 16, 32, 64, 128), m=4, n=4, k=2,
                          pnr_db=10.0, qnr_db=10.0, trials=1024)

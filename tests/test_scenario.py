@@ -1,10 +1,10 @@
 """Scenario file parsing, round trips, and the bundled registry."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
-import yaml
 
 from relaysim.beamformers import Scheme
 from relaysim.cli import write_results_csv
@@ -19,30 +19,42 @@ from relaysim.scenario import (
 )
 
 MINIMAL = """\
-network:
-  m: 2
-  n: 3
-  k: 4
-  pnr_db: 10
-  qnr_db: 10
-sweep:
-  axis: relay_count
-  values: [1, 2, 4]
-run:
-  schemes: [mf, mf-rzf]
-  seed: 3
+[network]
+m = 2
+n = 3
+k = 4
+pnr_db = 10
+qnr_db = 10
+
+[sweep]
+axis = "relay_count"
+values = [1, 2, 4]
+
+[run]
+schemes = ["mf", "mf-rzf"]
+seed = 3
 """
 
 
+def _toml_value(value):
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(map(_toml_value, value)) + "]"
+    if isinstance(value, str):
+        # JSON's escapes are TOML's, but JSON leaves DEL bare and TOML does not
+        return json.dumps(value, ensure_ascii=False).replace("\x7f", "\\u007f")
+    return repr(value)  # an int, or a float such as 1e-05 or inf
+
+
 def scenario_text(spec, description=None):
-    """A scenario document holding every field of `spec`, written by
-    PyYAML's emitter: parsing it must give back an equal spec."""
+    """A scenario document holding every field of `spec`: parsing it must
+    give back an equal spec."""
     network = {key: getattr(spec, key) for key in ("m", "n", "k", "pnr_db", "qnr_db", "alpha")}
     run = dict(schemes=[s.value for s in spec.schemes], trials=spec.trials, seed=spec.seed)
-    data = dict(network=network, sweep=dict(axis=spec.axis, values=list(spec.values)), run=run)
-    if description:
-        data["description"] = description
-    return yaml.safe_dump(data)
+    sections = dict(network=network, sweep=dict(axis=spec.axis, values=spec.values), run=run)
+    lines = [f"description = {_toml_value(description)}"] if description else []
+    for name, section in sections.items():
+        lines += [f"[{name}]"] + [f"{key} = {_toml_value(v)}" for key, v in section.items()]
+    return "\n".join(lines) + "\n"
 
 
 def test_minimal_scenario_parses_with_defaults():
@@ -67,43 +79,43 @@ def test_pnr_values_stored_in_db():
 
 
 def test_unknown_section_key_names_file_and_section():
-    text = MINIMAL.replace("  qnr_db: 10", "  qnr_db: 10\n  bogus: 1")
-    with pytest.raises(ScenarioError, match=r"my\.yaml.*'bogus'.*'network'"):
-        parse_scenario_text(text, source="my.yaml")
+    text = MINIMAL.replace("qnr_db = 10", "qnr_db = 10\nbogus = 1")
+    with pytest.raises(ScenarioError, match=r"my\.toml.*'bogus'.*'network'"):
+        parse_scenario_text(text, source="my.toml")
     # every sweep reports the bound, so no key turns it off
-    text = MINIMAL.replace("  seed: 3", "  seed: 3\n  include_upper_bound: false")
+    text = MINIMAL.replace("seed = 3", "seed = 3\ninclude_upper_bound = false")
     with pytest.raises(ScenarioError) as info:
-        parse_scenario_text(text, source="my.yaml")
-    assert str(info.value) == "my.yaml: unknown key 'include_upper_bound' in section 'run'"
+        parse_scenario_text(text, source="my.toml")
+    assert str(info.value) == "my.toml: unknown key 'include_upper_bound' in section 'run'"
 
 
 def test_unknown_top_level_key_rejected():
     with pytest.raises(ScenarioError, match="unknown top-level key 'extra'"):
-        parse_scenario_text(MINIMAL + "extra: {}\n")
+        parse_scenario_text(MINIMAL + "[extra]\n")
 
 
 def test_missing_section_rejected():
     text = "\n".join(
-        line for line in MINIMAL.splitlines() if line not in ("run:", "  schemes: [mf, mf-rzf]", "  seed: 3")
+        line for line in MINIMAL.splitlines() if line not in ("[run]", 'schemes = ["mf", "mf-rzf"]', "seed = 3")
     )
     with pytest.raises(ScenarioError, match="missing section 'run'"):
         parse_scenario_text(text)
 
 
 def test_fewer_relay_antennas_than_source_rejected():
-    text = MINIMAL.replace("n: 3", "n: 1")
+    text = MINIMAL.replace("n = 3", "n = 1")
     with pytest.raises(ScenarioError, match="relay antennas"):
         parse_scenario_text(text)
 
 
 def test_unknown_scheme_lists_known_ones():
-    text = MINIMAL.replace("[mf, mf-rzf]", "[mf, zf]")
+    text = MINIMAL.replace('["mf", "mf-rzf"]', '["mf", "zf"]')
     with pytest.raises(ScenarioError, match="unknown scheme 'zf'.*af, mf, mf-rzf"):
         parse_scenario_text(text)
 
 
 def test_unknown_axis_lists_known_ones():
-    text = MINIMAL.replace("axis: relay_count", "axis: bandwidth")
+    text = MINIMAL.replace('axis = "relay_count"', 'axis = "bandwidth"')
     with pytest.raises(ScenarioError, match="axis must be one of.*got 'bandwidth'"):
         parse_scenario_text(text)
 
@@ -111,56 +123,67 @@ def test_unknown_axis_lists_known_ones():
 def test_bad_axis_point_rejected_at_parse_time():
     # relay_count points must be positive integers; 0 only fails when the
     # point is materialized, which must happen during parsing.
-    text = MINIMAL.replace("values: [1, 2, 4]", "values: [0, 2, 4]")
+    text = MINIMAL.replace("values = [1, 2, 4]", "values = [0, 2, 4]")
     with pytest.raises(ScenarioError, match="0"):
         parse_scenario_text(text)
 
 
 def test_non_numeric_sweep_value_rejected():
-    text = MINIMAL.replace("values: [1, 2, 4]", "values: [1, two, 4]")
+    text = MINIMAL.replace("values = [1, 2, 4]", 'values = [1, "two", 4]')
     with pytest.raises(ScenarioError, match="'two' is not a number"):
         parse_scenario_text(text)
 
 
 def test_exponent_numbers_are_floats():
-    # YAML 1.1 reads 1e1 and 1e-3 as strings; scenarios follow YAML 1.2
-    text = MINIMAL.replace("axis: relay_count", "axis: pnr_db").replace(
-        "values: [1, 2, 4]", "values: [1e1, 1.5E+1, 2e1]"
+    # TOML reads an exponent without a dot, such as 1e1 and 1e-3, as a float
+    text = MINIMAL.replace('axis = "relay_count"', 'axis = "pnr_db"').replace(
+        "values = [1, 2, 4]", "values = [1e1, 1.5E+1, 2e1]"
     )
-    spec = parse_scenario_text(text.replace("  qnr_db: 10", "  qnr_db: 10\n  alpha: 1e-3"))
+    spec = parse_scenario_text(text.replace("qnr_db = 10", "qnr_db = 10\nalpha = 1e-3"))
     assert spec.values == (10.0, 15.0, 20.0)
     assert spec.alpha == 0.001
     assert parse_scenario_text(scenario_text(spec)) == spec
 
 
 def test_wrong_type_reports_key_and_expectation():
-    text = MINIMAL.replace("m: 2", "m: 2.5")
+    text = MINIMAL.replace("m = 2", "m = 2.5")
     with pytest.raises(ScenarioError, match="key 'm'.*must be int, got float"):
         parse_scenario_text(text)
 
 
 def test_non_string_description_is_rejected():
-    text = "description: [1, 2]\n" + MINIMAL
+    text = "description = [1, 2]\n" + MINIMAL
     with pytest.raises(ScenarioError, match="top-level key 'description' must be str, got list"):
         parse_scenario_text(text)
 
 
-def test_duplicated_key_is_rejected_naming_key_and_line():
-    text = MINIMAL.replace("  m: 2", "  m: 2\n  m: 3")
-    with pytest.raises(ScenarioError, match=r"\(line 3, column 3\): duplicate key 'm'$"):
+def test_duplicated_key_is_rejected_naming_its_line():
+    # tomllib names the line of a repeated key, and a repeated table by name
+    text = MINIMAL.replace("m = 2", "m = 2\nm = 3")
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario_text(text, source="my.toml")
+    assert str(info.value) == (
+        "my.toml: not valid TOML: Cannot overwrite a value (at line 3, column 6)"
+    )
+    with pytest.raises(ScenarioError, match=r"Cannot declare \('run',\) twice \(at line 16, "):
+        parse_scenario_text(MINIMAL + "\n[run]\nseed = 4\n")
+
+
+def test_toml_syntax_error_reports_line():
+    text = MINIMAL.replace("values = [1, 2, 4]", "values = [1, 2, 4")
+    # the array opened on line 10 runs into [run], the table on line 12
+    with pytest.raises(ScenarioError) as info:
         parse_scenario_text(text)
-    with pytest.raises(ScenarioError, match=r"\(line 13, column 1\): duplicate key 'run'$"):
-        parse_scenario_text(MINIMAL + "run:\n  seed: 4\n")
-
-
-def test_yaml_syntax_error_reports_line():
-    with pytest.raises(ScenarioError, match=r"not valid YAML \(line \d+, column \d+\)"):
-        parse_scenario_text("network:\n  m: [unclosed\n")
+    assert str(info.value).endswith("not valid TOML: Unclosed array (at line 12, column 1)")
 
 
 def test_non_mapping_document_rejected():
-    with pytest.raises(ScenarioError, match="top level must be a mapping"):
-        parse_scenario_text("- 1\n- 2\n")
+    # a TOML document is always a table, so a bare array is a syntax error
+    with pytest.raises(ScenarioError, match=r"not valid TOML: .* \(at line 1, column \d+\)$"):
+        parse_scenario_text("[1, 2]\n")
+    network = MINIMAL[: MINIMAL.index("[sweep]")]
+    with pytest.raises(ScenarioError, match="section 'network' must be a table"):
+        parse_scenario_text(MINIMAL.replace(network, "network = 1\n"))
 
 
 def test_round_trip_is_identity():
@@ -175,9 +198,9 @@ def test_round_trip_preserves_description():
 
 
 INTEGER_DB = """\
-network: {m: 2, n: 2, k: 2, pnr_db: 10, qnr_db: 10, alpha: 1}
-sweep: {axis: pnr_db, values: [0, 10]}
-run: {schemes: [mf], seed: 3, trials: 16}
+network = {m = 2, n = 2, k = 2, pnr_db = 10, qnr_db = 10, alpha = 1}
+sweep = {axis = "pnr_db", values = [0, 10]}
+run = {schemes = ["mf"], seed = 3, trials = 16}
 """
 
 
@@ -208,13 +231,13 @@ def test_python_spec_equals_file_spec_and_writes_equal_rows(tmp_path, values, ne
 
 
 def test_parse_scenario_reads_file_and_names_it_in_errors(tmp_path):
-    good = tmp_path / "ok.yaml"
+    good = tmp_path / "ok.toml"
     good.write_text(MINIMAL)
     assert parse_scenario(good) == parse_scenario_text(MINIMAL)
 
-    bad = tmp_path / "bad.yaml"
-    bad.write_text(MINIMAL.replace("n: 3", "n: 0"))
-    with pytest.raises(ScenarioError, match="bad.yaml"):
+    bad = tmp_path / "bad.toml"
+    bad.write_text(MINIMAL.replace("n = 3", "n = 0"))
+    with pytest.raises(ScenarioError, match="bad.toml"):
         parse_scenario(bad)
 
 
@@ -262,7 +285,7 @@ def test_unknown_bundled_name():
 
 
 def test_bundled_lookup_cannot_reach_a_file_outside_the_package(tmp_path):
-    (tmp_path / "outside.yaml").write_text(MINIMAL)
-    for name in (str(tmp_path / "outside"), "../scenarios/fig2", "fig2.yaml"):
+    (tmp_path / "outside.toml").write_text(MINIMAL)
+    for name in (str(tmp_path / "outside"), "../scenarios/fig2", "fig2.toml"):
         with pytest.raises(ScenarioError, match="unknown scenario"):
             load_bundled(name)
