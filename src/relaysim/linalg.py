@@ -172,7 +172,7 @@ def re_diag_congruence(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.real(np.einsum("...ij,...ij->...j", q.conj(), a @ q))
 
 
-def hpd_inverse(a: np.ndarray) -> np.ndarray:
+def hpd_inverse(a: np.ndarray, definite=lambda: False) -> np.ndarray:
     """The inverses of a stack (..., m, m) of Hermitian positive definite
     matrices; a's storage may be reused. Raises NumericError unless every
     matrix is positive definite.
@@ -183,12 +183,16 @@ def hpd_inverse(a: np.ndarray) -> np.ndarray:
     factorization, so the pivots are the positive-definiteness check:
     they are all positive exactly when the matrix is positive definite,
     and a zero row or a NaN gives a zero or NaN pivot. Larger stacks are
-    checked by a Cholesky factorization and inverted by LAPACK."""
+    inverted by LAPACK, and checked first by a Cholesky factorization
+    unless `definite()`, which is called there alone, returns True: the
+    caller's proof that the factorization would succeed on every
+    matrix."""
     m = a.shape[-1]
     # LAPACK at 4 x 4 took 12.6 against 6.1 ms for one fig2 job's D; a
     # C-order Gauss-Jordan at 8 x 8 took 34.7 against 30.0 ms for LAPACK
     if not _trial_minor(m):
-        cholesky_stack(a)  # raises NumericError unless positive definite
+        if not definite():
+            cholesky_stack(a)  # raises NumericError unless positive definite
         return np.linalg.inv(a)
     for p in range(m):
         pivot = a[..., p, p].real.copy()

@@ -46,6 +46,7 @@ five stacks at once.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import importlib
 import math
 import numbers
@@ -70,6 +71,13 @@ _SEED_LIMIT = 1 << 64
 # do the results.
 TRIAL_CHUNK = 512
 STACK_BYTES = 5 << 19  # 2.5 MiB
+
+# glibc's mallopt parameters (malloc.h), and the bytes below which a
+# sweep's processes take arrays from the heap and keep freed heap: the cap
+# of glibc's own dynamic mmap threshold on 64 bits, above a job's peak
+# (about five STACK_BYTES stacks and the raw draw, 12.8 MiB for fig5)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+HEAP_KEEP = 32 << 20
 
 # axis -> the base network fields that each of its values replaces
 AXES = {
@@ -96,6 +104,24 @@ def __getattr__(name: str):
 
         return ProcessPoolExecutor
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _glibc():
+    """The running process's C library through ctypes, with mallopt and
+    malloc_trim declared, where that library is glibc; else None.
+    Both are GNU extensions, and os.confstr names the library only on
+    glibc (elsewhere it raises ValueError or OSError, and Windows has no
+    confstr)."""
+    try:
+        version = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):
+        return None
+    if not version or not version.startswith("glibc"):
+        return None
+    libc = ctypes.CDLL(None)
+    libc.mallopt.argtypes, libc.mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    libc.malloc_trim.argtypes, libc.malloc_trim.restype = (ctypes.c_size_t,), ctypes.c_int
+    return libc
 
 
 class ConfigError(ValueError):
@@ -255,19 +281,22 @@ def _capacity_chunk(job) -> np.ndarray:
     reduced once to B = h^H h of blocks [0, K) and A = g g^H of blocks
     [min k, 2K), which hold every k's g, and right away to the bound's
     sum of B over each k's relays; for mf-rzf, to
-    D = (1 + alpha)(A + alpha I)^-1 too. Each k takes its slices of A, B
-    and D; the af cascade g h and each scheme's link products are formed
-    per k, and power control, the link and the bound per point.
+    D = (1 + alpha)(A + alpha I)^-1 too, which regularized_inverse, told
+    that A is a Gram of n columns, forms without its Cholesky check where
+    alpha proves every A + alpha I positive definite. Each k takes its
+    slices of A, B and D; the af cascade g h and each scheme's link
+    products are formed per k, and power control, the link and the bound
+    per point.
 
     Every relay stack is released at its last use, so a job holds about
-    five at once (a 512-trial fig5 job: 25.6 MiB in tracemalloc, against
-    35.3 with A, B, D, X, C, P and S all alive): af runs first, h and g
-    go with its top k's cascade, D with mf-rzf's top k, A and B with the
-    last scheme's top k, and each k's P and S before the next k's. The
-    stacks sit in a dict; the work that reads one last pops it and
-    passes its slice inline, so stacked_beamformers holds the only
-    reference (CPython 3.11 moves a call's arguments into the callee's
-    frame) and frees it with its del.
+    five at once (a 256-trial fig5 job: 12.8 MiB in tracemalloc; a
+    512-trial one took 25.6 against 35.3 MiB with A, B, D, X, C, P and S
+    all alive): af runs first, h and g go with its top k's cascade, D
+    with mf-rzf's top k, A and B with the last scheme's top k, and each
+    k's P and S before the next k's. The stacks sit in a dict; the work
+    that reads one last pops it and passes its slice inline, so
+    stacked_beamformers holds the only reference (CPython 3.11 moves a
+    call's arguments into the callee's frame) and frees it with its del.
     A NumericError, or a floating-point overflow, division by zero or
     invalid operation, is raised as a NumericError naming the point(s)
     whose work failed (all of them for the shared D, those of one k for
@@ -298,7 +327,7 @@ def _capacity_chunk(job) -> np.ndarray:
         for j, scheme in order:
             where = labels, scheme.value
             if scheme is Scheme.MF_RZF:
-                stacks["d"] = regularized_inverse(stacks["a"], alpha)
+                stacks["d"] = regularized_inverse(stacks["a"], alpha, n)
             for k in sorted(relays):
                 g_k = slice(k - low, 2 * k - low)
                 where = [labels[i] for i in relays[k]], scheme.value
@@ -350,7 +379,21 @@ def _capacity_tables(spec: SweepSpec, workers: int) -> np.ndarray:
     (which numpy loads on first use) before it starts the workers, and
     on Linux forks them on every Python (3.14 defaults to forkserver),
     so they inherit it rather than each loading it for its first
-    draw."""
+    draw.
+
+    Where the C library is glibc (_glibc), the map keeps each process's
+    heap between its jobs. By default glibc raises its mmap and trim
+    thresholds only as far as the largest array freed so far (twice
+    fig5's 5.2 MiB raw draw for trimming), below a job's 12.8 MiB peak,
+    so it trims the heap top after each job and the next one faults
+    every page in again (fig5 at 1024 trials: about 3050 minor faults
+    in each of jobs 2-4). So before the map, and before the pool forks
+    its workers, which inherit the setting, both thresholds are set to
+    HEAP_KEEP through mallopt; setting the trim threshold alone would
+    turn glibc's dynamic mmap threshold off and map every array afresh.
+    When the map ends, malloc_trim(0) hands the kept pages back. The
+    thresholds stay set for the rest of the process, since glibc cannot
+    return to its dynamic ones. Elsewhere nothing is called."""
     workers = _typed("workers", workers)
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
@@ -377,18 +420,26 @@ def _capacity_tables(spec: SweepSpec, workers: int) -> np.ndarray:
         ranges = [(start, min(start + step, trials)) for start in range(0, trials, step)]
     jobs = [(spec, start, stop) for start, stop in ranges]
     workers = min(workers, len(jobs))
-    executor = contextlib.nullcontext()
-    if workers > 1:
-        import multiprocessing
+    libc = _glibc()
+    if libc:  # after the result table, which outlives the jobs, and before any fork
+        libc.mallopt(_M_MMAP_THRESHOLD, HEAP_KEEP)
+        libc.mallopt(_M_TRIM_THRESHOLD, HEAP_KEEP)
+    try:
+        executor = contextlib.nullcontext()
+        if workers > 1:
+            import multiprocessing
 
-        importlib.import_module("numpy.random")
-        context = multiprocessing.get_context("fork") if sys.platform == "linux" else None
-        # through the module, where tests and tracers replace the class
-        executor = sys.modules[__name__].ProcessPoolExecutor(workers, mp_context=context)
-    with executor as pool:
-        blocks = (pool.map if pool else map)(_capacity_chunk, jobs)
-        for (start, stop), block in zip(ranges, blocks):
-            tables[:, start:stop] = block
+            importlib.import_module("numpy.random")
+            context = multiprocessing.get_context("fork") if sys.platform == "linux" else None
+            # through the module, where tests and tracers replace the class
+            executor = sys.modules[__name__].ProcessPoolExecutor(workers, mp_context=context)
+        with executor as pool:
+            blocks = (pool.map if pool else map)(_capacity_chunk, jobs)
+            for (start, stop), block in zip(ranges, blocks):
+                tables[:, start:stop] = block
+    finally:
+        if libc:
+            libc.malloc_trim(0)
     return tables
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from relaysim import linalg
 from relaysim.beamformers import Scheme, regularized_inverse, relay_grams, stacked_beamformers
 from relaysim.channel import channels_for_trials
 from relaysim.linalg import NumericError, cholesky_stack
@@ -143,6 +144,24 @@ def test_regularized_inverse_fails_exactly_where_cholesky_fails(m, alpha):
         with pytest.raises(NumericError):
             regularized_inverse(a[[0, trial, 4, 5]], alpha)
     regularized_inverse(np.delete(a, failed["inverse"], axis=0), alpha)
+
+
+@pytest.mark.parametrize(
+    "alpha, n, checks",
+    [(1.0, 8, 0), (1.0, None, 1), (0.0, 8, 1), (1e-12, 8, 1)],
+    ids=["proven", "not-a-gram", "alpha-0", "below-the-bound"],
+)
+def test_regularized_inverse_checks_what_its_bound_cannot_prove(monkeypatch, alpha, n, checks):
+    # one fig5 job's Grams: 256 trials of 10 relays, m = n = 8. The bound
+    # is about 1e-10, so alpha = 1e-12 is below it; alpha = 0 never
+    # proves anything, and without n, a need not be a Gram
+    h, g = channels_for_trials(8, 8, 10, seed=5, start=0, stop=256, g_start=10)
+    a = relay_grams(h, g)[0]
+    factor, calls = linalg.cholesky_stack, []
+    monkeypatch.setattr(linalg, "cholesky_stack", lambda x: calls.append(x.shape) or factor(x))
+    d = regularized_inverse(a, alpha, n)
+    assert calls == [(256, 10, 8, 8)] * checks
+    assert d.tobytes() == regularized_inverse(a, alpha).tobytes()  # the same inv either way
 
 
 def _relative_error(actual, expected):

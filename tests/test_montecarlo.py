@@ -699,6 +699,140 @@ def test_pool_never_exceeds_the_cpus(monkeypatch, serial_pool):
     assert [job[1:] for (job,) in jobs] == [(0, 64)]
 
 
+class StubLibc:
+    """mallopt and malloc_trim that record their calls."""
+
+    def __init__(self, events):
+        self.events = events
+
+    def mallopt(self, param, value):
+        self.events.append(("mallopt", param, value))
+        return 1
+
+    def malloc_trim(self, pad):
+        self.events.append(("malloc_trim", pad))
+        return 1
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_heap_policy_is_set_before_the_jobs_and_the_fork_and_trimmed_after(monkeypatch, workers):
+    events = []
+
+    class ForkingPool:
+        def __init__(self, workers, mp_context=None):
+            events.append(("fork",))  # the pool's workers fork from here on
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    def job(args):
+        if args[1] == fail_at:
+            raise NumericError("a relay's output power is not positive")
+        events.append(("job", args[1]))
+        return 0.0
+
+    _pin_cpus(monkeypatch, 2)
+    monkeypatch.setattr(montecarlo, "_glibc", lambda: StubLibc(events))
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", ForkingPool)
+    monkeypatch.setattr(montecarlo, "_capacity_chunk", job)
+    spec = one_point(1, Scheme.MF, trials=2 * TRIAL_CHUNK)
+    fail_at = None
+    _capacity_tables(spec, workers)
+    keep = montecarlo.HEAP_KEEP
+    assert events == [
+        ("mallopt", montecarlo._M_MMAP_THRESHOLD, keep),
+        ("mallopt", montecarlo._M_TRIM_THRESHOLD, keep),
+        *[("fork",)] * (workers > 1),
+        ("job", 0),
+        ("job", TRIAL_CHUNK),
+        ("malloc_trim", 0),
+    ]
+    events.clear()
+    fail_at = TRIAL_CHUNK  # a failed sweep hands its pages back too
+    with pytest.raises(NumericError):
+        _capacity_tables(spec, workers)
+    assert events[-2:] == [("job", 0), ("malloc_trim", 0)]
+
+
+@pytest.mark.parametrize("confstr", [ValueError, OSError, None], ids=["raises", "oserror", "missing"])
+def test_heap_policy_calls_nothing_without_glibc(monkeypatch, confstr):
+    # musl raises OSError, other libcs ValueError, and Windows has no confstr
+    opened = []
+    monkeypatch.setattr(montecarlo.ctypes, "CDLL", lambda *args: opened.append(args))
+    if confstr is None:
+        monkeypatch.delattr(os, "confstr", raising=False)
+    else:
+        def unknown(name):
+            raise confstr(22, "Invalid argument")
+
+        monkeypatch.setattr(os, "confstr", unknown)
+    assert montecarlo._glibc() is None
+    rows = run_sweep(one_point(1, Scheme.MF, trials=16))
+    monkeypatch.undo()
+    assert opened == []
+    assert rows == run_sweep(one_point(1, Scheme.MF, trials=16))
+
+
+HEAP_FAULTS = r"""
+import dataclasses, json, resource
+from relaysim import montecarlo
+from relaysim.scenario import load_bundled
+
+chunk, faults = montecarlo._capacity_chunk, []
+
+def job(args):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    table = chunk(args)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    return table
+
+montecarlo._capacity_chunk = job
+spec = dataclasses.replace(load_bundled("fig5"), values=(0.0, 30.0), trials=1024)
+montecarlo.run_sweep(spec, 1)
+print(json.dumps(faults))
+"""
+
+
+@pytest.mark.skipif(montecarlo._glibc() is None, reason="the heap policy needs glibc")
+def test_later_jobs_reuse_the_pages_of_the_first():
+    # a fresh interpreter, whose heap no other test has grown or set: an
+    # 8 x 8, k = 10 sweep runs four 256-trial jobs, and without the policy
+    # glibc trims the heap after each, so every job faults its ~12 MiB in
+    src = str(Path(montecarlo.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", HEAP_FAULTS], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    faults = json.loads(proc.stdout)
+    assert len(faults) == 4
+    assert all(later <= 0.05 * faults[0] for later in faults[1:]), faults
+
+
+def test_nan_in_an_8x8_gram_raises_naming_mf_rzf_and_the_trials(monkeypatch):
+    # a NaN makes the bound's sum NaN, so regularized_inverse runs its check
+    grams = montecarlo.relay_grams
+
+    def nan_gram(h, g):
+        a, b = grams(h, g)
+        a[5, 1, 0, 7] = a[5, 1, 7, 0] = np.nan
+        return a, b
+
+    monkeypatch.setattr(montecarlo, "relay_grams", nan_gram)
+    spec = base_spec(values=(2,), m=8, n=8, schemes=(Scheme.MF_RZF,), trials=64)
+    with pytest.raises(NumericError, match=(
+        r"^relay_count = 2: mf-rzf at trials \[0, 64\): cholesky_stack: matrix not positive"
+    )):
+        run_sweep(spec)
+
+
 @pytest.mark.parametrize("workers, m, n", [(1, 2, 2), (2, 2, 2), (1, 5, 5), (2, 5, 5)],
                          ids=["1", "2", "1-m5", "2-m5"])
 def test_power_sweep_rows_equal_one_point_sweeps(workers, m, n):
@@ -763,7 +897,7 @@ def test_numeric_error_in_shared_beamformers_names_every_point_of_the_group(monk
 
 def test_numeric_error_in_shared_inverse_names_every_point_of_the_chunk(monkeypatch):
     # mf-rzf's (A + alpha I)^-1 is formed once per chunk for all relay counts
-    def singular(gram, alpha):
+    def singular(gram, alpha, n):
         raise NumericError("cholesky_stack: matrix not positive definite")
 
     monkeypatch.setattr(montecarlo, "regularized_inverse", singular)
