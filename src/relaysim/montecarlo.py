@@ -16,31 +16,34 @@ assembled into one array in trial order before any reduction. Output is
 therefore byte-identical for any --workers setting, and all schemes of a
 sweep point see common random channels.
 
-Work is shared between the points of a sweep. A trial's stream does
-not depend on the relay count: k relays read h from blocks [0, k) and g
-from blocks [k, 2k) of it (see channels_for_trials), so one draw at the
+Work is shared between the points of a sweep. A trial's stream does not
+depend on the relay count: k relays read h from blocks [0, k) and g from
+blocks [k, 2k) of it (see channels_for_trials), so one draw at the
 largest k holds every smaller k as slices. The beamformers depend only
 on the channels and alpha; the powers p and q enter at power control. A
-job is one trial range [start, stop) of the whole sweep, at most
-TRIAL_CHUNK long and at most STACK_BYTES in its largest relay stack: it
-draws the range's channels once, at the largest k, and reduces them once
-to the relays' m x m Grams g g^H and h^H h (and, for mf-rzf, to
-(1 + alpha)(g g^H + alpha I)^-1). Each k reads its slices of these;
-only the af cascade g h and each scheme's per-relay link products are
-formed per k. What is left per point is power control, two rho-weighted
-sums over relays, the QR and SNR, and the bound. A slice holds exactly
-the floats that k's own draw and Grams would, and every operation works
-trial by trial, so a trial's capacities depend neither on the other
-points of its sweep nor on the range that holds it: every float, and
-every byte of results.csv, equals what the point gives on its own, at
-any range length. So a sweep with fewer chunks than workers shortens
-its ranges rather than cutting its points, and a run uses at most as
-many processes as there are jobs or CPUs. A job's memory is linear in
-its trials times the bytes of a trial's relay stacks, the largest of
-which is g (2K - min k relays of n x m entries), so STACK_BYTES bounds
-it at any (m, n, k). Each relay stack (h, g, the Grams, D and the
-products) is released at its last use, so a job holds at most about
-five stacks at once.
+job is the sweep's network head (m, n, seed, alpha, schemes), its points
+resolved to (label, k, linear PNR, linear QNR), and one trial range
+[start, stop) of the whole sweep, at most TRIAL_CHUNK long and at most
+STACK_BYTES in its largest relay stack. The points are resolved and
+checked once, in the parent, so a worker never reads the sweep's axes or
+converts a dB value. A job draws the range's channels once, at the
+largest k, and reduces them once to the relays' m x m Grams g g^H and
+h^H h (and, for mf-rzf, to (1 + alpha)(g g^H + alpha I)^-1). Each k
+reads its slices of these; only the af cascade g h and each scheme's
+per-relay link products are formed per k. What is left per point is
+power control, two rho-weighted sums over relays, the QR and SNR, and
+the bound. A slice holds exactly the floats that k's own draw and Grams
+would, and every operation works trial by trial, so a trial's capacities
+depend neither on the other points of its sweep nor on the range that
+holds it: every float, and every byte of results.csv, equals what the
+point gives on its own, at any range length. So a sweep with fewer
+chunks than workers shortens its ranges rather than cutting its points,
+and a run uses at most as many processes as there are jobs or CPUs. A
+job's memory is linear in its trials times the bytes of a trial's relay
+stacks, the largest of which is g (2K - min k relays of n x m entries),
+so STACK_BYTES bounds it at any (m, n, k). Each relay stack (h, g, the
+Grams, D and the products) is released at its last use, so a job holds
+at most about five stacks at once.
 """
 
 from __future__ import annotations
@@ -67,8 +70,9 @@ UPPER_BOUND_LABEL = "upper-bound"
 _SEED_LIMIT = 1 << 64
 
 # The longest trial range of one job; a range also holds at most
-# STACK_BYTES in its largest relay stack, g, which bounds a job's memory. Per-trial floats do not depend on the range length, so neither
-# do the results.
+# STACK_BYTES in its largest relay stack, g, which bounds a job's memory.
+# Per-trial floats do not depend on the range length, so neither do the
+# results.
 TRIAL_CHUNK = 512
 STACK_BYTES = 5 << 19  # 2.5 MiB
 
@@ -272,10 +276,11 @@ class SweepRow:
 @np.errstate(over="raise", divide="raise", invalid="raise")
 def _capacity_chunk(job) -> np.ndarray:
     """Per-trial capacities (points, T, series) for trials [start, stop)
-    of every point of a sweep; the series are the spec's schemes, then
-    the cut-set bound. The job (spec, start, stop) comes from
-    _capacity_tables, so its range is valid. Each point's powers are
-    converted from dB once, here.
+    of every point of a job; the series are the job's schemes, then the
+    cut-set bound. The job ((m, n, seed, alpha, schemes), points, start,
+    stop) comes from _capacity_tables, so its points and range are valid;
+    a point is (label, k, linear PNR, linear QNR), and the points are
+    grouped here by k. Nothing is resolved or converted here.
 
     The channels are drawn once, at the largest relay count K, and
     reduced once to B = h^H h of blocks [0, K) and A = g g^H of blocks
@@ -303,18 +308,14 @@ def _capacity_chunk(job) -> np.ndarray:
     its link products), the series and the trial range, and a MemoryError
     naming the point(s) and the trial range.
     """
-    spec, start, stop = job
-    schemes, m, n, alpha = spec.schemes, spec.m, spec.n, spec.alpha
-    labels = [f"{spec.axis} = {value}" for value in spec.values]
-    relays, powers = {}, []  # k -> the indices of its points; linear (PNR, QNR) per point
-    for i, point in enumerate(map(spec.point, spec.values)):
-        relays.setdefault(point["k"], []).append(i)
-        powers.append((_from_db(point["pnr_db"], "pnr_db"), _from_db(point["qnr_db"], "qnr_db")))
+    (m, n, seed, alpha, schemes), points, start, stop = job
+    # k -> the indices of its points; where: the indices of the points and the series at work
+    relays = {k: [i for i, point in enumerate(points) if point[1] == k] for _, k, *_ in points}
     low, top = min(relays), max(relays)
-    where = [labels[i] for i in relays[top]], "channels"  # the draw is sized by the top k
+    where = relays[top], "channels"  # the draw is sized by the top k
     try:
         # g is blocks [low, 2 top): k reads its g blocks [k, 2k) at k - low
-        h, g = channels_for_trials(m, n, top, spec.seed, start, stop, low)
+        h, g = channels_for_trials(m, n, top, seed, start, stop, low)
         a, b = relay_grams(h, g)
         b_sums = relay_prefix_sums(b, relays)  # the bound's sum of B over k's relays
         order = sorted(enumerate(schemes), key=lambda item: item[1] is not Scheme.AF)
@@ -323,14 +324,14 @@ def _capacity_chunk(job) -> np.ndarray:
         if Scheme.AF in schemes:  # only af's cascade reads h and g
             stacks.update(h=h, g=g)
         del h, g, a, b
-        table = np.empty((len(labels), stop - start, len(schemes) + 1))
+        table = np.empty((len(points), stop - start, len(schemes) + 1))
         for j, scheme in order:
-            where = labels, scheme.value
+            where = range(len(points)), scheme.value
             if scheme is Scheme.MF_RZF:
                 stacks["d"] = regularized_inverse(stacks["a"], alpha, n)
             for k in sorted(relays):
                 g_k = slice(k - low, 2 * k - low)
-                where = [labels[i] for i in relays[k]], scheme.value
+                where = relays[k], scheme.value
                 # the top k pops what no later work reads: h, g and d are
                 # read by one scheme each, a and b by every scheme
                 own = stacks.pop if k == top else stacks.__getitem__
@@ -342,32 +343,34 @@ def _capacity_chunk(job) -> np.ndarray:
                     g=own("g")[:, g_k] if scheme is Scheme.AF else None,
                 )
                 for i in relays[k]:
-                    where = labels[i : i + 1], scheme.value
-                    pnr, qnr = powers[i]
+                    where = [i], scheme.value
+                    _, _, pnr, qnr = points[i]
                     rho = stacked_power_factors(fh_sq, f_sq, pnr, m, qnr)
                     table[i, :, j] = sic_capacity(p, s, rho, pnr)
                 del p, s
         for k in sorted(relays):
             for i in relays[k]:
-                where = labels[i : i + 1], UPPER_BOUND_LABEL
-                table[i, :, -1] = stacked_upper_bound(b_sums[k], powers[i][0])
+                where = [i], UPPER_BOUND_LABEL
+                table[i, :, -1] = stacked_upper_bound(b_sums[k], points[i][2])
     except (NumericError, FloatingPointError) as exc:
-        failed, series = where
-        raise NumericError(
-            f"{'; '.join(failed)}: {series} at trials [{start}, {stop}): {exc}"
-        ) from exc
+        failed = "; ".join(points[i][0] for i in where[0])
+        raise NumericError(f"{failed}: {where[1]} at trials [{start}, {stop}): {exc}") from exc
     except MemoryError as exc:
         # numpy's _ArrayMemoryError cannot be built from a message
-        raise MemoryError(f"{'; '.join(where[0])} at trials [{start}, {stop}): {exc}") from exc
+        failed = "; ".join(points[i][0] for i in where[0])
+        raise MemoryError(f"{failed} at trials [{start}, {stop}): {exc}") from exc
     return table
 
 
 def _capacity_tables(spec: SweepSpec, workers: int) -> np.ndarray:
     """(points, trials, series) per-trial capacities of every point of
     the sweep, in trial order, with the schemes' series and then the
-    bound's, from one map over jobs. A job is one trial range of the
-    whole sweep, of at least one trial and otherwise of at most
-    TRIAL_CHUNK trials and STACK_BYTES in g (its largest relay stack).
+    bound's, from one map over jobs. Each axis value is resolved here,
+    once, into a point (label, k, linear PNR, linear QNR), and a job is
+    the head (m, n, seed, alpha, schemes), those points and one trial
+    range of the whole sweep, sized from the points' k: of at least one
+    trial and otherwise of at most TRIAL_CHUNK trials and STACK_BYTES in
+    g (its largest relay stack).
     So a job's memory is bounded at any (m, n, k): 8 x 8 sweeps at k = 10
     (fig5, fig6) run 256-trial jobs, and 4 x 4 ones up to k = 8
     TRIAL_CHUNK. A sweep that fits in one such job per worker is instead
@@ -408,7 +411,11 @@ def _capacity_tables(spec: SweepSpec, workers: int) -> np.ndarray:
         tables = np.empty((len(spec.values), trials, len(spec.schemes) + 1))
     except (MemoryError, ValueError) as exc:  # ValueError: more entries than numpy can index
         raise MemoryError(f"trials = {trials}: {exc}") from exc
-    relays = [spec.point(value)["k"] for value in spec.values]
+    points = [  # (label, k, linear PNR, linear QNR) per axis value
+        (f"{spec.axis} = {value}", net["k"], *(_from_db(net[f], f) for f in ("pnr_db", "qnr_db")))
+        for value, net in zip(spec.values, map(spec.point, spec.values))
+    ]
+    relays = [k for _, k, *_ in points]
     low, top = min(relays), max(relays)
     # g, the largest relay stack: 2 top - low complex n x m blocks a trial
     stack = 16 * (2 * top - low) * spec.n * spec.m
@@ -418,7 +425,8 @@ def _capacity_tables(spec: SweepSpec, workers: int) -> np.ndarray:
         ranges = [(i * trials // count, (i + 1) * trials // count) for i in range(count)]
     else:
         ranges = [(start, min(start + step, trials)) for start in range(0, trials, step)]
-    jobs = [(spec, start, stop) for start, stop in ranges]
+    head = spec.m, spec.n, spec.seed, spec.alpha, spec.schemes
+    jobs = [(head, points, start, stop) for start, stop in ranges]
     workers = min(workers, len(jobs))
     libc = _glibc()
     if libc:  # after the result table, which outlives the jobs, and before any fork

@@ -12,8 +12,10 @@ LAPACK's Householder QR (qr_stack, stacked_snr), independent of the
 package's Gram-Schmidt kernel relaysim.link.sic_capacity, and
 lapack_scheme_capacity is that route on the package's batched inputs.
 simulate_transmission measures SNR by pushing signal and noise through
-the chain. The checked single-matrix helpers (products, Hermitian
-transpose, trace, norms, log-determinant) are the tests' building blocks.
+the chain, and mutual_information gives I(s; y) from explicit F, which
+lies between SIC's capacity and the cut-set bound. The checked
+single-matrix helpers (products, Hermitian transpose, trace, norms,
+log-determinant) are the tests' building blocks.
 """
 
 from __future__ import annotations
@@ -392,6 +394,26 @@ def upper_bound_capacity(realization: ChannelRealization, config: Network) -> fl
     h = realization.h
     b_sum = np.sum(np.swapaxes(h, -1, -2).conj() @ h, axis=0)
     return float(stacked_upper_bound(b_sum, config.p))
+
+
+def mutual_information(
+    realization: ChannelRealization, weights: RelayWeights, config: Network
+) -> float:
+    """I(s; y) in bits, with the half-duplex 1/2 pre-log, of one
+    realization under explicit relay beamformers F. The destination sees
+    y = H_sd s + n, where n has covariance M + I, M = sum_k rho_k^2
+    (g_k F_k)(g_k F_k)^H, so
+
+        I(s; y) = 0.5 * log2 det(I + (p/m) H_sd^H (M + I)^-1 H_sd).
+
+    ZF-SIC, which ignores the noise's colour, reaches at most this, and
+    the cut-set bound is at least this."""
+    m = config.m
+    h_sd = effective_channel(realization, weights)
+    gf = realization.g @ weights.f
+    noise = relay_sum(weights.rho**2, gf @ np.swapaxes(gf, -1, -2).conj()) + np.eye(m)
+    arg = np.eye(m) + (config.p / m) * matmul(conj_transpose(h_sd), solve_hpd(noise, h_sd))
+    return logdet_hpd((arg + conj_transpose(arg)) / 2) / (2 * np.log(2.0))
 
 
 def simulate_transmission(

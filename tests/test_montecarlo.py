@@ -39,6 +39,7 @@ from oracle import (
     Network,
     build_weights,
     compute_link_metrics,
+    mutual_information,
     realization_for_trial,
     upper_bound_capacity,
 )
@@ -187,7 +188,7 @@ def test_chunk_matches_per_realization_chain(m, n, k):
         for pnr in spec.values
     ]
     schemes = spec.schemes
-    block = _capacity_chunk((spec, start, stop))
+    block = _capacity_chunk((*_jobs(spec, 1)[0][:-2], start, stop))
     assert block.shape == (2, stop - start, 4)
     for i, trial in enumerate(range(start, stop)):
         real = realization_for_trial(configs[0], seed, trial)
@@ -197,6 +198,25 @@ def test_chunk_matches_per_realization_chain(m, n, k):
                 assert block[p, i, j] == pytest.approx(expected.capacity_bits, rel=0, abs=1e-12)
             bound = upper_bound_capacity(real, cfg)
             assert block[p, i, 3] == pytest.approx(bound, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("m, n, k", [(2, 2, 1), (2, 4, 4), (5, 5, 2), (6, 6, 3)])
+def test_sic_capacity_is_below_the_mutual_information_and_that_below_the_bound(m, n, k):
+    # per trial and scheme, ZF-SIC <= I(s; y) <= cut-set bound, with
+    # I(s; y) from the explicit F of the reference chain; the smallest
+    # margins here are about 6e-6 bits below I(s; y) and 2e-2 bits above
+    slack = 1e-9
+    for pnr_db, qnr_db in [(5.0, 20.0), (30.0, 5.0)]:
+        spec = SweepSpec("pnr_db", (pnr_db,), m=m, n=n, k=k, pnr_db=pnr_db, qnr_db=qnr_db,
+                         trials=32, seed=8)
+        table = _capacity_tables(spec, 1)[0]
+        cfg = Network(m=m, n=n, k=k, p=10.0 ** (pnr_db / 10.0), q=10.0 ** (qnr_db / 10.0))
+        for trial, row in enumerate(table):
+            real = realization_for_trial(cfg, spec.seed, trial)
+            for j, scheme in enumerate(spec.schemes):
+                info = mutual_information(real, build_weights(scheme, real, cfg), cfg)
+                assert row[j] <= info + slack, (pnr_db, qnr_db, trial, scheme)
+                assert info <= row[-1] + slack, (pnr_db, qnr_db, trial, scheme)
 
 
 def one_point(value, scheme, **overrides):
@@ -417,17 +437,19 @@ def test_relay_count_sweep_draws_once_per_chunk(monkeypatch):
     )
 
 
-def _job_ranges(spec, workers):
-    """The trial ranges of the jobs that _capacity_tables makes of
-    `spec` on 64 CPUs; no job runs and no process starts."""
-    ranges = []
+def _jobs(spec, workers):
+    """The jobs that _capacity_tables makes of `spec` on 64 CPUs, in
+    order; no job runs and no process starts. A job's trial range is
+    job[-2:], and (*job[:-2], start, stop) is the same job over another
+    range."""
+    jobs = []
     with pytest.MonkeyPatch.context() as patch:
         _pin_cpus(patch, 64)
-        patch.setattr(montecarlo, "_capacity_chunk", lambda job: ranges.append(job[1:]) or 0.0)
+        patch.setattr(montecarlo, "_capacity_chunk", lambda job: jobs.append(job) or 0.0)
         # a pool that yields None, so the jobs run through the builtin map
         patch.setattr(montecarlo, "ProcessPoolExecutor", lambda *a, **kw: contextlib.nullcontext())
         _capacity_tables(spec, workers)
-    return ranges
+    return jobs
 
 
 @pytest.mark.parametrize(
@@ -458,10 +480,11 @@ def test_trial_chunk_bounds_a_jobs_memory(name, bound_mib, stop):
                          pnr_db=10.0, qnr_db=10.0, seed=1)
     else:
         spec = load_bundled(name)
-    assert _job_ranges(spec, 1)[0] == (0, stop)
+    job = _jobs(spec, 1)[0]
+    assert job[-2:] == (0, stop)
     tracemalloc.start()
     try:
-        _capacity_chunk((spec, 0, stop))
+        _capacity_chunk(job)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -480,7 +503,7 @@ def test_job_ranges_tile_the_trials_within_every_budget(m, extra, low, more, tri
     axis = "relay_count" if more else "pnr_equals_qnr_db"
     values = (low, top) if more else (0.0, 10.0)
     spec = SweepSpec(axis, values, m=m, n=n, k=low, pnr_db=10.0, qnr_db=10.0, trials=trials)
-    ranges = _job_ranges(spec, workers)
+    ranges = [job[-2:] for job in _jobs(spec, workers)]
     assert [start for start, _ in ranges] == [0] + [stop for _, stop in ranges[:-1]]
     assert ranges[-1][1] == trials
     for start, stop in ranges:
@@ -509,7 +532,7 @@ def test_the_job_ranges_of_4x4_relay_sweeps_are_the_relay_trial_budgets(name, wo
     else:
         spec = dataclasses.replace(load_bundled(name), trials=1024)
     step = 40 if name == "k128" else TRIAL_CHUNK
-    assert _job_ranges(spec, workers) == [
+    assert [job[-2:] for job in _jobs(spec, workers)] == [
         (start, min(start + step, 1024)) for start in range(0, 1024, step)
     ]
 
@@ -663,7 +686,8 @@ def test_trial_minor_and_trial_major_stacks_give_the_same_capacities(monkeypatch
     # at m = 4 the draw is trial-minor; the same draw copied into C order
     # must give every series' per-trial capacities to rounding
     spec = base_spec(values=(1, 3, 4), m=4, n=4, alpha=0.5, trials=256, seed=9)
-    minor = _capacity_chunk((spec, 0, 256))
+    job = (*_jobs(spec, 1)[0][:-2], 0, 256)
+    minor = _capacity_chunk(job)
     draw = montecarlo.channels_for_trials
 
     def trial_major(*args):
@@ -672,7 +696,7 @@ def test_trial_minor_and_trial_major_stacks_give_the_same_capacities(monkeypatch
         return np.ascontiguousarray(h), np.ascontiguousarray(g)
 
     monkeypatch.setattr(montecarlo, "channels_for_trials", trial_major)
-    np.testing.assert_allclose(_capacity_chunk((spec, 0, 256)), minor, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(_capacity_chunk(job), minor, rtol=1e-13, atol=0)
 
 
 def test_pool_never_exceeds_the_cpus(monkeypatch, serial_pool):
@@ -680,13 +704,13 @@ def test_pool_never_exceeds_the_cpus(monkeypatch, serial_pool):
     jobs = _count_calls(monkeypatch, "_capacity_chunk")
     run_sweep(one_point(1, Scheme.MF, m=1, n=1, trials=10_000), workers=1000)
     assert serial_pool == [2]
-    assert [job[1:] for (job,) in jobs] == [
+    assert [job[-2:] for (job,) in jobs] == [
         (start, min(start + TRIAL_CHUNK, 10_000)) for start in range(0, 10_000, TRIAL_CHUNK)
     ]  # jobs of at most TRIAL_CHUNK trials
     jobs.clear()
     run_sweep(one_point(1, Scheme.MF, trials=64), workers=8)
     assert serial_pool == [2, 2]
-    assert [job[1:] for (job,) in jobs] == [(0, 32), (32, 64)]
+    assert [job[-2:] for (job,) in jobs] == [(0, 32), (32, 64)]
     _pin_cpus(monkeypatch, None)  # unknown: one process
     run_sweep(one_point(1, Scheme.MF, trials=64), workers=8)
     assert serial_pool == [2, 2]
@@ -696,7 +720,7 @@ def test_pool_never_exceeds_the_cpus(monkeypatch, serial_pool):
     jobs.clear()
     run_sweep(one_point(1, Scheme.MF, trials=64), workers=8)
     assert serial_pool == [2, 2]
-    assert [job[1:] for (job,) in jobs] == [(0, 64)]
+    assert [job[-2:] for (job,) in jobs] == [(0, 64)]
 
 
 class StubLibc:
@@ -732,9 +756,10 @@ def test_heap_policy_is_set_before_the_jobs_and_the_fork_and_trimmed_after(monke
             return map(fn, jobs)
 
     def job(args):
-        if args[1] == fail_at:
+        start, _ = args[-2:]
+        if start == fail_at:
             raise NumericError("a relay's output power is not positive")
-        events.append(("job", args[1]))
+        events.append(("job", start))
         return 0.0
 
     _pin_cpus(monkeypatch, 2)
@@ -862,6 +887,19 @@ def test_relay_count_sweep_rows_equal_one_point_sweeps(workers, m, n):
     for value in values:
         alone += run_sweep(base_spec(values=(value,), **settings))
     assert run_sweep(base_spec(values=values, **settings), workers=workers) == alone
+
+
+@pytest.mark.parametrize("m, n, k", [(2, 3, 3), (4, 4, 4), (5, 5, 2)])
+def test_a_jobs_tables_depend_only_on_its_points(m, n, k):
+    # one point, k relays at 20/20 dB, reached through each axis among
+    # other points: its per-trial table is bitwise the same every time
+    base = dict(m=m, n=n, k=k, pnr_db=20.0, qnr_db=20.0, alpha=0.7, trials=300, seed=4)
+    sweeps = [("pnr_db", (0.0, 20.0), 1), ("pnr_equals_qnr_db", (20.0,), 0),
+              ("qnr_db", (20.0, 30.0), 0), ("relay_count", (1, k), 1)]
+    tables = [_capacity_tables(SweepSpec(axis, values, **base), 1)[i]
+              for axis, values, i in sweeps]
+    for table in tables[1:]:
+        assert table.tobytes() == tables[0].tobytes()
 
 
 def test_numeric_error_names_point_scheme_and_trials(monkeypatch):
