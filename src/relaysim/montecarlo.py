@@ -21,14 +21,15 @@ depend on the relay count: k relays read h from blocks [0, k) and g from
 blocks [k, 2k) of it (see channels_for_trials), so one draw at the
 largest k holds every smaller k as slices. The beamformers depend only
 on the channels and alpha; the powers p and q enter at power control. A
-job is the sweep's network head (m, n, seed, alpha, schemes), its points
-resolved to (label, k, linear PNR, linear QNR), and one trial range
-[start, stop) of the whole sweep, at most TRIAL_CHUNK long and at most
-STACK_BYTES in its largest relay stack. The points are resolved and
-checked once, in the parent, so a worker never reads the sweep's axes or
-converts a dB value. A job draws the range's channels once, at the
-largest k, and reduces them once to the relays' m x m Grams g g^H and
-h^H h (and, for mf-rzf, to (1 + alpha)(g g^H + alpha I)^-1). Each k
+job is the sweep's network head (m, n, seed, alpha, schemes) with the
+draw's thread count, its points resolved to (label, k, linear PNR,
+linear QNR), and one trial range [start, stop) of the whole sweep, at
+most TRIAL_CHUNK long and at most STACK_BYTES in its largest relay
+stack. The points are resolved and checked once, in the parent, so a
+worker never reads the sweep's axes or converts a dB value. A job draws
+the range's channels once, at the largest k, and reduces them once to
+the relays' m x m Grams g g^H and h^H h (and, for mf-rzf, to
+(1 + alpha)(g g^H + alpha I)^-1). Each k
 reads its slices of these; only the af cascade g h and each scheme's
 per-relay link products are formed per k. What is left per point is
 power control, two rho-weighted sums over relays, the QR and SNR, and
@@ -38,10 +39,16 @@ depend neither on the other points of its sweep nor on the range that
 holds it: every float, and every byte of results.csv, equals what the
 point gives on its own, at any range length. So a sweep with fewer
 chunks than workers shortens its ranges rather than cutting its points,
-and a run uses at most as many processes as there are jobs or CPUs. A
-job's memory is linear in its trials times the bytes of a trial's relay
-stacks, the largest of which is g (2K - min k relays of n x m entries),
-so STACK_BYTES bounds it at any (m, n, k). Each relay stack (h, g, the
+and a run uses at most as many processes as there are jobs or CPUs.
+A job draws its channels on CPUs // processes threads, the CPUs that
+the run's processes leave idle (one thread in a pool that fills them).
+Only the draw is split: its fill and copies are long numpy loops that
+release the GIL, while the work after it is short calls and BLAS calls,
+both of which measured slower on two threads. Every trial keeps its own
+stream, so the thread count moves no byte either. A job's memory is
+linear in its trials times the bytes of a trial's relay stacks, the
+largest of which is g (2K - min k relays of n x m entries), so
+STACK_BYTES bounds it at any (m, n, k). Each relay stack (h, g, the
 Grams, D and the products) is released at its last use, so a job holds
 at most about five stacks at once.
 """
@@ -277,14 +284,16 @@ class SweepRow:
 def _capacity_chunk(job) -> np.ndarray:
     """Per-trial capacities (points, T, series) for trials [start, stop)
     of every point of a job; the series are the job's schemes, then the
-    cut-set bound. The job ((m, n, seed, alpha, schemes), points, start,
-    stop) comes from _capacity_tables, so its points and range are valid;
-    a point is (label, k, linear PNR, linear QNR), and the points are
-    grouped here by k. Nothing is resolved or converted here.
+    cut-set bound. The job ((m, n, seed, alpha, schemes, threads),
+    points, start, stop) comes from _capacity_tables, so its points,
+    range and thread count are valid; a point is (label, k, linear PNR,
+    linear QNR), and the points are grouped here by k. Nothing is
+    resolved or converted here.
 
-    The channels are drawn once, at the largest relay count K, and
-    reduced once to B = h^H h of blocks [0, K) and A = g g^H of blocks
-    [min k, 2K), which hold every k's g, and right away to the bound's
+    The channels are drawn once, at the largest relay count K, on the
+    job's `threads` threads (channels_for_trials), and reduced once to
+    B = h^H h of blocks [0, K) and A = g g^H of blocks [min k, 2K),
+    which hold every k's g, and right away to the bound's
     sum of B over each k's relays; for mf-rzf, to
     D = (1 + alpha)(A + alpha I)^-1 too, which regularized_inverse, told
     that A is a Gram of n columns, forms without its Cholesky check where
@@ -308,14 +317,14 @@ def _capacity_chunk(job) -> np.ndarray:
     its link products), the series and the trial range, and a MemoryError
     naming the point(s) and the trial range.
     """
-    (m, n, seed, alpha, schemes), points, start, stop = job
+    (m, n, seed, alpha, schemes, threads), points, start, stop = job
     # k -> the indices of its points; where: the indices of the points and the series at work
     relays = {k: [i for i, point in enumerate(points) if point[1] == k] for _, k, *_ in points}
     low, top = min(relays), max(relays)
     where = relays[top], "channels"  # the draw is sized by the top k
     try:
         # g is blocks [low, 2 top): k reads its g blocks [k, 2k) at k - low
-        h, g = channels_for_trials(m, n, top, seed, start, stop, low)
+        h, g = channels_for_trials(m, n, top, seed, start, stop, low, threads)
         a, b = relay_grams(h, g)
         b_sums = relay_prefix_sums(b, relays)  # the bound's sum of B over k's relays
         order = sorted(enumerate(schemes), key=lambda item: item[1] is not Scheme.AF)
@@ -367,22 +376,28 @@ def _capacity_tables(spec: SweepSpec, workers: int) -> np.ndarray:
     the sweep, in trial order, with the schemes' series and then the
     bound's, from one map over jobs. Each axis value is resolved here,
     once, into a point (label, k, linear PNR, linear QNR), and a job is
-    the head (m, n, seed, alpha, schemes), those points and one trial
-    range of the whole sweep, sized from the points' k: of at least one
-    trial and otherwise of at most TRIAL_CHUNK trials and STACK_BYTES in
-    g (its largest relay stack).
+    the head (m, n, seed, alpha, schemes, threads), those points and one
+    trial range of the whole sweep, sized from the points' k: of at least
+    one trial and otherwise of at most TRIAL_CHUNK trials and STACK_BYTES
+    in g (its largest relay stack).
     So a job's memory is bounded at any (m, n, k): 8 x 8 sweeps at k = 10
     (fig5, fig6) run 256-trial jobs, and 4 x 4 ones up to k = 8
     TRIAL_CHUNK. A sweep that fits in one such job per worker is instead
     split evenly into min(workers, trials) jobs. The map runs in at most
-    one process per job and per CPU this process may run on. Only a
-    pool's parent loads multiprocessing and concurrent.futures.process
-    (relaysim run loads them before its sweep when --workers is above 1),
-    so a one-process run never imports them. It also loads numpy.random
-    (which numpy loads on first use) before it starts the workers, and
-    on Linux forks them on every Python (3.14 defaults to forkserver),
-    so they inherit it rather than each loading it for its first
-    draw.
+    one process per job and per CPU this process may run on, and the
+    head carries the thread count of each job's draw, CPUs // processes:
+    the CPUs that the processes leave idle, at least 1 since there are
+    no more processes than CPUs. So on 2 CPUs a one-process sweep draws
+    on 2 threads, and a 2-process pool on 1 thread in each worker, which
+    starts no helper thread. Only 2 CPUs have been measured; on more,
+    the count follows the same rule untested. Only a pool's parent loads
+    multiprocessing and concurrent.futures.process (relaysim run loads
+    them before its sweep when --workers is above 1), so a one-process
+    run never imports them. It also loads numpy.random (which numpy
+    loads on first use) before it starts the workers, and on Linux forks
+    them on every Python (3.14 defaults to forkserver), so they inherit
+    it rather than each loading it for its first draw. No draw thread
+    outlives its channels_for_trials call, so none runs at the fork.
 
     Where the C library is glibc (_glibc), the map keeps each process's
     heap between its jobs. By default glibc raises its mmap and trim
@@ -403,9 +418,10 @@ def _capacity_tables(spec: SweepSpec, workers: int) -> np.ndarray:
     # the CPUs this process may run on: taskset and cpusets narrow its
     # affinity set, where the OS has one
     if hasattr(os, "sched_getaffinity"):
-        workers = min(workers, len(os.sched_getaffinity(0)))
+        cpus = len(os.sched_getaffinity(0))
     else:
-        workers = min(workers, os.cpu_count() or 1)
+        cpus = os.cpu_count() or 1
+    workers = min(workers, cpus)
     trials = spec.trials
     try:  # before the job list, which holds one tuple per trial range
         tables = np.empty((len(spec.values), trials, len(spec.schemes) + 1))
@@ -425,9 +441,10 @@ def _capacity_tables(spec: SweepSpec, workers: int) -> np.ndarray:
         ranges = [(i * trials // count, (i + 1) * trials // count) for i in range(count)]
     else:
         ranges = [(start, min(start + step, trials)) for start in range(0, trials, step)]
-    head = spec.m, spec.n, spec.seed, spec.alpha, spec.schemes
+    workers = min(workers, len(ranges))
+    # a job draws on the CPUs that the other processes leave idle
+    head = spec.m, spec.n, spec.seed, spec.alpha, spec.schemes, cpus // workers
     jobs = [(head, points, start, stop) for start, stop in ranges]
-    workers = min(workers, len(jobs))
     libc = _glibc()
     if libc:  # after the result table, which outlives the jobs, and before any fork
         libc.mallopt(_M_MMAP_THRESHOLD, HEAP_KEEP)

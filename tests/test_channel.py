@@ -2,6 +2,10 @@
 determinism. Statistical assertions run on fixed seeds so they are
 repeatable, with thresholds set at roughly the 3-sigma level."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,7 +13,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from relaysim.channel import channels_for_trials
-from relaysim.linalg import TRIAL_MINOR_MAX_M
+from relaysim.linalg import TRIAL_MINOR_MAX_M, stack_order
 
 from oracle import ChannelRealization, Network, realization_for_trial, trial_rng
 
@@ -76,39 +80,103 @@ def test_seed_outside_64_bits_rejected(seed):
 def test_chunk_draw_is_stack_of_per_trial_draws(m, n, k):
     # a chunk away from trial 0 equals the trials drawn one by one, byte
     # for byte, both through realization_for_trial and through a fresh
-    # keyed stream per trial read in the documented order
+    # keyed stream per trial read in the documented order, on any number
+    # of threads (9: more than the trials), in stack_order(m)
     cfg = Network(m=m, n=n, k=k, p=1.0, q=1.0)
     seed, start, stop = 2**64 - 3, 1021, 1029
-    h, g = channels_for_trials(m, n, k, seed, start, stop, k)
+    order = {4: "F", 8: "C"}[m]
+    assert stack_order(m) == order
     reals = [realization_for_trial(cfg, seed, t) for t in range(start, stop)]
-    assert h.tobytes() == np.stack([r.h for r in reals]).tobytes()
-    assert g.tobytes() == np.stack([r.g for r in reals]).tobytes()
-    for i, trial in enumerate(range(start, stop)):
-        rng = trial_rng(seed, trial)
-        hs = [sample_gaussian_matrix(n, m, rng) for _ in range(k)]
-        gs = [sample_gaussian_matrix(m, n, rng) for _ in range(k)]
-        assert h[i].tobytes() == np.stack(hs).tobytes()
-        assert g[i].tobytes() == np.stack(gs).tobytes()
+    for threads in (1, 2, 3, 9):
+        h, g = channels_for_trials(m, n, k, seed, start, stop, k, threads)
+        assert h.flags[f"{order}_CONTIGUOUS"] and g.flags[f"{order}_CONTIGUOUS"]
+        assert h.tobytes() == np.stack([r.h for r in reals]).tobytes()
+        assert g.tobytes() == np.stack([r.g for r in reals]).tobytes()
+        for i, trial in enumerate(range(start, stop)):
+            rng = trial_rng(seed, trial)
+            hs = [sample_gaussian_matrix(n, m, rng) for _ in range(k)]
+            gs = [sample_gaussian_matrix(m, n, rng) for _ in range(k)]
+            assert h[i].tobytes() == np.stack(hs).tobytes()
+            assert g[i].tobytes() == np.stack(gs).tobytes()
 
 
 @pytest.mark.parametrize("relays", [(1, 2, 3, 4, 5), (1, 2, 5), (3, 4)])
 def test_every_relay_count_is_a_slice_of_one_draw(relays):
     # one draw at K = max k holds every k <= K: h is blocks [0, k) and g
     # blocks [k, 2k), byte for byte what k's own keyed stream gives in
-    # the reference layout; g starts at the sweep's smallest k
+    # the reference layout, on any number of threads (6: more than the
+    # trials); g starts at the sweep's smallest k
     m, n, low, top = 2, 3, min(relays), max(relays)
     seed, start, stop = 12, 1022, 1027
-    h, g = channels_for_trials(m, n, top, seed, start, stop, low)
-    assert h.shape == (stop - start, top, n, m)
-    assert g.shape == (stop - start, 2 * top - low, m, n)
-    for i, trial in enumerate(range(start, stop)):
-        for k in range(1, top + 1):
-            rng = trial_rng(seed, trial)
-            hs = [sample_gaussian_matrix(n, m, rng) for _ in range(k)]
-            gs = [sample_gaussian_matrix(m, n, rng) for _ in range(k)]
-            assert h[i, :k].tobytes() == np.stack(hs).tobytes()
-            if k >= low:
-                assert g[i, k - low : 2 * k - low].tobytes() == np.stack(gs).tobytes()
+    for threads in (1, 2, 3, 6):
+        h, g = channels_for_trials(m, n, top, seed, start, stop, low, threads)
+        assert h.shape == (stop - start, top, n, m)
+        assert g.shape == (stop - start, 2 * top - low, m, n)
+        assert h.flags.f_contiguous and g.flags.f_contiguous  # stack_order(2)
+        for i, trial in enumerate(range(start, stop)):
+            for k in range(1, top + 1):
+                rng = trial_rng(seed, trial)
+                hs = [sample_gaussian_matrix(n, m, rng) for _ in range(k)]
+                gs = [sample_gaussian_matrix(m, n, rng) for _ in range(k)]
+                assert h[i, :k].tobytes() == np.stack(hs).tobytes()
+                if k >= low:
+                    assert g[i, k - low : 2 * k - low].tobytes() == np.stack(gs).tobytes()
+
+
+@pytest.mark.parametrize("start, stop", [(2**64 - 2, 2**64 + 2), (2**64, 2**64 + 1)])
+def test_a_failed_slice_raises_in_the_caller_after_every_join(start, stop):
+    # at two threads the helper alone keys trial 2**64 in the 4-trial
+    # range, and a 1-trial range runs on the caller alone: either way the
+    # call raises the key's OverflowError and leaves no thread behind
+    before = threading.active_count()
+    with pytest.raises(OverflowError):
+        channels_for_trials(2, 2, 1, 5, start, stop, 1, 2)
+    assert threading.active_count() == before
+    h, g = channels_for_trials(2, 2, 1, 5, start - 2, start - 1, 1, 2)
+    assert threading.active_count() == before
+    assert (h.tobytes(), g.tobytes()) == tuple(
+        a.tobytes() for a in channels_for_trials(2, 2, 1, 5, start - 2, start - 1, 1)
+    )
+
+
+def test_the_caller_waits_for_its_slowest_helper(monkeypatch):
+    # helpers that start late still finish before the call returns or
+    # raises: a call that returned after its own slice would hand back
+    # unwritten rows, miss the helper's error and leave it running; a
+    # draw on three threads starts two helpers, one on a single trial none
+    started = []
+
+    class LateThread(threading.Thread):
+        def run(self):
+            started.append(self)
+            time.sleep(0.05)
+            super().run()
+
+    expect = channels_for_trials(4, 4, 4, 8, 0, 96, 2)
+    before = threading.active_count()
+    monkeypatch.setattr(threading, "Thread", LateThread)
+    drawn = channels_for_trials(4, 4, 4, 8, 0, 96, 2, 3)
+    assert threading.active_count() == before and len(started) == 2
+    assert [a.tobytes() for a in drawn] == [a.tobytes() for a in expect]
+    with pytest.raises(OverflowError):
+        channels_for_trials(2, 2, 1, 5, 2**64 - 2, 2**64 + 2, 1, 2)
+    assert threading.active_count() == before and len(started) == 3
+    channels_for_trials(2, 2, 1, 5, 0, 1, 1, 3)
+    assert len(started) == 3
+
+
+def test_many_threads_switching_often_write_the_same_bytes():
+    # more threads than CPUs, each switched out every microsecond, write
+    # disjoint slices of the shared buffers: a lost or misplaced slice
+    # would change the bytes
+    expect = channels_for_trials(4, 4, 4, 8, 0, 96, 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        drawn = channels_for_trials(4, 4, 4, 8, 0, 96, 2, 16)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [a.tobytes() for a in drawn] == [a.tobytes() for a in expect]
 
 
 @given(st.integers(0, 2**63), st.integers(0, 10_000))

@@ -700,27 +700,40 @@ def test_trial_minor_and_trial_major_stacks_give_the_same_capacities(monkeypatch
 
 
 def test_pool_never_exceeds_the_cpus(monkeypatch, serial_pool):
+    # each job carries its draw's thread count: the CPUs that the sweep's
+    # processes leave idle, at least one
+    def drawn(jobs):
+        return [(head[-1], start, stop) for ((head, _, start, stop),) in jobs]
+
     _pin_cpus(monkeypatch, 2)
     jobs = _count_calls(monkeypatch, "_capacity_chunk")
     run_sweep(one_point(1, Scheme.MF, m=1, n=1, trials=10_000), workers=1000)
     assert serial_pool == [2]
-    assert [job[-2:] for (job,) in jobs] == [
-        (start, min(start + TRIAL_CHUNK, 10_000)) for start in range(0, 10_000, TRIAL_CHUNK)
+    assert drawn(jobs) == [
+        (1, start, min(start + TRIAL_CHUNK, 10_000)) for start in range(0, 10_000, TRIAL_CHUNK)
     ]  # jobs of at most TRIAL_CHUNK trials
     jobs.clear()
     run_sweep(one_point(1, Scheme.MF, trials=64), workers=8)
     assert serial_pool == [2, 2]
-    assert [job[-2:] for (job,) in jobs] == [(0, 32), (32, 64)]
+    assert drawn(jobs) == [(1, 0, 32), (1, 32, 64)]
+    jobs.clear()
+    draws = _count_calls(monkeypatch, "channels_for_trials")
+    run_sweep(one_point(1, Scheme.MF, trials=64), workers=1)  # one process, two CPUs
+    assert serial_pool == [2, 2]
+    assert drawn(jobs) == [(2, 0, 64)]
+    assert [args[-1] for args in draws] == [2]  # the job's draw runs on both
     _pin_cpus(monkeypatch, None)  # unknown: one process
+    jobs.clear()
     run_sweep(one_point(1, Scheme.MF, trials=64), workers=8)
     assert serial_pool == [2, 2]
+    assert drawn(jobs) == [(1, 0, 64)]
     # pinned to one CPU of eight (taskset, a cpuset): one process, one job
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
     jobs.clear()
     run_sweep(one_point(1, Scheme.MF, trials=64), workers=8)
     assert serial_pool == [2, 2]
-    assert [job[-2:] for (job,) in jobs] == [(0, 64)]
+    assert drawn(jobs) == [(1, 0, 64)]
 
 
 class StubLibc:
