@@ -14,7 +14,8 @@ cuts its trial range into contiguous slices, one per thread, and each
 slice keys, fills, scales and lays out its own trials. The fill and the
 copies are long numpy loops that release the GIL; a helper holds it only
 to re-key its stream once per trial. A sweep draws on as many threads as
-its processes leave CPUs idle (montecarlo._capacity_tables).
+its processes leave CPUs idle, up to montecarlo.DRAW_THREADS
+(montecarlo._capacity_tables).
 """
 
 from __future__ import annotations

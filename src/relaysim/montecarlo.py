@@ -40,12 +40,13 @@ holds it: every float, and every byte of results.csv, equals what the
 point gives on its own, at any range length. So a sweep with fewer
 chunks than workers shortens its ranges rather than cutting its points,
 and a run uses at most as many processes as there are jobs or CPUs.
-A job draws its channels on CPUs // processes threads, the CPUs that
-the run's processes leave idle (one thread in a pool that fills them).
-Only the draw is split: its fill and copies are long numpy loops that
-release the GIL, while the work after it is short calls and BLAS calls,
-both of which measured slower on two threads. Every trial keeps its own
-stream, so the thread count moves no byte either. A job's memory is
+A job draws its channels on min(DRAW_THREADS, CPUs // processes)
+threads: the CPUs that the run's processes leave idle (one thread in a
+pool that fills them), at most the 2 that have been measured. Only the
+draw is split: its fill and copies are long numpy loops that release
+the GIL, while the work after it is short calls and BLAS calls, both of
+which measured slower on two threads. Every trial keeps its own stream,
+so the thread count moves no byte either. A job's memory is
 linear in its trials times the bytes of a trial's relay stacks, the
 largest of which is g (2K - min k relays of n x m entries), so
 STACK_BYTES bounds it at any (m, n, k). Each relay stack (h, g, the
@@ -89,6 +90,11 @@ STACK_BYTES = 5 << 19  # 2.5 MiB
 # (about five STACK_BYTES stacks and the raw draw, 12.8 MiB for fig5)
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 HEAP_KEEP = 32 << 20
+
+# The most threads a job's draw runs on: the count measured to gain, on a
+# 2-CPU host (BENCH_32). More threads than that are untested on CPUs of
+# their own; on 2 CPUs they drew a fig5 job more slowly than 2 did.
+DRAW_THREADS = 2
 
 # axis -> the base network fields that each of its values replaces
 AXES = {
@@ -385,12 +391,13 @@ def _capacity_tables(spec: SweepSpec, workers: int) -> np.ndarray:
     TRIAL_CHUNK. A sweep that fits in one such job per worker is instead
     split evenly into min(workers, trials) jobs. The map runs in at most
     one process per job and per CPU this process may run on, and the
-    head carries the thread count of each job's draw, CPUs // processes:
-    the CPUs that the processes leave idle, at least 1 since there are
-    no more processes than CPUs. So on 2 CPUs a one-process sweep draws
-    on 2 threads, and a 2-process pool on 1 thread in each worker, which
-    starts no helper thread. Only 2 CPUs have been measured; on more,
-    the count follows the same rule untested. Only a pool's parent loads
+    head carries the thread count of each job's draw,
+    min(DRAW_THREADS, CPUs // processes): the CPUs that the processes
+    leave idle, at least 1 since there are no more processes than CPUs,
+    and at most the count measured to gain. So on 2 CPUs a one-process
+    sweep draws on 2 threads, and a 2-process pool on 1 thread in each
+    worker, which starts no helper thread; on 8 CPUs a one-process sweep
+    still draws on 2. Only a pool's parent loads
     multiprocessing and concurrent.futures.process (relaysim run loads
     them before its sweep when --workers is above 1), so a one-process
     run never imports them. It also loads numpy.random (which numpy
@@ -442,8 +449,9 @@ def _capacity_tables(spec: SweepSpec, workers: int) -> np.ndarray:
     else:
         ranges = [(start, min(start + step, trials)) for start in range(0, trials, step)]
     workers = min(workers, len(ranges))
-    # a job draws on the CPUs that the other processes leave idle
-    head = spec.m, spec.n, spec.seed, spec.alpha, spec.schemes, cpus // workers
+    # a job draws on the CPUs that the other processes leave idle, up to DRAW_THREADS
+    threads = min(DRAW_THREADS, cpus // workers)
+    head = spec.m, spec.n, spec.seed, spec.alpha, spec.schemes, threads
     jobs = [(head, points, start, stop) for start, stop in ranges]
     libc = _glibc()
     if libc:  # after the result table, which outlives the jobs, and before any fork

@@ -734,6 +734,12 @@ def test_pool_never_exceeds_the_cpus(monkeypatch, serial_pool):
     run_sweep(one_point(1, Scheme.MF, trials=64), workers=8)
     assert serial_pool == [2, 2]
     assert drawn(jobs) == [(1, 0, 64)]
+    # eight CPUs and one process: the draw stays on the 2 threads measured
+    _pin_cpus(monkeypatch, 8)
+    jobs.clear()
+    run_sweep(one_point(1, Scheme.MF, trials=64), workers=1)
+    assert serial_pool == [2, 2]
+    assert drawn(jobs) == [(2, 0, 64)]
 
 
 class StubLibc:
