@@ -4,8 +4,9 @@
     relaysim list-scenarios
 
 <scenario> is a path to a scenario file, or the bare name of a bundled
-one. Results land in DIR (default ./results) as results.csv plus an SVG
-chart named after the scenario, both in UTF-8 under any locale. Both
+one. Results land in DIR (default ./results), which is created before
+the sweep starts, as results.csv plus an SVG chart named after the
+scenario, both in UTF-8 under any locale. Both
 are written beside their final names and then moved into place, so a
 failed run leaves earlier files intact. The seed resolution order is:
 --seed flag, then the RELAYSIM_SEED environment variable, then the
@@ -88,11 +89,11 @@ def cmd_run(args) -> int:
     )
     if args.workers > 1:  # the pool's modules load at start-up, not in the sweep
         importlib.import_module("concurrent.futures.process")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)  # before the sweep: an unusable --out fails at once
 
     rows = run_sweep(spec, workers=args.workers)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "results.csv"
     svg_path = out / f"{stem}.svg"
     # the file name's bytes as UTF-8, whatever the locale decoded them to

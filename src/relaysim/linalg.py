@@ -172,7 +172,7 @@ def re_diag_congruence(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.real(np.einsum("...ij,...ij->...j", q.conj(), a @ q))
 
 
-def hpd_inverse(a: np.ndarray, definite=lambda: False) -> np.ndarray:
+def hpd_inverse(a: np.ndarray, definite) -> np.ndarray:
     """The inverses of a stack (..., m, m) of Hermitian positive definite
     matrices; a's storage may be reused. Raises NumericError unless every
     matrix is positive definite.

@@ -25,13 +25,14 @@ job is the sweep's network head (m, n, seed, alpha, schemes) with the
 draw's thread count, its points resolved to (label, k, linear PNR,
 linear QNR), and one trial range [start, stop) of the whole sweep, at
 most TRIAL_CHUNK long and at most STACK_BYTES in its largest relay
-stack. The points are resolved and checked once, in the parent, so a
-worker never reads the sweep's axes or converts a dB value. A job draws
-the range's channels once, at the largest k, and reduces them once to
-the relays' m x m Grams g g^H and h^H h (and, for mf-rzf, to
-(1 + alpha)(g g^H + alpha I)^-1). Each k
-reads its slices of these; only the af cascade g h and each scheme's
-per-relay link products are formed per k. What is left per point is
+stack. The spec resolves and checks each axis value's network once,
+when it is built; the parent's job map and rows read that resolution,
+so a worker never reads the sweep's axes or converts a dB value. A job
+draws the range's channels once, at the largest k, and reduces them
+once to the relays' m x m Grams g g^H and h^H h (and, for mf-rzf, to
+(1 + alpha)(g g^H + alpha I)^-1). Each k reads its slices of these;
+only the af cascade g h and each scheme's per-relay link products are
+formed per k. What is left per point is
 power control, two rho-weighted sums over relays, the QR and SNR, and
 the bound. A slice holds exactly the floats that k's own draw and Grams
 would, and every operation works trial by trial, so a trial's capacities
@@ -207,7 +208,9 @@ class SweepSpec:
     run settings. It is the package's one network description and the
     one check of a sweep's input: every field is typed, and the base
     network and every point are checked (_check_network), so a bad value
-    is a ConfigError naming its field when the spec is built."""
+    is a ConfigError naming its field when the spec is built. Each axis
+    value is resolved (point) there, once, and the sweep reads that
+    resolution rather than resolving again."""
 
     axis: str
     values: tuple
@@ -249,10 +252,11 @@ class SweepSpec:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         check_seed(self.seed)
         _check_network(*(getattr(self, name) for name in _NETWORK))
-        for value in self.values:
-            self.point(value)
+        # each value's network, which the sweep reads; not a field, so
+        # neither a scenario key nor part of the spec's equality
+        object.__setattr__(self, "_points", tuple(map(self.point, self.values)))
         field = AXES[self.axis][0]
-        object.__setattr__(self, "values", tuple(_typed(field, v) for v in self.values))
+        object.__setattr__(self, "values", tuple(net[field] for net in self._points))
 
     def point(self, value) -> dict:
         """The network fields m, n, k, pnr_db, qnr_db and alpha of one
@@ -380,12 +384,12 @@ def _capacity_chunk(job) -> np.ndarray:
 def _capacity_tables(spec: SweepSpec, workers: int) -> np.ndarray:
     """(points, trials, series) per-trial capacities of every point of
     the sweep, in trial order, with the schemes' series and then the
-    bound's, from one map over jobs. Each axis value is resolved here,
-    once, into a point (label, k, linear PNR, linear QNR), and a job is
-    the head (m, n, seed, alpha, schemes, threads), those points and one
-    trial range of the whole sweep, sized from the points' k: of at least
-    one trial and otherwise of at most TRIAL_CHUNK trials and STACK_BYTES
-    in g (its largest relay stack).
+    bound's, from one map over jobs. Each axis value's network, which the
+    spec resolved when it was built, gives a point (label, k, linear PNR,
+    linear QNR), and a job is the head (m, n, seed, alpha, schemes,
+    threads), those points and one trial range of the whole sweep, sized
+    from the points' k: of at least one trial and otherwise of at most
+    TRIAL_CHUNK trials and STACK_BYTES in g (its largest relay stack).
     So a job's memory is bounded at any (m, n, k): 8 x 8 sweeps at k = 10
     (fig5, fig6) run 256-trial jobs, and 4 x 4 ones up to k = 8
     TRIAL_CHUNK. A sweep that fits in one such job per worker is instead
@@ -436,7 +440,7 @@ def _capacity_tables(spec: SweepSpec, workers: int) -> np.ndarray:
         raise MemoryError(f"trials = {trials}: {exc}") from exc
     points = [  # (label, k, linear PNR, linear QNR) per axis value
         (f"{spec.axis} = {value}", net["k"], *(_from_db(net[f], f) for f in ("pnr_db", "qnr_db")))
-        for value, net in zip(spec.values, map(spec.point, spec.values))
+        for value, net in zip(spec.values, spec._points)
     ]
     relays = [k for _, k, *_ in points]
     low, top = min(relays), max(relays)
@@ -491,8 +495,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
     rows = []
     labels = [s.value for s in spec.schemes] + [UPPER_BOUND_LABEL]
     trials = spec.trials
-    for value, table in zip(spec.values, _capacity_tables(spec, workers)):
-        point = spec.point(value)
+    for value, point, table in zip(spec.values, spec._points, _capacity_tables(spec, workers)):
         for j, label in enumerate(labels):
             col = table[:, j]
             stderr = float(np.std(col, ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0

@@ -319,6 +319,19 @@ def test_failed_write_keeps_earlier_files(tiny_scenario, tmp_path, capsys, monke
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
+@pytest.mark.parametrize("below", [True, False], ids=["below-a-file", "a-file"])
+def test_unusable_out_exits_2_before_the_sweep(tiny_scenario, tmp_path, capsys, monkeypatch, below):
+    swept = []
+    monkeypatch.setattr(cli, "run_sweep", lambda *args, **kwargs: swept.append(args))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker / "out" if below else blocker
+    assert _run(["run", tiny_scenario, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert swept == [] and blocker.read_text() == ""
+
+
 def test_svg_title_with_markup_characters_is_escaped(tmp_path):
     # the chart title is the scenario file's stem
     path = tmp_path / "a&b<c.toml"

@@ -173,6 +173,32 @@ def test_axis_point_errors_name_the_point():
         spec.point(2.5)
 
 
+def test_each_spec_resolves_its_points_once(monkeypatch):
+    # a spec resolves and checks each axis value when it is built; the
+    # job map and the rows read that resolution
+    calls = {"point": 0, "check": 0}
+    point, check = SweepSpec.point, montecarlo._check_network
+
+    def counted_point(self, value):
+        calls["point"] += 1
+        return point(self, value)
+
+    def counted_check(*args, **kwargs):
+        calls["check"] += 1
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(SweepSpec, "point", counted_point)
+    monkeypatch.setattr(montecarlo, "_check_network", counted_check)
+    spec = base_spec(values=(1, 2, 3), schemes=("mf",), trials=8)
+    assert calls == {"point": 3, "check": 4}  # the base network, then each value
+    rows = run_sweep(spec)
+    _capacity_tables(spec, 1)
+    assert calls == {"point": 3, "check": 4}
+    assert [row.k for row in rows] == [1, 1, 2, 2, 3, 3]
+    dataclasses.replace(spec, trials=4)  # a new spec resolves its own points
+    assert calls == {"point": 6, "check": 8}
+
+
 # ------------------------------------------------------------ estimators
 
 
